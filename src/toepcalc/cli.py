@@ -193,6 +193,8 @@ def _cmd_factor(ns) -> tuple[Report, int]:
 
 
 def _cmd_compare(ns) -> tuple[Report, int]:
+    if ns.max_radius < 0:
+        raise UsageError("--max-radius must be nonnegative")
     a = _read_tower(ns.file_a)
     b = _read_tower(ns.file_b)
     return _verdict_report(conjugacy_verdict(a, b, ns.max_radius))
@@ -286,6 +288,8 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
 
 
 def _cmd_corpus(ns) -> tuple[Report, int]:
+    if ns.max_radius < 0:
+        raise UsageError("--max-radius must be nonnegative")
     directory = Path(ns.directory)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {ns.directory}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .core import Alphabet, ParseError, PartialCyclicWord, SkeletonTower
+from .skeleton import skeleton_word
 
 
 class CodeError(ValueError):
@@ -161,16 +162,9 @@ def apply_block_code(tower: SkeletonTower, code: BlockCode) -> SkeletonTower:
             out_cells.append(None)
         else:
             out_cells.append(code.apply(window))
-    out_word = PartialCyclicWord(tuple(out_cells))
-    levels: list[tuple[int, PartialCyclicWord]] = []
-    for p, _ in tower.levels[:-1]:
-        cells: list[Optional[str]] = []
-        for r in range(p):
-            values = {out_cells[x] for x in range(r, deep, p)}
-            cells.append(values.pop() if len(values) == 1 and None not in values else None)
-        levels.append((p, PartialCyclicWord(tuple(cells))))
-    levels.append((deep, out_word))
-    return SkeletonTower(tower.alphabet, tuple(levels), None)
+    out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(tuple(out_cells))),), None)
+    levels = tuple((p, skeleton_word(out, p)[0]) for p, _ in tower.levels[:-1])
+    return SkeletonTower(tower.alphabet, (*levels, *out.levels), None)
 
 
 @dataclass(frozen=True)

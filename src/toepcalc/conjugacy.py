@@ -271,17 +271,15 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
             if all(pp.status_at(x + k) is not Status.OUT for x in range(-radius, radius + 1))
         ]
 
-    status_a = {p: period_status(a, p) for p in stages}
-    status_b = {p: period_status(b, p) for p in stages}
     for m_prime in range(max_radius, -1, -1):
         refuting = []
         for p in stages:
             if not all(
-                status_a[p].status_at(x) is Status.IN
+                period_status(a, p).status_at(x) is Status.IN
                 for x in range(-2 * m_prime, 2 * m_prime + 1)
             ):
                 continue
-            ks = candidates(status_b[p], m_prime)
+            ks = candidates(period_status(b, p), m_prime)
             if all(isinstance(gamma_map(a, b, p, k), Contradicted) for k in ks):
                 refuting.append(p)
         if refuting:
@@ -292,10 +290,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
         if not separated[p]:
             diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
             continue
-        t = margin_radius(status_a[p])
+        t = margin_radius(period_status(a, p))
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
         if t >= 0:
-            ks = candidates(status_b[p], t)
+            ks = candidates(period_status(b, p), t)
             kinds = [gamma_map(a, b, p, k) for k in ks]
             contradicted = sum(isinstance(g, Contradicted) for g in kinds)
             line += (
@@ -489,18 +487,14 @@ def with_common_depth(a: SkeletonTower, b: SkeletonTower) -> tuple[SkeletonTower
     """Pad the shallower tower by repeating its deepest word so both towers
     end at the same period; raises IncompatiblePeriods when neither deepest
     period divides the other."""
-    na, nb = a.deepest_period, b.deepest_period
-    if na == nb:
-        return a, b
-    if nb % na == 0:
-        return _pad(a, nb // na), b
-    if na % nb == 0:
-        return a, _pad(b, na // nb)
-    raise IncompatiblePeriods(f"deepest periods {na} and {nb} do not divide one another")
+    n = _common_length(a, b)
+    return _pad(a, n), _pad(b, n)
 
 
-def _pad(t: SkeletonTower, c: int) -> SkeletonTower:
-    deeper = (t.deepest_period * c, t.deepest_word.repeated(c))
+def _pad(t: SkeletonTower, n: int) -> SkeletonTower:
+    if t.deepest_period == n:
+        return t
+    deeper = (n, PartialCyclicWord(_tiled(t.deepest_word, n)))
     return SkeletonTower(t.alphabet, (*t.levels, deeper), t.declared_scale)
 
 

@@ -14,7 +14,7 @@ period, so negative positions are always meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .odometer import SupernaturalNumber, divides
 
@@ -159,6 +159,9 @@ class SkeletonTower:
     alphabet: Alphabet
     levels: tuple[tuple[int, PartialCyclicWord], ...]
     declared_scale: Optional[SupernaturalNumber] = None
+    # periodic_part's status tables by period; the tower is immutable, so each
+    # table is built once and stays valid for the tower's lifetime
+    _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))

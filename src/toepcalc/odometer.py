@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 INF = math.inf
 
@@ -39,17 +39,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def primes(count: int) -> tuple[int, ...]:
-    """First ``count`` primes, starting at 2."""
-    out: list[int] = []
-    candidate = 2
-    while len(out) < count:
-        if _is_prime(candidate):
-            out.append(candidate)
-        candidate += 1
-    return tuple(out)
 
 
 def prime_index(p: int) -> int:

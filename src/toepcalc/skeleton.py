@@ -74,11 +74,15 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     At ``p`` equal to the deepest period the word is literal: filled is In,
     blank is Out.  At a proper divisor, a residue is In with symbol ``a`` when
     every deepest-level cell congruent to it is filled with ``a``, Out when
-    two filled cells disagree, and Unknown otherwise.
+    two filled cells disagree, and Unknown otherwise.  Each table is built
+    once per tower and reused by every later query.
     """
     deep = tower.deepest_period
     if p < 1 or deep % p:
         raise NonDivisorError(f"{p} does not divide the deepest period {deep}")
+    cached = tower._status.get(p)
+    if cached is not None:
+        return cached
     w = tower.deepest_word
     statuses: list[Status] = []
     symbols: list[Optional[str]] = []
@@ -99,7 +103,8 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
             else:
                 statuses.append(Status.UNKNOWN)
                 symbols.append(None)
-    return ResidueStatusSet(p, tuple(statuses), tuple(symbols))
+    rss = tower._status[p] = ResidueStatusSet(p, tuple(statuses), tuple(symbols))
+    return rss
 
 
 def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
@@ -199,26 +204,19 @@ def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
     Separation from ``q`` needs a position certified In on one side and Out
     on the other; equality needs every position determined on both sides with
     matching membership.  Comparisons run over one period of the two status
-    functions, whose moduli both divide the deepest period.
+    functions, whose moduli both divide the deepest period.  The ``q``-status
+    depends only on ``d = gcd(q, deepest)``, and ``d`` is the least ``q`` of
+    its class, so only the divisors ``d < p`` of the deepest period are
+    compared; ``undetermined`` lists those divisors.
     """
-    if p < 1:
-        raise NonDivisorError(f"period {p} is not positive")
-    cache: dict[int, ResidueStatusSet] = {}
-    deep = tower.deepest_period
-
-    def rss_for(m: int) -> ResidueStatusSet:
-        g = math.gcd(m, deep)
-        if g not in cache:
-            cache[g] = periodic_part(tower, g)
-        return cache[g]
-
-    rp = rss_for(p)
+    rp = period_status(tower, p)
     if all(s is Status.OUT for s in rp.statuses):
         return EssentialStatus(p, EssentialOutcome.NOT_ESSENTIAL, "periodic part certified empty")
     has_in = any(s is Status.IN for s in rp.statuses)
+    deep = tower.deepest_period
     undetermined: list[int] = []
-    for q in range(1, p):
-        rq = rss_for(q)
+    for q in (d for d in range(1, min(p, deep + 1)) if deep % d == 0):
+        rq = periodic_part(tower, q)
         window = math.lcm(rp.modulus, rq.modulus)
         separated = False
         determined_equal = True

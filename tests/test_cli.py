@@ -186,6 +186,11 @@ def test_usage_errors(tmp_path):
     assert run_command(["no-such-command"])[0] == 3
     assert run_command(["compare"])[0] == 3
     assert run_command([])[0] == 3
+    f = gen_file(tmp_path, 1)
+    code, text = run_command(["compare", f, f, "--max-radius", "-1"])
+    assert code == 3 and "--max-radius" in text
+    code, text = run_command(["corpus", str(tmp_path), "--max-radius", "-1"])
+    assert code == 3 and "--max-radius" in text
     code, text = run_command(["--help"])
     assert code == 0 and "subcommand" in text or "usage" in text
 

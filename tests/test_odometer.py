@@ -14,7 +14,7 @@ from toepcalc import (
     supernatural_equal,
     supernatural_lcm,
 )
-from toepcalc.odometer import INF, EmptyScale, OdometerError, factor_int, primes
+from toepcalc.odometer import INF, EmptyScale, OdometerError, factor_int
 
 
 def test_parse_and_str_round_trip():
@@ -45,7 +45,6 @@ def test_from_int_and_as_int():
 def test_factor_int():
     assert factor_int(1) == ()
     assert factor_int(2**10 * 7) == ((2, 10), (7, 1))
-    assert primes(4) == (2, 3, 5, 7)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

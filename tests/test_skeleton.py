@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from toepcalc import (
     EssentialOutcome,
+    EssentialStatus,
     NonDivisorError,
     ScaleError,
     Status,
@@ -80,6 +81,21 @@ def test_non_divisor_rejected():
         periodic_part(tower("01"), 3)
 
 
+def test_status_table_cache_is_invisible():
+    a, b = reference_example(2), reference_example(2)
+    with pytest.raises(NonDivisorError):
+        periodic_part(a, 3)  # cold
+    first = periodic_part(a, 10)
+    assert a == b and hash(a) == hash(b)
+    assert {a, b} == {b}
+    assert periodic_part(a, 10) is first
+    assert periodic_part(a, 10) == periodic_part(b, 10)
+    with pytest.raises(NonDivisorError):
+        periodic_part(a, 3)  # warm
+    with pytest.raises(NonDivisorError):
+        periodic_part(a, 0)
+
+
 def test_period_status_reduces_by_gcd():
     g2 = reference_example(2)
     for q in (3, 7, 8, 12, 30, 50, 1000):
@@ -119,6 +135,58 @@ def test_essential_statuses():
     e40 = essential_period_status(g3, 40)
     assert e40.outcome is EssentialOutcome.UNKNOWN
     assert e40.undetermined == (20,)
+
+
+def _essential_all_q(t, p):
+    """Reference: compare ``p`` against every ``q < p``, one at a time."""
+    rp = period_status(t, p)
+    if all(s is Status.OUT for s in rp.statuses):
+        return EssentialStatus(p, EssentialOutcome.NOT_ESSENTIAL, "periodic part certified empty")
+    has_in = any(s is Status.IN for s in rp.statuses)
+    undetermined = []
+    for q in range(1, p):
+        rq = period_status(t, q)
+        window = math.lcm(rp.modulus, rq.modulus)
+        separated = False
+        determined_equal = True
+        for x in range(window):
+            a, b = rp.status_at(x), rq.status_at(x)
+            if a is Status.UNKNOWN or b is Status.UNKNOWN:
+                determined_equal = False
+            elif a is not b:
+                separated = True
+                break
+        if separated:
+            continue
+        if determined_equal:
+            return EssentialStatus(
+                p, EssentialOutcome.NOT_ESSENTIAL, f"certified equal to the {q}-periodic part"
+            )
+        undetermined.append(q)
+    if undetermined:
+        return EssentialStatus(p, EssentialOutcome.UNKNOWN, "undecided", tuple(undetermined))
+    if not has_in:
+        return EssentialStatus(
+            p, EssentialOutcome.UNKNOWN, "separated everywhere but nonemptiness uncertified"
+        )
+    return EssentialStatus(p, EssentialOutcome.ESSENTIAL, "separated from every shorter period")
+
+
+@given(st.integers(0, 10**9), st.sampled_from([2, 3]))
+@settings(max_examples=60)
+def test_essential_status_over_divisors_matches_all_q(seed, depth):
+    t = random_tower(random.Random(seed), depth=depth)
+    n = t.deepest_period
+    for p in range(1, 2 * n + 2):
+        got = essential_period_status(t, p)
+        ref = _essential_all_q(t, p)
+        assert got.outcome is ref.outcome
+        classes = tuple(sorted({math.gcd(q, n) for q in ref.undetermined}))
+        assert got.undetermined == classes
+        if ref.undetermined:
+            assert got.reason == "separation undecided against " + ", ".join(map(str, classes))
+        else:
+            assert got.reason == ref.reason
 
 
 def test_scale_truncation_reference():
