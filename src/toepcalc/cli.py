@@ -39,6 +39,9 @@ from .towerfile import parse_tower_text, serialize_tower
 
 Report = dict
 
+# the K-stage example has 5·2^K cells at its deepest level (327680 at K = 16)
+MAX_GENERATE_STAGES = 16
+
 
 class UsageError(Exception):
     pass
@@ -77,7 +80,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a built-in example tower")
     p.add_argument("kind", choices=("paper-example",))
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=int, required=True, help=f"0..{MAX_GENERATE_STAGES}")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("apply-code", help="apply a sliding block code to a tower")
@@ -227,8 +230,8 @@ def _cmd_invariant(ns) -> tuple[Report, int]:
 
 
 def _cmd_generate(ns) -> tuple[Report, int]:
-    if ns.stages < 0:
-        raise UsageError("--stages must be nonnegative")
+    if not 0 <= ns.stages <= MAX_GENERATE_STAGES:
+        raise UsageError(f"--stages must be between 0 and {MAX_GENERATE_STAGES}")
     tower = reference_example(ns.stages)
     _write_tower(ns.output, tower)
     return {"written": ns.output, "stages": ns.stages, "deepest": tower.deepest_period}, 0

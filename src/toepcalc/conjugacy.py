@@ -19,13 +19,17 @@ permutation realizing the pairing.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations, compress, count, repeat
+from operator import and_, eq, is_
 from typing import Iterable, Optional
 
 from .codes import AlphabetMismatch, PeriodMismatch
-from .core import PartialCyclicWord, SkeletonTower, rotate_tower
+from .core import PartialCyclicWord, SkeletonTower
 from .odometer import supernatural_equal
 from .skeleton import (
     NonDivisorError,
@@ -34,7 +38,6 @@ from .skeleton import (
     natural_factorization,
     period_status,
     periodic_part,
-    skeleton_word,
 )
 
 Block = tuple[Optional[str], ...]
@@ -80,77 +83,133 @@ def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
     return max(na, nb)
 
 
+class _Pair:
+    """Two deepest words prepared once per verdict: the source is cut into
+    blocks once per stage; the target is kept doubled, so its blocks for shift
+    ``k`` are cut at ``k mod n``, or rotated from shift 0 when ``p | k``."""
+
+    def __init__(self, src: tuple[Optional[str], ...], tgt: tuple[Optional[str], ...]):
+        self.n = len(src)
+        self.src = src
+        self.tgt2 = tgt + tgt
+        self._blocks: dict[tuple[int, bool], tuple[list[Block], list[int], list[bool]]] = {}  # (p, target)
+
+    @cached_property
+    def masks(self) -> tuple[str, str]:
+        return tuple("".join(map({None: "1"}.get, w, repeat("0"))) for w in (self.src, self.tgt2))
+
+    @cached_property
+    def tgt_blanks2(self) -> array:  # blanks before each cell of the doubled target
+        return array("i", accumulate(map(is_, self.tgt2, repeat(None)), initial=0))
+
+    @cached_property
+    def mask_shifts(self) -> range:
+        """Shifts in ``[0, n)`` with matching blank masks: the first match in
+        the doubled target mask, stepped by that mask's least rotation period."""
+        smask, tmask2 = self.masks
+        first = tmask2.find(smask)
+        return range(first, self.n, tmask2.find(tmask2[: self.n], 1)) if first >= 0 else range(0)
+
+    def cut(self, word: tuple[Optional[str], ...], o: int, p: int) -> list[Block]:
+        return list(zip(*[iter(word[o : o + self.n])] * p))  # consecutive p-tuples
+
+    def numbered(self, p: int, j: Optional[int] = None) -> tuple[list[Block], list[int], list[bool]]:
+        """Stage-``p`` blocks of the source, or of the target at shift ``j·p``
+        (rotated from shift 0); numbers that equal blocks share; fullness."""
+        key = (p, j is not None)
+        if key not in self._blocks:
+            blocks = self.cut(self.src if j is None else self.tgt2, 0, p)
+            ids = list(map({}.setdefault, blocks, count()))
+            self._blocks[key] = blocks, ids, [None not in b for b in blocks]
+        return self._blocks[key] if j is None else tuple(x[j:] + x[:j] for x in self._blocks[key])
+
+    def fully_filled(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
+        """Source and target block numbers where both blocks are full, and
+        their indices; only these blocks can contradict."""
+        _, sid, sfull = self.numbered(p)
+        o = k % self.n
+        if o % p == 0:
+            _, tid, tfull = self.numbered(p, o // p)
+            index = list(compress(count(), map(and_, sfull, tfull)))
+            return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
+        # a target block is full when the blank counts at its ends agree
+        before = self.tgt_blanks2[o : o + self.n + 1 : p]
+        index = list(compress(count(), map(and_, sfull, map(eq, before, before[1:]))))
+        tgt = [self.tgt2[o + j * p : o + j * p + p] for j in index]
+        return list(map(sid.__getitem__, index)), list(map({}.setdefault, tgt, count())), index
+
+    def contradicted(self, p: int, k: int) -> bool:
+        return _has_conflict(*self.fully_filled(p, k)[:2])
+
+    def gamma(self, p: int, k: int) -> GammaResult:
+        fs, ft, index = self.fully_filled(p, k)
+        if _has_conflict(fs, ft):
+            return _first_conflict(fs, ft, index)
+        src, _, sfull = self.numbered(p)
+        n, o = self.n, k % self.n
+        tgt = self.numbered(p, o // p)[0] if o % p == 0 else self.cut(self.tgt2, o, p)
+        smask, tmask = self.masks[0], self.masks[1][o : o + n]
+        if smask != tmask:
+            j = next(j for j, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
+            return Undetermined(f"blank masks differ at block {j}")
+        forward: dict[Block, tuple[Block, int]] = {}  # first target and index per source
+        backward: dict[Block, tuple[Block, int]] = {}
+        for j, (s, t) in enumerate(zip(src, tgt)):
+            if forward.setdefault(s, (t, j))[0] != t:
+                return Undetermined(f"partial blocks {j} and {forward[s][1]} break well-definedness")
+            if backward.setdefault(t, (s, j))[0] != s:
+                return Undetermined(f"partial blocks {j} and {backward[t][1]} break injectivity")
+        if not all(sfull):
+            # a witness exists when, per in-block offset, the observed symbol
+            # pairs form a bijection (masks agree: a blank only meets a blank)
+            tw = self.tgt2[o : o + n]
+            for u in range(p):
+                pairs = set(zip(self.src[u::p], tw[u::p]))
+                if len(pairs) != len({x for x, _ in pairs}) or len(pairs) != len({y for _, y in pairs}):
+                    return Undetermined(f"no positionwise witness at offset {u}")
+        return Consistent(tuple((s, t) for s, (t, _) in forward.items()))
+
+
+def _has_conflict(src: list[int], tgt: list[int]) -> bool:
+    """Not a bijection: distinct sources, targets and pairs differ in number."""
+    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
+
+
+def _first_conflict(src: list[int], tgt: list[int], index: list[int]) -> Contradicted:
+    """The lexicographically first conflicting pair, given that one exists;
+    counts of what lies at or after ``j1`` tell in O(1) if it has a partner."""
+    n_src, n_tgt, n_pair = Counter(src), Counter(tgt), Counter(zip(src, tgt))
+    for i1, (s, t) in enumerate(zip(src, tgt)):
+        if n_src[s] != n_pair[s, t] or n_tgt[t] != n_pair[s, t]:
+            # a partner shares exactly one of the source and the target
+            i2 = next(i for i in range(i1 + 1, len(src)) if (src[i] == s) != (tgt[i] == t))
+            if src[i2] == s:
+                return Contradicted("equal full blocks map to distinct full blocks", (index[i1], index[i2]))
+            return Contradicted("distinct full blocks map to one full block", (index[i1], index[i2]))
+        n_src[s] -= 1
+        n_tgt[t] -= 1
+        n_pair[s, t] -= 1
+    raise AssertionError("no conflict among the fully filled blocks")
+
+
 def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult:
     """Positional correspondence between the ``p``-blocks of ``a``'s deepest
     word and those of ``b``'s shifted by ``k``.
 
     Contradicted needs a quadruple of fully-filled blocks violating
-    well-definedness or injectivity.  Consistent needs matched blank masks,
+    well-definedness or injectivity; the first such pair ``(j1, j2)`` in
+    lexicographic order is reported.  Consistent needs matched blank masks,
     a well-defined injective map on block types, and (when blanks exist) a
     positionwise witness.  Everything else is Undetermined.
+
+    Cost: O(n) for the common length ``n``; the conflict search is O(n/p).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
     n = _common_length(a, b)
     if p < 1 or n % p:
         raise IncompatiblePeriods(f"stage {p} does not divide the common period {n}")
-    wa = _tiled(a.deepest_word, n)
-    wb = _tiled(b.deepest_word, n)
-    shifted = tuple(wb[(x + k) % n] for x in range(n))
-    blocks = n // p
-    src = [wa[j * p : (j + 1) * p] for j in range(blocks)]
-    tgt = [shifted[j * p : (j + 1) * p] for j in range(blocks)]
-
-    def full(block: Block) -> bool:
-        return all(c is not None for c in block)
-
-    for j1, j2 in combinations(range(blocks), 2):
-        if src[j1] == src[j2] and tgt[j1] != tgt[j2]:
-            if full(src[j1]) and full(tgt[j1]) and full(tgt[j2]):
-                return Contradicted("equal full blocks map to distinct full blocks", (j1, j2))
-        if tgt[j1] == tgt[j2] and src[j1] != src[j2]:
-            if full(tgt[j1]) and full(src[j1]) and full(src[j2]):
-                return Contradicted("distinct full blocks map to one full block", (j1, j2))
-
-    for j in range(blocks):
-        if tuple(c is None for c in src[j]) != tuple(c is None for c in tgt[j]):
-            return Undetermined(f"blank masks differ at block {j}")
-
-    forward: dict[Block, tuple[Block, int]] = {}
-    backward: dict[Block, tuple[Block, int]] = {}
-    order: list[tuple[Block, Block]] = []
-    for j in range(blocks):
-        s, t = src[j], tgt[j]
-        if s in forward:
-            if forward[s][0] != t:
-                return Undetermined(
-                    f"partial blocks {j} and {forward[s][1]} break well-definedness"
-                )
-        else:
-            forward[s] = (t, j)
-            order.append((s, t))
-        if t in backward:
-            if backward[t][0] != s:
-                return Undetermined(
-                    f"partial blocks {j} and {backward[t][1]} break injectivity"
-                )
-        else:
-            backward[t] = (s, j)
-
-    if any(not full(s) for s in src):
-        for u in range(p):
-            seen: dict[str, str] = {}
-            hit: dict[str, str] = {}
-            for j in range(blocks):
-                x, y = src[j][u], tgt[j][u]
-                if x is None:
-                    continue
-                assert y is not None  # masks matched above
-                if seen.setdefault(x, y) != y:
-                    return Undetermined(f"no positionwise witness at offset {u}")
-                if hit.setdefault(y, x) != x:
-                    return Undetermined(f"no positionwise witness at offset {u}")
-    return Consistent(tuple(order))
+    return _Pair(_tiled(a.deepest_word, n), _tiled(b.deepest_word, n)).gamma(p, k)
 
 
 class Verdict:
@@ -178,10 +237,6 @@ class RefutedUpTo(Verdict):
 @dataclass(frozen=True)
 class Unknown(Verdict):
     diagnostics: tuple[str, ...]
-
-
-def _blank_set(cells: tuple[Optional[str], ...]) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(cells) if c is None)
 
 
 def _certified_distinct(rss, r: int, d: int) -> bool:
@@ -225,6 +280,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
        Contradicted.  Any shorter conjugacy would produce a candidate shift
        with a consistent correspondence, so none exists.
     4. Else Unknown, with a per-stage accounting.
+
+    Cost: the words are tiled once, each stage is cut once and its phase
+    separation checked only when reached; mask-compatible shifts come from
+    one O(n) string search; each correspondence tried is O(n).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -241,18 +300,14 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     except IncompatiblePeriods as exc:
         return Unknown((str(exc),))
     stages = sorted(set(a.periods) | set(b.periods))
-    wa = _tiled(a.deepest_word, n)
-    wb = _tiled(b.deepest_word, n)
-    blanks_a = _blank_set(wa)
-    blanks_b = _blank_set(wb)
-    separated = {p: phase_separated(a, p) and phase_separated(b, p) for p in stages}
+    pair = _Pair(_tiled(a.deepest_word, n), _tiled(b.deepest_word, n))
+    separated: dict[int, bool] = {}
     for p in stages:
+        separated[p] = phase_separated(a, p) and phase_separated(b, p)
         if not separated[p]:
             continue  # phases indistinct: a blockwise pairing would not pin the shift
-        for k in range(n):
-            if frozenset((x - k) % n for x in blanks_b) != blanks_a:
-                continue  # mask match is necessary for Consistent
-            g = gamma_map(a, b, p, k)
+        for k in pair.mask_shifts:  # mask match is necessary for Consistent
+            g = pair.gamma(p, k)
             if isinstance(g, Consistent):
                 return ConjugateCertified(p, k, g.correspondence)
 
@@ -265,11 +320,11 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
         return t
 
     def candidates(pp, radius: int) -> list[int]:
-        return [
-            k
-            for k in range(n)
-            if all(pp.status_at(x + k) is not Status.OUT for x in range(-radius, radius + 1))
-        ]
+        # k fails when some x in [-radius, radius] puts k + x on an Out residue
+        g = pp.modulus
+        reach = range(-radius, radius + 1) if 2 * radius < g else range(g)
+        bad = {(r - x) % g for r in pp.residues(Status.OUT) for x in reach}
+        return [k for k in range(n) if k % g not in bad]
 
     for m_prime in range(max_radius, -1, -1):
         refuting = []
@@ -280,7 +335,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
             ):
                 continue
             ks = candidates(period_status(b, p), m_prime)
-            if all(isinstance(gamma_map(a, b, p, k), Contradicted) for k in ks):
+            if all(pair.contradicted(p, k) for k in ks):
                 refuting.append(p)
         if refuting:
             return RefutedUpTo(m_prime, tuple(refuting))
@@ -294,8 +349,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
         if t >= 0:
             ks = candidates(period_status(b, p), t)
-            kinds = [gamma_map(a, b, p, k) for k in ks]
-            contradicted = sum(isinstance(g, Contradicted) for g in kinds)
+            contradicted = sum(pair.contradicted(p, k) for k in ks)
             line += (
                 f"; {len(ks)} candidate shifts at radius {t}:"
                 f" {contradicted} contradicted, {len(ks) - contradicted} not"
@@ -318,9 +372,6 @@ class Part:
         if self.p < 1 or self.base.deepest_period % self.p:
             raise NonDivisorError(f"{self.p} does not divide the deepest period")
         object.__setattr__(self, "k", self.k % self.p)
-
-    def skeleton(self) -> tuple[PartialCyclicWord, tuple[bool, ...]]:
-        return skeleton_word(rotate_tower(self.base, self.k), self.p)
 
 
 class StarStatus(Enum):
@@ -407,18 +458,22 @@ class DpResult:
 def dp_equivalent(w: Part, z: Part) -> DpResult:
     """Orbit comparison of two parts under blockwise permutations: scan the
     block-aligned shifts ``j·p``; the first Consistent correspondence is a
-    witness, Contradicted everywhere is a refutation."""
+    witness, Contradicted everywhere is a refutation.
+
+    Cost: O(n) to cut the rotated words into ``B = n/p`` numbered blocks;
+    then O(B) per Contradicted shift and O(n) per other shift.
+    """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
     if w.base.alphabet != z.base.alphabet:
         raise AlphabetMismatch("parts use different alphabets")
     if w.base.deepest_period != z.base.deepest_period:
         raise PeriodMismatch("parts rest on towers of different depth")
-    a = rotate_tower(w.base, w.k)
-    b = rotate_tower(z.base, z.k)
+    a, b = w.base.deepest_word.cells, z.base.deepest_word.cells
+    pair = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k])
     all_contradicted = True
     for j in range(w.base.deepest_period // w.p):
-        g = gamma_map(a, b, w.p, j * w.p)
+        g = pair.gamma(w.p, j * w.p)
         if isinstance(g, Consistent):
             return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, j)
         if not isinstance(g, Contradicted):

@@ -179,12 +179,6 @@ class SkeletonTower:
     def deepest_word(self) -> PartialCyclicWord:
         return self.levels[-1][1]
 
-    def word_at(self, p: int) -> Optional[PartialCyclicWord]:
-        for q, w in self.levels:
-            if q == p:
-                return w
-        return None
-
 
 def validate_tower(tower: SkeletonTower) -> None:
     """Raise a ``TowerError`` subclass describing the first defect found.

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 from toepcalc import reference_example, parse_tower_text, serialize_tower
@@ -37,6 +38,17 @@ def test_validate_good_and_bad(tmp_path):
 
     code, text = run_command(["validate", str(tmp_path / "missing.tw")])
     assert code == 3
+
+
+def test_validate_large_prime_scale_is_fast(tmp_path):
+    f = write(tmp_path / "p.tw", "alphabet = 0 1\nscale = 2305843009213693951\nperiod 1 = 0\n")
+    start = time.perf_counter()
+    code, text = run_command(["validate", f])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "scale = 2305843009213693951" in text
+    huge = write(tmp_path / "h.tw", f"alphabet = 0 1\nscale = {2**89 - 1}\nperiod 1 = 0\n")
+    code, text = run_command(["validate", huge])
+    assert code == 3 and "too large" in text
 
 
 def test_analyze_text_report(tmp_path):
@@ -191,6 +203,8 @@ def test_usage_errors(tmp_path):
     assert code == 3 and "--max-radius" in text
     code, text = run_command(["corpus", str(tmp_path), "--max-radius", "-1"])
     assert code == 3 and "--max-radius" in text
+    code, text = run_command(["generate", "paper-example", "--stages", "17", "-o", str(tmp_path / "x.tw")])
+    assert code == 3 and "--stages" in text and not (tmp_path / "x.tw").exists()
     code, text = run_command(["--help"])
     assert code == 0 and "subcommand" in text or "usage" in text
 

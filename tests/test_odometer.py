@@ -14,7 +14,7 @@ from toepcalc import (
     supernatural_equal,
     supernatural_lcm,
 )
-from toepcalc.odometer import INF, EmptyScale, OdometerError, factor_int
+from toepcalc.odometer import INF, EmptyScale, OdometerError, _is_prime, factor_int
 
 
 def test_parse_and_str_round_trip():
@@ -45,6 +45,21 @@ def test_from_int_and_as_int():
 def test_factor_int():
     assert factor_int(1) == ()
     assert factor_int(2**10 * 7) == ((2, 10), (7, 1))
+
+
+def test_is_prime_matches_trial_division_and_rejects_huge():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-3, 20000))
+    # strong pseudoprimes to the first 7, 9, 12 bases and a Carmichael number
+    for n in (341550071728321, 3825123056546413051, 318665857834031151167461, 41041, 2**67 - 1):
+        assert not _is_prime(n)
+    for p in (2**31 - 1, 2**61 - 1, 761838257287):
+        assert _is_prime(p)
+    assert not _is_prime(2**100)  # a base divides it: decided without the bound
+    with pytest.raises(OdometerError, match="too large"):
+        _is_prime(2**89 - 1)
 
 
 @given(st.integers(min_value=1, max_value=10**6))
