@@ -360,13 +360,10 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
         return int(exc.code or 0), helped.getvalue()
     try:
         report, code = _COMMANDS[ns.command](ns)
-    except UsageError as exc:
-        return 3, f"error: {exc}"
-    except (ParseError, TowerError, CodeError, OdometerError) as exc:
-        return 3, f"error: {exc}"
-    except (IncompatiblePeriods, MissingScaleDeclaration) as exc:
-        return 3, f"error: {exc}"
-    except OSError as exc:
+    except (
+        UsageError, ParseError, TowerError, CodeError, OdometerError, OSError,
+        IncompatiblePeriods, MissingScaleDeclaration,
+    ) as exc:
         return 3, f"error: {exc}"
     return code, render_report(report, ns.format)
 

@@ -263,6 +263,28 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
     )
 
 
+def _margin(rss, max_radius: int) -> int:
+    """Largest ``m' <= max_radius`` with the source certified In on
+    ``[-2m', 2m']``, else -1: the window first meets a non-In residue ``r``
+    when ``2m'`` reaches its cyclic distance ``min(r, g - r)`` from 0."""
+    g = rss.modulus
+    d = min((min(r, g - r) for r, s in enumerate(rss.statuses) if s is not Status.IN), default=None)
+    return max_radius if d is None else min(max_radius, (d - 1) // 2)
+
+
+def _candidates(rss, radius: int, n: int) -> list[int]:
+    """Shifts ``k`` in ``[0, n)`` whose window ``[k - radius, k + radius]``
+    meets no Out residue of the target: those strictly inside a gap between
+    cyclically consecutive Out residues, by more than ``radius`` at each end."""
+    g, outs = rss.modulus, rss.residues(Status.OUT)
+    if not outs:
+        return list(range(n))
+    good = set()
+    for r1, r2 in zip(outs, (*outs[1:], outs[0] + g)):
+        good.update(x % g for x in range(r1 + radius + 1, r2 - radius))
+    return [k for k in range(n) if k % g in good]
+
+
 def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Verdict:
     """Decide as much as the finite stage allows, in fixed precedence.
 
@@ -283,7 +305,9 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
 
     Cost: the words are tiled once, each stage is cut once and its phase
     separation checked only when reached; mask-compatible shifts come from
-    one O(n) string search; each correspondence tried is O(n).
+    one O(n) string search; each correspondence tried is O(n).  Margins and
+    candidate shifts take O(stages · n), independent of ``max_radius``: each
+    stage is tried for refutation once, at its own margin.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -311,44 +335,26 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
             if isinstance(g, Consistent):
                 return ConjugateCertified(p, k, g.correspondence)
 
-    def margin_radius(pp) -> int:
-        t = -1
-        while t < max_radius and all(
-            pp.status_at(x) is Status.IN for x in range(-2 * (t + 1), 2 * (t + 1) + 1)
-        ):
-            t += 1
-        return t
-
-    def candidates(pp, radius: int) -> list[int]:
-        # k fails when some x in [-radius, radius] puts k + x on an Out residue
-        g = pp.modulus
-        reach = range(-radius, radius + 1) if 2 * radius < g else range(g)
-        bad = {(r - x) % g for r in pp.residues(Status.OUT) for x in reach}
-        return [k for k in range(n) if k % g not in bad]
-
-    for m_prime in range(max_radius, -1, -1):
-        refuting = []
-        for p in stages:
-            if not all(
-                period_status(a, p).status_at(x) is Status.IN
-                for x in range(-2 * m_prime, 2 * m_prime + 1)
-            ):
-                continue
-            ks = candidates(period_status(b, p), m_prime)
-            if all(pair.contradicted(p, k) for k in ks):
-                refuting.append(p)
+    # A stage is eligible up to its margin and its candidates shrink as the
+    # radius grows, so it refutes at some radius iff it refutes at its margin:
+    # the largest refuted radius is the largest margin of a refuting stage.
+    margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
+    candidates = {p: _candidates(period_status(b, p), t, n) for p, t in margins.items() if t >= 0}
+    for m in sorted(set(margins.values()) - {-1}, reverse=True):
+        refuting = tuple(
+            p for p in stages if margins[p] == m and all(pair.contradicted(p, k) for k in candidates[p])
+        )
         if refuting:
-            return RefutedUpTo(m_prime, tuple(refuting))
+            return RefutedUpTo(m, refuting)
 
     diagnostics = []
-    for p in stages:
+    for p, t in margins.items():
         if not separated[p]:
             diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
             continue
-        t = margin_radius(period_status(a, p))
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
         if t >= 0:
-            ks = candidates(period_status(b, p), t)
+            ks = candidates[p]
             contradicted = sum(pair.contradicted(p, k) for k in ks)
             line += (
                 f"; {len(ks)} candidate shifts at radius {t}:"
@@ -390,9 +396,10 @@ class StarredPart:
 def parts_star(tower: SkeletonTower, p: int) -> tuple[StarredPart, ...]:
     """Star status of every residue: Starred when position 0 is certified-In
     and position -1 certified-Out in the rotated skeleton; the certified block
-    length runs from 0 to the first certified hole (Unknown if an Unknown
-    residue intervenes)."""
+    length is that of the ``filled_blocks`` span starting there (Unknown if an
+    Unknown residue intervenes before the next certified hole)."""
     rss = periodic_part(tower, p)
+    lengths = {span.start: span.length for span in filled_blocks(tower, p).spans}
     out: list[StarredPart] = []
     for k in range(p):
         s_here = rss.status_at(k)
@@ -400,15 +407,7 @@ def parts_star(tower: SkeletonTower, p: int) -> tuple[StarredPart, ...]:
         length: Optional[int] = None
         if s_here is Status.IN and s_prev is Status.OUT:
             status = StarStatus.STARRED
-            i = 0
-            while True:
-                s = rss.status_at(k + i)
-                if s is Status.IN:
-                    i += 1
-                    continue
-                if s is Status.OUT:
-                    length = i
-                break
+            length = lengths[k]  # k follows a hole and is In, so a span starts there
         elif s_here is Status.OUT or s_prev is Status.IN:
             status = StarStatus.NOT_STARRED
         else:

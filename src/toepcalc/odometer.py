@@ -49,8 +49,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_PRIME_INDEX_LIMIT = 10**7  # prime_index sieves p + 1 bytes: 10 MB at the limit
+
+
 def prime_index(p: int) -> int:
-    """1-based position of the prime ``p`` among all primes (2 is 1st)."""
+    """1-based position of the prime ``p`` among all primes (2 is 1st);
+    primes above ``_PRIME_INDEX_LIMIT`` raise ``OdometerError`` before any
+    sieve is allocated."""
+    if p > _PRIME_INDEX_LIMIT:
+        raise OdometerError(f"prime {p} is above the prime-index limit {_PRIME_INDEX_LIMIT}")
     if not _is_prime(p):
         raise OdometerError(f"{p} is not prime")
     sieve = bytearray([1]) * (p + 1)

@@ -339,13 +339,9 @@ def growth_profile(tower: SkeletonTower) -> GrowthProfile:
     for p, _ in tower.levels:
         fb = filled_blocks(tower, p)
         certified = [s.length for s in fb.spans if s.length is not None]
-        unknown = set(fb.unknown_residues)
-        gaps: list[int] = []
-        for i, h in enumerate(fb.holes):
-            nxt = fb.holes[(i + 1) % len(fb.holes)]
-            gap = (nxt - h) % p or p
-            if all((h + 1 + j) % p not in unknown for j in range(gap - 1)):
-                gaps.append(gap)
+        # a certified span of length L lies between holes L + 1 apart; a hole
+        # without a span after it is followed at once by the next hole
+        gaps = [length + 1 for length in certified] + [1] * (len(fb.holes) > len(fb.spans))
         rows.append(
             GrowthRow(
                 period=p,

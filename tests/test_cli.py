@@ -216,3 +216,19 @@ def test_rotate_inverse(tmp_path):
     run_command(["rotate", f, "-k", "7", "-o", r])
     run_command(["rotate", r, "-k", "-7", "-o", rr])
     assert Path(rr).read_text() == Path(f).read_text()
+
+
+def test_factor_prime_above_index_limit_is_exit_3():
+    start = time.perf_counter()
+    code, text = run_command(["factor", "--scale", "2305843009213693951", "--count", "1"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and text.startswith("error:")
+
+
+def test_compare_huge_radius_is_fast(tmp_path):
+    a = gen_file(tmp_path, 2, "a.tw")
+    b = gen_file(tmp_path, 3, "b.tw")
+    start = time.perf_counter()
+    code, text = run_command(["compare", a, b, "--max-radius", "1000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "unknown" in text

@@ -1,0 +1,178 @@
+"""Differential tests: refutation decided once per stage at its own margin,
+against the descending-radius search it replaced, and the closed-form margin
+against its window definition."""
+
+import random
+
+import toepcalc.conjugacy as conjugacy
+from toepcalc import (
+    ConjugateCertified,
+    Consistent,
+    NotConjugateCertified,
+    RefutedUpTo,
+    Status,
+    Unknown,
+    apply_block_code,
+    apply_positionwise_permutation,
+    conjugacy_verdict,
+    period_status,
+    phase_separated,
+    reference_example,
+    rotate_tower,
+)
+from toepcalc.odometer import supernatural_equal
+from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
+from toepcalc.skeleton import ResidueStatusSet
+
+
+def reference_verdict(a, b, max_radius):
+    """``conjugacy_verdict`` with its refutation searched from ``max_radius``
+    down to 0, every stage re-checked at every radius, kept as the definition."""
+    if (
+        a.declared_scale is not None
+        and b.declared_scale is not None
+        and not supernatural_equal(a.declared_scale, b.declared_scale)
+    ):
+        return NotConjugateCertified(
+            f"declared scales differ: {a.declared_scale} vs {b.declared_scale}"
+        )
+    try:
+        n = conjugacy._common_length(a, b)
+    except conjugacy.IncompatiblePeriods as exc:
+        return Unknown((str(exc),))
+    stages = sorted(set(a.periods) | set(b.periods))
+    pair = conjugacy._Pair(conjugacy._tiled(a.deepest_word, n), conjugacy._tiled(b.deepest_word, n))
+    separated = {}
+    for p in stages:
+        separated[p] = phase_separated(a, p) and phase_separated(b, p)
+        if not separated[p]:
+            continue
+        for k in pair.mask_shifts:
+            g = pair.gamma(p, k)
+            if isinstance(g, Consistent):
+                return ConjugateCertified(p, k, g.correspondence)
+
+    def margin_radius(pp) -> int:
+        t = -1
+        while t < max_radius and all(
+            pp.status_at(x) is Status.IN for x in range(-2 * (t + 1), 2 * (t + 1) + 1)
+        ):
+            t += 1
+        return t
+
+    def candidates(pp, radius: int) -> list[int]:
+        g = pp.modulus
+        reach = range(-radius, radius + 1) if 2 * radius < g else range(g)
+        bad = {(r - x) % g for r in pp.residues(Status.OUT) for x in reach}
+        return [k for k in range(n) if k % g not in bad]
+
+    for m_prime in range(max_radius, -1, -1):
+        refuting = []
+        for p in stages:
+            if not all(
+                period_status(a, p).status_at(x) is Status.IN
+                for x in range(-2 * m_prime, 2 * m_prime + 1)
+            ):
+                continue
+            ks = candidates(period_status(b, p), m_prime)
+            if all(pair.contradicted(p, k) for k in ks):
+                refuting.append(p)
+        if refuting:
+            return RefutedUpTo(m_prime, tuple(refuting))
+
+    diagnostics = []
+    for p in stages:
+        if not separated[p]:
+            diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
+            continue
+        t = margin_radius(period_status(a, p))
+        line = f"stage {p}: no consistent shift; usable source margin radius {t}"
+        if t >= 0:
+            ks = candidates(period_status(b, p), t)
+            contradicted = sum(pair.contradicted(p, k) for k in ks)
+            line += (
+                f"; {len(ks)} candidate shifts at radius {t}:"
+                f" {contradicted} contradicted, {len(ks) - contradicted} not"
+            )
+        diagnostics.append(line)
+    return Unknown(tuple(diagnostics))
+
+
+def random_verdict_pair(rng):
+    """A tower and a partner: an unrelated tower, a rotation, a block-code
+    image (which loses structure, so refutations occur), or a rotated
+    positionwise image; sometimes the example tower instead of a random one."""
+    if rng.random() < 0.2:
+        a = rotate_tower(reference_example(rng.randint(0, 3)), rng.randrange(40))
+        symbols = a.alphabet.symbols
+    else:
+        symbols = rng.choice((("0", "1"), ("0", "1"), ("a", "b", "c")))
+        fill = rng.choice((1.0, 0.9, 0.8, 0.6))
+        a = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 5, 6), fill=fill)
+    n = a.deepest_period
+    kind = rng.randrange(4)
+    if kind == 0:
+        b = random_tower(rng, symbols, depth=1, base_periods=(n * rng.choice((1, 1, 2)),), fill=0.8)
+    elif kind == 1:
+        b = rotate_tower(a, rng.randrange(n))
+    elif kind == 2:
+        radius = rng.choice((0, 1, 1, 2)) if len(symbols) == 2 else rng.choice((0, 1))
+        b = rotate_tower(apply_block_code(a, random_block_code(rng, a.alphabet, radius)), rng.randrange(n))
+    else:
+        q = a.periods[0]  # a positionwise period must divide every level
+        p = rng.choice([d for d in range(1, q + 1) if q % d == 0])
+        b = rotate_tower(apply_positionwise_permutation(a, random_positionwise(rng, a.alphabet, p)), rng.randrange(n))
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_verdict_matches_descending_radius_search():
+    rng = random.Random(4161)
+    seen = set()
+    for _ in range(2400):
+        a, b = random_verdict_pair(rng)
+        max_radius = rng.choice((0, 1, 2, 3, 5, 20))
+        want = reference_verdict(a, b, max_radius)
+        assert conjugacy_verdict(a, b, max_radius) == want, (a, b, max_radius)
+        if isinstance(want, RefutedUpTo):
+            seen.add("refuted at 0" if want.radius == 0 else "refuted above 0")
+        elif isinstance(want, Unknown) and any("margin radius" in d for d in want.diagnostics):
+            seen.add("unknown with margins")
+    assert seen == {"refuted at 0", "refuted above 0", "unknown with margins"}
+
+
+def random_status_table(rng):
+    g = rng.randint(1, 24)
+    weights = rng.choice(((8, 1, 1), (3, 1, 1), (1, 1, 1), (1, 0, 0)))
+    statuses = tuple(rng.choices(list(Status), weights, k=g))
+    return ResidueStatusSet(g, statuses, tuple("0" if s is Status.IN else None for s in statuses))
+
+
+def test_closed_form_margin_matches_window_definition():
+    rng = random.Random(2016)
+    for _ in range(3000):
+        rss = random_status_table(rng)
+        max_radius = rng.randint(0, 30)
+        t = conjugacy._margin(rss, max_radius)
+        assert -1 <= t <= max_radius
+        for m in range(max_radius + 1):
+            window_in = all(rss.status_at(x) is Status.IN for x in range(-2 * m, 2 * m + 1))
+            assert (m <= t) == window_in, (rss, max_radius, m)
+
+
+def test_candidates_match_window_scan():
+    rng = random.Random(2017)
+    for _ in range(3000):
+        rss = random_status_table(rng)
+        n = rss.modulus * rng.randint(1, 3)
+        radius = rng.randint(0, 30)
+        want = [
+            k for k in range(n)
+            if all(rss.status_at(k + x) is not Status.OUT for x in range(-radius, radius + 1))
+        ]
+        assert conjugacy._candidates(rss, radius, n) == want, (rss, radius, n)
+
+
+def test_huge_radius_costs_no_more_than_the_period():
+    a, b = reference_example(2), reference_example(3)
+    # every stage has a hole, so no margin exceeds the deepest period 40
+    assert conjugacy_verdict(a, b, 10**9) == reference_verdict(a, b, 40)

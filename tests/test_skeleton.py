@@ -292,3 +292,47 @@ def test_hole_preserving_deepening_never_flips(seed, mult):
                 assert after.symbol(r) == before.symbol(r)
             if before.status_at(r) is Status.OUT:
                 assert after.status_at(r) is not Status.IN
+
+
+def test_min_hole_gap_reference():
+    gaps = {k: [r.min_hole_gap for r in growth_profile(reference_example(k)).rows] for k in (2, 3, 4)}
+    assert gaps == {2: [1, 2, 1], 3: [1, 2, None, 1], 4: [1, 1, 1, 2, 1]}
+    # one hole, two adjacent holes, the hole of period 1
+    assert [r.min_hole_gap for r in growth_profile(tower("01_")).rows] == [3]
+    assert [r.min_hole_gap for r in growth_profile(tower("0__1")).rows] == [1]
+    assert [r.min_hole_gap for r in growth_profile(tower("_")).rows] == [1]
+
+
+def reference_min_hole_gap(fb, p):
+    """The hole-to-hole walk ``growth_profile`` used before it read the spans."""
+    unknown = set(fb.unknown_residues)
+    gaps: list[int] = []
+    for i, h in enumerate(fb.holes):
+        nxt = fb.holes[(i + 1) % len(fb.holes)]
+        gap = (nxt - h) % p or p
+        if all((h + 1 + j) % p not in unknown for j in range(gap - 1)):
+            gaps.append(gap)
+    return min(gaps) if gaps else None
+
+
+def test_min_hole_gap_matches_hole_walk():
+    rng = random.Random(2161)
+    seen = set()
+    for _ in range(1500):
+        t = random_tower(
+            rng,
+            depth=rng.randint(1, 3),
+            base_periods=(1, 2, 3, 4, 5),
+            fill=rng.choice((0.9, 0.7, 0.4, 0.1)),
+        )
+        for row in growth_profile(t).rows:
+            p = row.period
+            fb = filled_blocks(t, p)
+            assert row.min_hole_gap == reference_min_hole_gap(fb, p), (t, p)
+            if len(fb.holes) > len(fb.spans):
+                seen.add("adjacent holes" if len(fb.holes) > 1 else "period 1 hole")
+            if len(fb.holes) == 1 and p > 1:
+                seen.add("single hole")
+            if fb.holes and row.min_hole_gap is None:
+                seen.add("every gap crosses an Unknown")
+    assert seen == {"adjacent holes", "period 1 hole", "single hole", "every gap crosses an Unknown"}
