@@ -156,10 +156,12 @@ def _cmd_validate(ns) -> tuple[Report, int]:
 
 
 def _cmd_analyze(ns) -> tuple[Report, int]:
+    if ns.report_depth is not None and ns.report_depth < 0:
+        raise UsageError("--report-depth must be nonnegative")
     tower = _read_tower(ns.file)
     trunc = scale_truncation(tower)
     growth = growth_profile(tower)
-    levels = tower.levels if ns.report_depth is None else tower.levels[-max(ns.report_depth, 0) :]
+    levels = tower.levels[::-1][: ns.report_depth][::-1]  # the deepest N levels, all when N is None
     stages: Report = {}
     for p, _ in levels:
         rss = periodic_part(tower, p)

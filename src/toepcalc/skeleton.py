@@ -71,11 +71,11 @@ class ResidueStatusSet:
 def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     """Certified ``p``-periodic part, for ``p`` dividing the deepest period.
 
-    At ``p`` equal to the deepest period the word is literal: filled is In,
-    blank is Out.  At a proper divisor, a residue is In with symbol ``a`` when
-    every deepest-level cell congruent to it is filled with ``a``, Out when
-    two filled cells disagree, and Unknown otherwise.  Each table is built
-    once per tower and reused by every later query.
+    A residue is read from its class, the deepest-level cells congruent to
+    it: In with symbol ``a`` when every cell holds ``a``, Out when two cells
+    hold different symbols, and otherwise (a blank) Out at the deepest
+    period, where the class is the one literal cell, and Unknown below it.
+    Each table is built once per tower and reused by every later query.
     """
     deep = tower.deepest_period
     if p < 1 or deep % p:
@@ -86,23 +86,14 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     w = tower.deepest_word
     statuses: list[Status] = []
     symbols: list[Optional[str]] = []
-    if p == deep:
-        for c in w.cells:
-            statuses.append(Status.OUT if c is None else Status.IN)
-            symbols.append(c)
-    else:
-        for r in range(p):
-            cells = [w.cells[x] for x in range(r, deep, p)]
-            filled = {c for c in cells if c is not None}
-            if len(filled) > 1:
-                statuses.append(Status.OUT)
-                symbols.append(None)
-            elif filled and None not in cells:
-                statuses.append(Status.IN)
-                symbols.append(next(iter(filled)))
-            else:
-                statuses.append(Status.UNKNOWN)
-                symbols.append(None)
+    for r in range(p):
+        cells = set(w.cells[r::p])
+        if len(cells) == 1 and None not in cells:
+            statuses.append(Status.IN)
+            symbols.append(*cells)
+        else:
+            statuses.append(Status.OUT if len(cells - {None}) > 1 or p == deep else Status.UNKNOWN)
+            symbols.append(None)
     rss = tower._status[p] = ResidueStatusSet(p, tuple(statuses), tuple(symbols))
     return rss
 
@@ -170,17 +161,14 @@ def filled_blocks(tower: SkeletonTower, p: int) -> FilledBlocks:
     unknown = rss.residues(Status.UNKNOWN)
     if not holes:
         return FilledBlocks(p, True, (), (), unknown)
-    spans: list[BlockSpan] = []
-    for i, h in enumerate(holes):
-        nxt = holes[(i + 1) % len(holes)]
-        arc_len = (nxt - h - 1) % p if len(holes) > 1 else p - 1
-        if arc_len == 0:
-            continue
-        start = (h + 1) % p
-        arc = [(start + j) % p for j in range(arc_len)]
-        certified = all(rss.statuses[r] is Status.IN for r in arc)
-        spans.append(BlockSpan(start, arc_len if certified else None, p))
-    return FilledBlocks(p, False, tuple(spans), holes, unknown)
+    # no residue between consecutive holes is Out; a wrapping arc is a slice of the doubled table
+    statuses2 = rss.statuses * 2
+    spans = tuple(
+        BlockSpan((h + 1) % p, None if Status.UNKNOWN in statuses2[h + 1 : nxt] else nxt - h - 1, p)
+        for h, nxt in zip(holes, (*holes[1:], holes[0] + p))
+        if nxt > h + 1
+    )
+    return FilledBlocks(p, False, spans, holes, unknown)
 
 
 class EssentialOutcome(Enum):
@@ -227,7 +215,7 @@ def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
                 determined_equal = False
             elif a is not b:
                 separated = True
-                break
+                break  # whole-window status-pair sets doubled invariant-ladder wall_s (0.55 -> 1.1 s)
         if separated:
             continue
         if determined_equal:
@@ -285,31 +273,47 @@ def scale_truncation(tower: SkeletonTower) -> ScaleTruncation:
     return ScaleTruncation(certified, tuple(pending), tuple(essentials))
 
 
+_STAGE_VALUE_BITS = 10_000  # Python refuses to print ints of more than 4300 digits (~14284 bits)
+
+
+def _stage_value(powers: list[tuple[int, int]]) -> int:
+    """``prod p^e``, refused with ``OdometerError`` above ``_STAGE_VALUE_BITS``
+    bits; ``p^e`` has more than ``(bits of p - 1)·e`` bits, so a value far
+    above the bound is refused before any power is computed."""
+    if sum((p.bit_length() - 1) * e for p, e in powers) < _STAGE_VALUE_BITS:
+        value = math.prod(p**e for p, e in powers)
+        if value.bit_length() <= _STAGE_VALUE_BITS:
+            return value
+    raise OdometerError(f"a stage value is not below 2^{_STAGE_VALUE_BITS}")
+
+
 def natural_factorization(u: SupernaturalNumber, count: int) -> tuple[int, ...]:
     """Stage sequence of a scale: the distinct values of
     ``prod_{i<=t+1} p_i ^ min(k_i, t+1)`` over the first ``t+1`` primes, with
     ones dropped.  Finite scales stabilize and the sequence ends there; for
-    the rest exactly ``count`` terms are produced.
+    the rest exactly ``count`` terms are produced.  A stage value of more
+    than ``_STAGE_VALUE_BITS`` bits raises ``OdometerError``.
     """
     if count < 0:
         raise OdometerError("count must be nonnegative")
     if not u.factors:
         raise EmptyScale("the trivial scale has no stage factorization")
-    target = u.as_int() if u.is_finite else None
     # only u's own primes contribute; the ambient sequence enters via indices
     entries = [(prime_index(p), p, k) for p, k in u.factors]
     out: list[int] = []
     t = 0
     while len(out) < count:
-        value = 1
-        for index, p, k in entries:
-            if index <= t + 1:
-                value *= p ** int(min(k, t + 1))
+        value = _stage_value([(p, int(min(k, t + 1))) for index, p, k in entries if index <= t + 1])
         if value != 1 and (not out or out[-1] != value):
             out.append(value)
-        if target is not None and value == target:
-            break
-        t += 1
+        # the value changes only when an entered exponent grows or another prime enters
+        if any(index <= t + 1 and k > t + 1 for index, _, k in entries):
+            t += 1
+        else:
+            entering = [index - 1 for index, _, _ in entries if index > t + 1]
+            if not entering:
+                break  # every exponent is saturated: the finite scale is reached
+            t = min(entering)
     return tuple(out)
 
 

@@ -74,6 +74,26 @@ def test_analyze_json_report(tmp_path):
     assert d["periods"] == [5, 10, 20]
 
 
+def test_analyze_report_depth(tmp_path):
+    f = gen_file(tmp_path, 2)
+    for depth, periods in ((0, []), (1, [20]), (2, [10, 20]), (7, [5, 10, 20])):
+        code, text = run_command(["--format", "json", "analyze", f, "--report-depth", str(depth)])
+        assert code == 0 and list(map(int, json.loads(text)["stage"])) == periods
+    code, text = run_command(["analyze", f, "--report-depth", "0"])
+    assert code == 0 and "stage." not in text
+    code, text = run_command(["analyze", f, "--report-depth", "-3"])
+    assert code == 3 and text.startswith("error:") and "--report-depth" in text
+
+
+def test_factor_stage_value_bound_is_exit_3():
+    for fmt in ("text", "json"):
+        for scale, count in (("9999991^inf", "3"), ("2^inf", "15000")):
+            start = time.perf_counter()
+            code, text = run_command(["--format", fmt, "factor", "--scale", scale, "--count", count])
+            assert time.perf_counter() - start < 2.0
+            assert code == 3 and text.startswith("error:"), text[:200]
+
+
 def test_factor_command():
     code, text = run_command(["factor", "--scale", "2^inf * 5", "--count", "4"])
     assert code == 0

@@ -1,0 +1,380 @@
+"""Differential tests: the one-rule stage facts (residue-class statuses, arcs
+between holes, stage rows, part-class comparison, stage values) against the
+case-split code they replaced, kept here verbatim as references."""
+
+import random
+from itertools import combinations
+from typing import Optional
+
+import pytest
+
+from toepcalc import (
+    BlockSpan,
+    DpKind,
+    EfinResult,
+    FilledBlocks,
+    IncompatiblePeriods,
+    MissingScaleDeclaration,
+    Part,
+    PeriodMismatch,
+    ResidueStatusSet,
+    SkeletonTower,
+    StageReport,
+    InvariantComparison,
+    Status,
+    SupernaturalNumber,
+    apply_positionwise_permutation,
+    chi_stage,
+    dp_equivalent,
+    efin_equal,
+    filled_blocks,
+    invariant_compare,
+    natural_factorization,
+    periodic_part,
+    rotate_tower,
+    with_common_depth,
+)
+from toepcalc.odometer import INF, OdometerError, prime_index, supernatural_equal
+from toepcalc.randomgen import deepen, random_positionwise, random_tower
+from helpers import tower
+
+
+def reference_periodic_part(tower, p):
+    """The table build with a separate literal loop at the deepest period."""
+    deep = tower.deepest_period
+    w = tower.deepest_word
+    statuses: list[Status] = []
+    symbols: list[Optional[str]] = []
+    if p == deep:
+        for c in w.cells:
+            statuses.append(Status.OUT if c is None else Status.IN)
+            symbols.append(c)
+    else:
+        for r in range(p):
+            cells = [w.cells[x] for x in range(r, deep, p)]
+            filled = {c for c in cells if c is not None}
+            if len(filled) > 1:
+                statuses.append(Status.OUT)
+                symbols.append(None)
+            elif filled and None not in cells:
+                statuses.append(Status.IN)
+                symbols.append(next(iter(filled)))
+            else:
+                statuses.append(Status.UNKNOWN)
+                symbols.append(None)
+    return ResidueStatusSet(p, tuple(statuses), tuple(symbols))
+
+
+def reference_filled_blocks(tower, p):
+    """The arc walk with a single-hole case and a residue list per arc; it
+    reads the reference table, so the two rules are checked independently."""
+    rss = reference_periodic_part(tower, p)
+    holes = rss.residues(Status.OUT)
+    unknown = rss.residues(Status.UNKNOWN)
+    if not holes:
+        return FilledBlocks(p, True, (), (), unknown)
+    spans: list[BlockSpan] = []
+    for i, h in enumerate(holes):
+        nxt = holes[(i + 1) % len(holes)]
+        arc_len = (nxt - h - 1) % p if len(holes) > 1 else p - 1
+        if arc_len == 0:
+            continue
+        start = (h + 1) % p
+        arc = [(start + j) % p for j in range(arc_len)]
+        certified = all(rss.statuses[r] is Status.IN for r in arc)
+        spans.append(BlockSpan(start, arc_len if certified else None, p))
+    return FilledBlocks(p, False, tuple(spans), holes, unknown)
+
+
+def reference_efin_equal(s, t, p):
+    """``efin_equal`` with sorted-pair keys, an explicit self-pair test and
+    set copies of the two sides."""
+    s_list = list(dict.fromkeys(s))
+    t_list = list(dict.fromkeys(t))
+    for part in (*s_list, *t_list):
+        if part.p != p:
+            raise PeriodMismatch(f"part at period {part.p} in a comparison at {p}")
+    elems = list(dict.fromkeys((*s_list, *t_list)))
+    index = {e: i for i, e in enumerate(elems)}
+    parent = list(range(len(elems)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    results: dict[tuple[int, int], DpKind] = {}
+    for x, y in combinations(elems, 2):
+        kind = dp_equivalent(x, y).kind
+        results[(index[x], index[y])] = kind
+        if kind is DpKind.CONSISTENT_WITNESS:
+            parent[find(index[x])] = find(index[y])
+
+    s_set, t_set = set(s_list), set(t_list)
+    roots_s = {find(index[e]) for e in s_list}
+    roots_t = {find(index[e]) for e in t_list}
+    if roots_s == roots_t:
+        return EfinResult.CERTIFIED_EQUAL
+
+    def refuted(x: Part, other: list[Part]) -> bool:
+        for y in other:
+            if x == y:
+                return False
+            i, j = index[x], index[y]
+            if results.get((min(i, j), max(i, j))) is not DpKind.REFUTED:
+                return False
+        return True
+
+    if any(refuted(x, t_list) for x in s_set) or any(refuted(y, s_list) for y in t_set):
+        return EfinResult.REFUTED
+    return EfinResult.UNDETERMINED
+
+
+def reference_invariant_compare(a, b, stages):
+    """``invariant_compare`` with a skipped-row branch per reason and a
+    divisibility check on each tower."""
+    if a.declared_scale is None or b.declared_scale is None:
+        raise MissingScaleDeclaration("both towers must declare a scale")
+    if not supernatural_equal(a.declared_scale, b.declared_scale):
+        return InvariantComparison(False, (), 0, "NotEquivalent(scale)")
+    tau = natural_factorization(a.declared_scale, stages)
+    try:
+        a, b = with_common_depth(a, b)
+        incompatible = None
+    except IncompatiblePeriods as exc:
+        incompatible = str(exc)
+    rows: list[StageReport] = []
+    for p in tau:
+        if incompatible is not None:
+            rows.append(StageReport(p, False, None, incompatible, None, None))
+            continue
+        if a.deepest_period % p or b.deepest_period % p:
+            rows.append(
+                StageReport(p, False, None, "stage does not divide the deepest periods", None, None)
+            )
+            continue
+        lengths = [
+            span.length
+            for t in (a, b)
+            for span in filled_blocks(t, p).spans
+            if span.length is not None
+        ]
+        min_len = min(lengths) if lengths else None
+        trust = (min_len - 7) // 4 if min_len is not None and min_len >= 7 else None
+        ca = chi_stage(a, p)
+        cb = chi_stage(b, p)
+        if not (ca.complete and cb.complete):
+            rows.append(
+                StageReport(p, True, EfinResult.UNDETERMINED, "incomplete chi stage", min_len, trust)
+            )
+            continue
+        res = reference_efin_equal(ca.parts, cb.parts, p)
+        rows.append(StageReport(p, True, res, f"{len(ca.parts)} vs {len(cb.parts)} parts", min_len, trust))
+    evaluated = [r for r in rows if r.evaluated]
+    suffix = 0
+    for r in reversed(evaluated):
+        if r.result is EfinResult.CERTIFIED_EQUAL:
+            suffix += 1
+        else:
+            break
+    summary = (
+        f"{suffix} of {len(evaluated)} evaluated stages certified equal (trailing suffix)"
+        if evaluated
+        else "no evaluable stages"
+    )
+    return InvariantComparison(True, tuple(rows), suffix, summary)
+
+
+def reference_natural_factorization(u, count):
+    """The stage sequence with t stepped one at a time until the scale is reached."""
+    target = u.as_int() if u.is_finite else None
+    entries = [(prime_index(p), p, k) for p, k in u.factors]
+    out: list[int] = []
+    t = 0
+    while len(out) < count:
+        value = 1
+        for index, p, k in entries:
+            if index <= t + 1:
+                value *= p ** int(min(k, t + 1))
+        if value != 1 and (not out or out[-1] != value):
+            out.append(value)
+        if target is not None and value == target:
+            break
+        t += 1
+    return tuple(out)
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def random_stage_tower(rng):
+    symbols = rng.choice((("0", "1"), ("0", "1"), ("a", "b", "c")))
+    return random_tower(
+        rng,
+        symbols,
+        depth=rng.randint(1, 3),
+        base_periods=(1, 2, 3, 4, 5, 6),
+        fill=rng.choice((1.0, 0.9, 0.7, 0.4, 0.1, 0.0)),
+    )
+
+
+def test_status_tables_and_arcs_match_case_split_rules():
+    rng = random.Random(51)
+    seen = set()
+    for _ in range(1600):
+        t = random_stage_tower(rng)
+        deep = t.deepest_period
+        for p in divisors(deep):
+            want = reference_periodic_part(t, p)
+            assert periodic_part(t, p) == want, (t, p)
+            fb = reference_filled_blocks(t, p)
+            assert filled_blocks(t, p) == fb, (t, p)
+            if len(fb.holes) == 1:
+                seen.add("single hole")
+            if any((h + 1) % p in fb.holes for h in fb.holes) and p > 1:
+                seen.add("adjacent holes")
+            if any(s.wraps for s in fb.spans):
+                seen.add("certified wrapping arc")
+            if any(s.length is None for s in fb.spans):
+                seen.add("uncertified arc")
+            if p < deep and Status.UNKNOWN in want.statuses:
+                seen.add("blank below the deepest period")
+        if len(t.levels) == 1:
+            seen.add("depth 1")
+        if deep == 1:
+            seen.add("period 1")
+        if t.deepest_word.blank_positions() == tuple(range(deep)):
+            seen.add("all blank")
+        if len(t.alphabet) == 3:
+            seen.add("three symbols")
+    assert seen == {
+        "single hole",
+        "adjacent holes",
+        "certified wrapping arc",
+        "uncertified arc",
+        "blank below the deepest period",
+        "depth 1",
+        "period 1",
+        "all blank",
+        "three symbols",
+    }
+
+
+def part_pool(rng):
+    """Parts at one stage of a tower and of a partner of the same depth: a
+    rotated positionwise image (so witnesses occur) or an unrelated tower."""
+    symbols = rng.choice((("0", "1"), ("a", "b", "c")))
+    a = random_tower(rng, symbols, depth=rng.randint(1, 2), base_periods=(2, 3, 4, 6), fill=rng.choice((1.0, 0.8)))
+    n = a.deepest_period
+    if rng.random() < 0.5:
+        phi = random_positionwise(rng, a.alphabet, a.periods[0])
+        b = rotate_tower(apply_positionwise_permutation(a, phi), rng.randrange(n))
+    else:
+        b = random_tower(rng, symbols, depth=1, base_periods=(n,), fill=rng.choice((1.0, 0.8)))
+    p = rng.choice([d for d in divisors(n) if d > 1] or [1])
+    return p, [Part(a, p, k) for k in range(p)] + [Part(b, p, k) for k in range(p)]
+
+
+def test_efin_matches_sorted_pair_rule():
+    rng = random.Random(52)
+    seen = set()
+    for _ in range(600):
+        p, pool = part_pool(rng)
+        s = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        t = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        if s and rng.random() < 0.3:
+            t.append(rng.choice(s))  # a part on both sides
+        want = reference_efin_equal(s, t, p)
+        assert efin_equal(s, t, p) is want, (s, t, p)
+        seen.add(want)
+        if not s or not t:
+            seen.add("empty side")
+        if set(s) & set(t):
+            seen.add("part on both sides")
+    assert seen == {*EfinResult, "empty side", "part on both sides"}
+
+
+def test_efin_shared_part_is_never_refuted_against_itself():
+    # x is on both sides and refuted against the rest of the other side, so
+    # only the missing self-pair keeps its family from being refuted
+    x, y, z = (Part(tower(w), 2, 0) for w in ("0000", "_00_", "0010"))
+    assert dp_equivalent(x, z).kind is DpKind.REFUTED
+    assert dp_equivalent(x, y).kind is dp_equivalent(y, z).kind is DpKind.UNDETERMINED
+    assert efin_equal([x, y], [x, z], 2) is reference_efin_equal([x, y], [x, z], 2) is EfinResult.UNDETERMINED
+    assert efin_equal([x], [x], 2) is EfinResult.CERTIFIED_EQUAL
+
+
+SCALES = ("2^inf * 3^inf", "2^inf * 3^inf * 5")
+
+
+def scaled(t, scale):
+    return SkeletonTower(t.alphabet, t.levels, SupernaturalNumber.parse(scale))
+
+
+def random_scaled_pair(rng):
+    """Two towers over periods 2^i·3^j declaring one scale: a rotated
+    positionwise image, a deepened copy, or an unrelated tower whose depth
+    may be incompatible with the first."""
+    a = random_tower(rng, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 6), fill=rng.choice((1.0, 0.9, 0.6)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        phi = random_positionwise(rng, a.alphabet, a.periods[0])
+        b = rotate_tower(apply_positionwise_permutation(a, phi), rng.randrange(a.deepest_period))
+    elif kind == 1:
+        b = deepen(rng, a, rng.choice((2, 3)), fill=0.7)
+    else:
+        b = random_tower(rng, depth=rng.randint(1, 2), base_periods=(1, 2, 3, 4, 6), fill=0.9)
+    scale = rng.choice(SCALES)
+    return scaled(a, scale), scaled(b, scale)
+
+
+def test_invariant_rows_match_two_branch_rule():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        a, b = random_scaled_pair(rng)
+        stages = rng.randint(1, 5)
+        want = reference_invariant_compare(a, b, stages)
+        assert invariant_compare(a, b, stages) == want, (a, b, stages)
+        for row in want.stages:
+            if not row.evaluated:
+                seen.add("does not divide" if "stage does not divide" in row.detail else "incompatible")
+            else:
+                seen.add(row.result)
+    assert seen == {"does not divide", "incompatible", *EfinResult}
+
+
+def test_invariant_unevaluated_reference_rows():
+    u = "2^inf * 3^inf"  # stages 2, 36, 216, ...
+    a, b = tower("0001", scale=u), tower("000011", scale=u)
+    msg = "deepest periods 4 and 6 do not divide one another"
+    assert invariant_compare(a, b, 3).stages == tuple(
+        StageReport(p, False, None, msg, None, None) for p in (2, 36, 216)
+    )
+    # stage 36 does not divide the common deepest period 12 of a and its padding
+    c = tower("000100010011", scale=u)
+    rows = invariant_compare(a, c, 2).stages
+    assert rows[1] == StageReport(36, False, None, "stage does not divide the deepest periods", None, None)
+    assert rows[0].evaluated and rows == reference_invariant_compare(a, c, 2).stages
+
+
+def test_stage_values_match_t_stepping():
+    rng = random.Random(54)
+    primes = (2, 3, 5, 7, 11, 13, 29, 101)
+    for _ in range(400):
+        factors = sorted(rng.sample(primes, rng.randint(1, 3)))
+        u = SupernaturalNumber(tuple((q, rng.choice((1, 2, 3, 4, INF))) for q in factors))
+        count = rng.randint(0, 30)
+        assert natural_factorization(u, count) == reference_natural_factorization(u, count), (u, count)
+
+
+def test_stage_value_bound():
+    # values must stay below 2^10000; 3^6309 < 2^10000 < 2·3^6309 < 2^10001
+    for q, e in ((2, 9999), (3, 6309)):
+        assert natural_factorization(SupernaturalNumber(((q, e),)), 10**6)[-1] == q**e
+    for factors in (((2, 10000),), ((2, 1), (3, 6309)), ((3, INF),)):
+        u = SupernaturalNumber(factors)
+        with pytest.raises(OdometerError, match="not below 2\\^10000"):
+            natural_factorization(u, 10**6)
