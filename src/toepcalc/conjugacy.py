@@ -19,13 +19,12 @@ permutation realizing the pairing.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, combinations, compress, count, repeat
-from operator import and_, eq, is_
+from itertools import combinations, compress, count, repeat
+from operator import and_
 from typing import Iterable, Optional
 
 from .codes import AlphabetMismatch, PeriodMismatch
@@ -85,23 +84,19 @@ def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
 
 class _Pair:
     """Two deepest words prepared once per verdict: the source is cut into
-    blocks once per stage; the target is kept doubled, so its blocks for shift
-    ``k`` are cut at ``k mod n``, or rotated from shift 0 when ``p | k``."""
+    blocks at offset 0 and the doubled target at each offset class ``c`` mod
+    ``p``, once per stage; shift ``k`` sees class ``k mod p`` rotated by
+    ``(k mod n) // p`` blocks."""
 
     def __init__(self, src: tuple[Optional[str], ...], tgt: tuple[Optional[str], ...]):
         self.n = len(src)
         self.src = src
         self.tgt2 = tgt + tgt
-        self._blocks: dict[tuple[int, bool], tuple[list[Block], list[int], list[bool]]] = {}  # (p, target)
+        self._numbers: dict[tuple[int, Optional[int]], tuple[list[int], list[bool]]] = {}  # (p, class)
 
     @cached_property
     def masks(self) -> tuple[str, str]:
         return tuple("".join(map({None: "1"}.get, w, repeat("0"))) for w in (self.src, self.tgt2))
-
-    # fullness without cutting: cutting all target blocks took refute-ladder top_rung_s 0.13 -> 0.25 s
-    @cached_property
-    def tgt_blanks2(self) -> array:  # blanks before each cell of the doubled target
-        return array("i", accumulate(map(is_, self.tgt2, repeat(None)), initial=0))
 
     @cached_property
     def mask_shifts(self) -> range:
@@ -111,33 +106,28 @@ class _Pair:
         first = tmask2.find(smask)
         return range(first, self.n, tmask2.find(tmask2[: self.n], 1)) if first >= 0 else range(0)
 
-    def cut(self, word: tuple[Optional[str], ...], o: int, p: int) -> list[Block]:
-        return list(zip(*[iter(word[o : o + self.n])] * p))  # consecutive p-tuples
+    def blocks(self, p: int, o: Optional[int] = None) -> list[Block]:
+        """Consecutive ``p``-tuples of the source, or of the target from offset ``o``."""
+        word, o = (self.src, 0) if o is None else (self.tgt2, o)
+        return list(zip(*[iter(word[o : o + self.n])] * p))
 
-    def numbered(self, p: int, j: Optional[int] = None) -> tuple[list[Block], list[int], list[bool]]:
-        """Stage-``p`` blocks of the source, or of the target at shift ``j·p``
-        (rotated from shift 0); numbers that equal blocks share; fullness."""
-        key = (p, j is not None)
-        if key not in self._blocks:
-            blocks = self.cut(self.src if j is None else self.tgt2, 0, p)
-            ids = list(map({}.setdefault, blocks, count()))
-            self._blocks[key] = blocks, ids, [None not in b for b in blocks]
-        return self._blocks[key] if j is None else tuple(x[j:] + x[:j] for x in self._blocks[key])
+    def numbered(self, p: int, c: Optional[int] = None) -> tuple[list[int], list[bool]]:
+        """Numbers (equal blocks share one) and fullness of the stage-``p``
+        blocks of the source, or of the target at offset class ``c``."""
+        key = (p, c)
+        if key not in self._numbers:
+            blocks = self.blocks(p, c)
+            self._numbers[key] = list(map({}.setdefault, blocks, count())), [None not in b for b in blocks]
+        return self._numbers[key]
 
     def fully_filled(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
         """Source and target block numbers where both blocks are full, and
         their indices; only these blocks can contradict."""
-        _, sid, sfull = self.numbered(p)
-        o = k % self.n
-        if o % p == 0:  # rotate shift-0 numbers: cutting every shift took invariant-ladder top_rung_s 0.16 -> 0.25 s
-            _, tid, tfull = self.numbered(p, o // p)
-            index = list(compress(count(), map(and_, sfull, tfull)))
-            return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
-        # a target block is full when the blank counts at its ends agree
-        before = self.tgt_blanks2[o : o + self.n + 1 : p]
-        index = list(compress(count(), map(and_, sfull, map(eq, before, before[1:]))))
-        tgt = [self.tgt2[o + j * p : o + j * p + p] for j in index]
-        return list(map(sid.__getitem__, index)), list(map({}.setdefault, tgt, count())), index
+        sid, sfull = self.numbered(p)
+        j, c = divmod(k % self.n, p)
+        tid, tfull = (x[j:] + x[:j] for x in self.numbered(p, c))
+        index = list(compress(count(), map(and_, sfull, tfull)))
+        return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
 
     def contradicted(self, p: int, k: int) -> bool:
         return _has_conflict(*self.fully_filled(p, k)[:2])
@@ -146,21 +136,19 @@ class _Pair:
         fs, ft, index = self.fully_filled(p, k)
         if _has_conflict(fs, ft):
             return _first_conflict(fs, ft, index)
-        src, _, sfull = self.numbered(p)
         n, o = self.n, k % self.n
-        tgt = self.numbered(p, o // p)[0] if o % p == 0 else self.cut(self.tgt2, o, p)
         smask, tmask = self.masks[0], self.masks[1][o : o + n]
         if smask != tmask:
             j = next(j for j, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
             return Undetermined(f"blank masks differ at block {j}")
         forward: dict[Block, tuple[Block, int]] = {}  # first target and index per source
         backward: dict[Block, tuple[Block, int]] = {}
-        for j, (s, t) in enumerate(zip(src, tgt)):
+        for j, (s, t) in enumerate(zip(self.blocks(p), self.blocks(p, o))):
             if forward.setdefault(s, (t, j))[0] != t:
                 return Undetermined(f"partial blocks {j} and {forward[s][1]} break well-definedness")
             if backward.setdefault(t, (s, j))[0] != s:
                 return Undetermined(f"partial blocks {j} and {backward[t][1]} break injectivity")
-        if not all(sfull):
+        if None in self.src:
             # a witness exists when, per in-block offset, the observed symbol
             # pairs form a bijection (masks agree: a blank only meets a blank)
             tw = self.tgt2[o : o + n]
@@ -203,7 +191,9 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     a well-defined injective map on block types, and (when blanks exist) a
     positionwise witness.  Everything else is Undetermined.
 
-    Cost: O(n) for the common length ``n``; the conflict search is O(n/p).
+    Cost: O(n) for the common length ``n``: the source and the target's
+    offset class ``k mod p`` are numbered once, read rotated by
+    ``(k mod n) // p`` blocks, and searched for a conflict in O(n/p).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -240,13 +230,6 @@ class Unknown(Verdict):
     diagnostics: tuple[str, ...]
 
 
-def _certified_distinct(rss, r: int, d: int) -> bool:
-    s1, s2 = rss.status_at(r), rss.status_at(r + d)
-    if s1 is Status.IN and s2 is Status.IN:
-        return rss.symbol(r) != rss.symbol(r + d)
-    return {s1, s2} == {Status.IN, Status.OUT}
-
-
 def phase_separated(tower: SkeletonTower, p: int) -> bool:
     """Whether the stage-p skeleton is certified distinct from all its proper
     rotations, i.e. for every d in 1..p-1 some residue pair (r, r+d) differs
@@ -257,12 +240,19 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
     a shift-commuting conjugacy (the phase of a point is recoverable).  A
     constant skeleton, for example, is not separated at any stage > 1: there
     a blockwise pairing says nothing about the shift dynamics.
+
+    Cost: one p-bit mask per certified kind (Out, and In with each symbol);
+    each rotation d tried takes a few O(p)-bit operations per kind, and the
+    scan stops at the first unseparated d.
     """
     rss = period_status(tower, p)
-    # stops at the first unseparated d: a rotated list per d made refute-ladder top_rung_s 10-25% slower
-    return all(
-        any(_certified_distinct(rss, r, d) for r in range(p)) for d in range(1, p)
-    )
+    if rss.modulus < p:
+        return False  # the statuses repeat at the rotation d = modulus
+    kinds = [a if s is Status.IN else s for s, a in zip(rss.statuses, rss.symbols)]  # symbol, Out or Unknown
+    masks = [int("".join("01"[x == kind] for x in reversed(kinds)), 2) for kind in set(kinds) - {Status.UNKNOWN}]
+    # each kind's residues x against the other certified residues y; rotating y by d puts residue r + d at bit r
+    pairs = [(x, sum(masks) ^ x) for x in masks]
+    return all(any(x & (y >> d | y << (p - d)) for x, y in pairs) for d in range(1, p))
 
 
 def _margin(rss, max_radius: int) -> int:
@@ -305,9 +295,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
        with a consistent correspondence, so none exists.
     4. Else Unknown, with a per-stage accounting.
 
-    Cost: the words are tiled once, each stage is cut once and its phase
-    separation checked only when reached; mask-compatible shifts come from
-    one O(n) string search; each correspondence tried is O(n).  Margins and
+    Cost: the words are tiled once; each stage is numbered once per target
+    offset class its shifts meet, and its phase separation checked only when
+    reached; mask-compatible shifts come from one O(n) string search; each
+    correspondence tried is O(n/p) when contradicted, else O(n).  Margins and
     candidate shifts take O(stages · n), independent of ``max_radius``: each
     stage is tried for refutation once, at its own margin.
     """
@@ -459,8 +450,10 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     block-aligned shifts ``j·p``; the first Consistent correspondence is a
     witness, Contradicted everywhere is a refutation.
 
-    Cost: O(n) to cut the rotated words into ``B = n/p`` numbered blocks;
-    then O(B) per Contradicted shift and O(n) per other shift.
+    Cost: O(n) to number the ``B = n/p`` blocks of each rotated word once
+    (every shift reads the target's offset class 0, rotated); then O(B) per
+    Contradicted shift, whose conflict position is never computed, and O(n)
+    per other shift.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -472,10 +465,10 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     pair = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k])
     all_contradicted = True
     for j in range(w.base.deepest_period // w.p):
-        g = pair.gamma(w.p, j * w.p)
-        if isinstance(g, Consistent):
-            return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, j)
-        if not isinstance(g, Contradicted):
+        if not pair.contradicted(w.p, j * w.p):  # gamma is not Contradicted there
+            g = pair.gamma(w.p, j * w.p)
+            if isinstance(g, Consistent):
+                return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, j)
             all_contradicted = False
     return DpResult(DpKind.REFUTED if all_contradicted else DpKind.UNDETERMINED)
 

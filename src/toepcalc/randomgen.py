@@ -16,6 +16,19 @@ from .core import Alphabet, PartialCyclicWord, SkeletonTower
 from .odometer import INF, SupernaturalNumber, divides
 
 
+def _refine(
+    rng: random.Random, cells: Sequence[Optional[str]], multiplier: int, fill: float, symbols: Sequence[str]
+) -> list[Optional[str]]:
+    """``cells`` repeated ``multiplier`` times, each blank filled with a
+    random symbol with probability ``fill``, one cell at a time."""
+    deeper: list[Optional[str]] = []
+    for c in cells * multiplier:
+        if c is None and rng.random() < fill:
+            c = rng.choice(symbols)
+        deeper.append(c)
+    return deeper
+
+
 def random_tower(
     rng: random.Random,
     symbols: Sequence[str] = ("0", "1"),
@@ -33,17 +46,8 @@ def random_tower(
     levels = [(p, PartialCyclicWord(tuple(cells)))]
     for _ in range(depth - 1):
         mult = rng.choice(list(multipliers))
-        deeper: list[Optional[str]] = []
-        for x in range(p * mult):
-            old = cells[x % p]
-            if old is not None:
-                deeper.append(old)
-            elif rng.random() < fill:
-                deeper.append(rng.choice(alphabet.symbols))
-            else:
-                deeper.append(None)
         p *= mult
-        cells = deeper
+        cells = _refine(rng, cells, mult, fill, alphabet.symbols)
         levels.append((p, PartialCyclicWord(tuple(cells))))
     scale = None
     if with_scale:
@@ -66,15 +70,7 @@ def deepen(
         raise ValueError("multiplier must be at least 2")
     n = tower.deepest_period
     old = tower.deepest_word.cells
-    new: list[Optional[str]] = []
-    for x in range(n * multiplier):
-        c = old[x % n]
-        if c is not None:
-            new.append(c)
-        elif rng.random() < fill:
-            new.append(rng.choice(tower.alphabet.symbols))
-        else:
-            new.append(None)
+    new = _refine(rng, old, multiplier, fill, tower.alphabet.symbols)
     if preserve_holes:
         for r in range(n):
             if old[r] is not None:

@@ -252,3 +252,14 @@ def test_compare_huge_radius_is_fast(tmp_path):
     code, text = run_command(["compare", a, b, "--max-radius", "1000000"])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and "unknown" in text
+
+
+def test_compare_single_hole_tower_is_fast(tmp_path):
+    # a rotation d is told apart only by the residue pairs that meet the hole, which a scan from r = 0 reaches late
+    a = write(tmp_path / "a.tw", "alphabet = 0 1\nperiod 8000 = " + "0 " * 7999 + "_\n")
+    b = str(tmp_path / "b.tw")
+    assert run_command(["rotate", a, "-k", "7", "-o", b])[0] == 0
+    start = time.perf_counter()
+    code, text = run_command(["compare", a, b])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "conjugate-certified" in text
