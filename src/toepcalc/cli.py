@@ -32,7 +32,7 @@ from .conjugacy import (
 )
 from .conjugacy import EfinResult
 from .construction import reference_example
-from .core import ParseError, SkeletonTower, TowerError, rotate_tower
+from .core import BLANK, ParseError, SkeletonTower, TowerError, rotate_tower
 from .odometer import OdometerError, SupernaturalNumber
 from .skeleton import Status, growth_profile, natural_factorization, periodic_part, scale_truncation
 from .towerfile import parse_tower_text, serialize_tower
@@ -115,7 +115,7 @@ def _write_tower(path: str, tower: SkeletonTower) -> None:
 
 
 def _block_text(block: tuple) -> str:
-    cells = [c if c is not None else "_" for c in block]
+    cells = [c if c is not None else BLANK for c in block]
     return "".join(cells) if all(len(c) == 1 for c in cells) else " ".join(cells)
 
 
@@ -363,7 +363,7 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
     try:
         report, code = _COMMANDS[ns.command](ns)
     except (
-        UsageError, ParseError, TowerError, CodeError, OdometerError, OSError,
+        UsageError, ParseError, TowerError, CodeError, OdometerError, OSError, UnicodeDecodeError,
         IncompatiblePeriods, MissingScaleDeclaration,
     ) as exc:
         return 3, f"error: {exc}"

@@ -418,18 +418,15 @@ class ChiStage:
 
 
 def chi_stage(tower: SkeletonTower, p: int) -> ChiStage:
-    """Midpoint-centered starred parts: each starred residue ``k`` with
-    certified length ``j`` contributes the part at ``(k + j//2) mod p``.  The
-    stage is complete only if no star status or length stayed Unknown."""
-    entries = parts_star(tower, p)
-    parts: set[Part] = set()
-    complete = True
-    for e in entries:
-        if e.status is StarStatus.UNKNOWN or (e.status is StarStatus.STARRED and e.length is None):
-            complete = False
-        elif e.status is StarStatus.STARRED:
-            parts.add(Part(tower, p, (e.part.k + e.length // 2) % p))
-    return ChiStage(p, frozenset(parts), complete)
+    """Midpoint-centered starred parts, read from the ``filled_blocks``
+    spans: a span starts right after a hole, so its first residue is starred
+    iff it is In, and each span of certified length ``j`` starting at ``k``
+    contributes the part at ``(k + j//2) mod p``.  The stage is complete iff
+    no residue is Unknown: an Unknown residue lies in an uncertified span or,
+    with no hole at all, leaves the star status of the next residue Unknown."""
+    fb = filled_blocks(tower, p)
+    parts = {Part(tower, p, (s.start + s.length // 2) % p) for s in fb.spans if s.length is not None}
+    return ChiStage(p, frozenset(parts), not fb.unknown_residues)
 
 
 class DpKind(Enum):
@@ -446,14 +443,16 @@ class DpResult:
 
 
 def dp_equivalent(w: Part, z: Part) -> DpResult:
-    """Orbit comparison of two parts under blockwise permutations: scan the
-    block-aligned shifts ``j·p``; the first Consistent correspondence is a
-    witness, Contradicted everywhere is a refutation.
+    """Orbit comparison of two parts under blockwise permutations over the
+    block-aligned shifts ``j·p``: the first Consistent correspondence is a
+    witness, Contradicted everywhere is a refutation.  Only shifts with
+    matching blank masks can be Consistent, so ``gamma`` runs only there.
 
-    Cost: O(n) to number the ``B = n/p`` blocks of each rotated word once
-    (every shift reads the target's offset class 0, rotated); then O(B) per
-    Contradicted shift, whose conflict position is never computed, and O(n)
-    per other shift.
+    Cost: O(n) to find the mask-compatible shifts and to number the
+    ``B = n/p`` blocks of each rotated word once (every shift reads the
+    target's offset class 0, rotated); then O(n) per mask-compatible
+    block-aligned shift, and, when none is Consistent, O(B) per other
+    block-aligned shift, whose conflict position is never computed.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -462,15 +461,16 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     if w.base.deepest_period != z.base.deepest_period:
         raise PeriodMismatch("parts rest on towers of different depth")
     a, b = w.base.deepest_word.cells, z.base.deepest_word.cells
-    pair = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k])
-    all_contradicted = True
-    for j in range(w.base.deepest_period // w.p):
-        if not pair.contradicted(w.p, j * w.p):  # gamma is not Contradicted there
-            g = pair.gamma(w.p, j * w.p)
+    pair, p = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k]), w.p
+    tried: dict[int, GammaResult] = {}
+    for k in pair.mask_shifts:
+        if k % p == 0:
+            g = tried[k] = pair.gamma(p, k)
             if isinstance(g, Consistent):
-                return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, j)
-            all_contradicted = False
-    return DpResult(DpKind.REFUTED if all_contradicted else DpKind.UNDETERMINED)
+                return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, k // p)
+    shifts = range(0, pair.n, p)
+    refuted = all(isinstance(tried[k], Contradicted) if k in tried else pair.contradicted(p, k) for k in shifts)
+    return DpResult(DpKind.REFUTED if refuted else DpKind.UNDETERMINED)
 
 
 class EfinResult(Enum):

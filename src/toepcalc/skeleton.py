@@ -190,35 +190,27 @@ def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
     differing from the ``q``-periodic part for every ``q < p``.
 
     Separation from ``q`` needs a position certified In on one side and Out
-    on the other; equality needs every position determined on both sides with
-    matching membership.  Comparisons run over one period of the two status
-    functions, whose moduli both divide the deepest period.  The ``q``-status
-    depends only on ``d = gcd(q, deepest)``, and ``d`` is the least ``q`` of
-    its class, so only the divisors ``d < p`` of the deepest period are
-    compared; ``undetermined`` lists those divisors.
+    on the other; comparisons run over one period of the two status
+    functions, whose moduli both divide the deepest period, and stop at the
+    first separating position.  Unseparated tables meet every residue of
+    each in that window, so they are certified equal iff neither has an
+    Unknown residue.  The ``q``-status depends only on
+    ``d = gcd(q, deepest)``, and ``d`` is the least ``q`` of its class, so
+    only the divisors ``d < p`` of the deepest period are compared;
+    ``undetermined`` lists those divisors.
     """
     rp = period_status(tower, p)
     if all(s is Status.OUT for s in rp.statuses):
         return EssentialStatus(p, EssentialOutcome.NOT_ESSENTIAL, "periodic part certified empty")
-    has_in = any(s is Status.IN for s in rp.statuses)
     deep = tower.deepest_period
     undetermined: list[int] = []
     for q in (d for d in range(1, min(p, deep + 1)) if deep % d == 0):
         rq = periodic_part(tower, q)
         window = math.lcm(rp.modulus, rq.modulus)
-        separated = False
-        determined_equal = True
-        for x in range(window):
-            a = rp.status_at(x)
-            b = rq.status_at(x)
-            if a is Status.UNKNOWN or b is Status.UNKNOWN:
-                determined_equal = False
-            elif a is not b:
-                separated = True
-                break  # whole-window status-pair sets doubled invariant-ladder wall_s (0.55 -> 1.1 s)
-        if separated:
+        pairs = zip(rp.statuses * (window // rp.modulus), rq.statuses * (window // rq.modulus))
+        if any(a is not b and Status.UNKNOWN not in (a, b) for a, b in pairs):  # In against Out
             continue
-        if determined_equal:
+        if Status.UNKNOWN not in (*rp.statuses, *rq.statuses):
             return EssentialStatus(
                 p, EssentialOutcome.NOT_ESSENTIAL, f"certified equal to the {q}-periodic part"
             )
@@ -230,7 +222,7 @@ def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
             "separation undecided against " + ", ".join(map(str, undetermined)),
             tuple(undetermined),
         )
-    if not has_in:
+    if Status.IN not in rp.statuses:
         return EssentialStatus(
             p, EssentialOutcome.UNKNOWN, "separated everywhere but nonemptiness uncertified"
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .core import Alphabet, AlphabetError, ParseError, PartialCyclicWord, SkeletonTower
+from .core import BLANK, Alphabet, AlphabetError, ParseError, PartialCyclicWord, SkeletonTower
 from .odometer import OdometerError, SupernaturalNumber
 
 _TOKEN = re.compile(r"\S+")
@@ -88,7 +88,7 @@ def parse_tower_text(text: str) -> SkeletonTower:
             cells: list[Optional[str]] = []
             for tok in tokens:
                 t = tok.group()
-                if t == "_":
+                if t == BLANK:
                     cells.append(None)
                 elif t in alphabet:
                     cells.append(t)
@@ -111,5 +111,5 @@ def serialize_tower(tower: SkeletonTower) -> str:
     if tower.declared_scale is not None:
         lines.append(f"scale = {tower.declared_scale}")
     for period, word in tower.levels:
-        lines.append(f"period {period} = " + " ".join(c if c is not None else "_" for c in word.cells))
+        lines.append(f"period {period} = " + " ".join(c if c is not None else BLANK for c in word.cells))
     return "\n".join(lines) + "\n"

@@ -263,3 +263,24 @@ def test_compare_single_hole_tower_is_fast(tmp_path):
     code, text = run_command(["compare", a, b])
     assert time.perf_counter() - start < 2.0
     assert code == 0 and "conjugate-certified" in text
+
+
+def test_non_utf8_files_are_exit_3(tmp_path):
+    f = gen_file(tmp_path, 1, "a.tw")
+    binary = str(tmp_path / "bin.tw")
+    Path(binary).write_bytes(b"\xff\xfe")
+    out = str(tmp_path / "out.tw")
+    for argv in (
+        ["validate", binary],
+        ["analyze", binary],
+        ["compare", f, binary],
+        ["invariant", binary, f, "--stages", "1"],
+        ["rotate", binary, "-k", "1", "-o", out],
+        ["permute", binary, "--period", "1", "--perms", "0,1", "-o", out],
+        ["apply-code", binary, "--code", binary, "-o", out],
+        ["apply-code", f, "--code", binary, "-o", out],
+        ["corpus", str(tmp_path)],
+    ):
+        code, text = run_command(argv)
+        assert code == 3 and text.startswith("error:") and "utf-8" in text, argv
+    assert not Path(out).exists()

@@ -20,7 +20,9 @@ from toepcalc import (
     Part,
     PositionwisePermutation,
     RefutedUpTo,
+    SkeletonTower,
     StarStatus,
+    SupernaturalNumber,
     Undetermined,
     Unknown,
     apply_positionwise_permutation,
@@ -350,3 +352,27 @@ def test_with_common_depth_pads_shallower():
     assert a.deepest_word.text() == "0_1_00___0" * 2
     with pytest.raises(IncompatiblePeriods):
         with_common_depth(tower("0101"), tower("010101"))
+
+
+def test_rotations_and_relabellings_are_never_refuted():
+    # a rotation of a tower, relabelled symbol by symbol or not, is conjugate
+    # to it, so no verdict may refute it and no invariant stage may differ
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        symbols = rng.choice((("0", "1"), ("a", "b", "c")))
+        fill = rng.choice((1.0, 0.9, 0.6))
+        t = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 5, 6), fill=fill)
+        scale = SupernaturalNumber.parse(rng.choice(("2^inf * 3^inf * 5", "2^inf * 3^inf * 5^inf")))
+        a = SkeletonTower(t.alphabet, t.levels, scale)
+        n = a.deepest_period
+        b = rotate_tower(a, rng.randrange(-3 * n, 3 * n))
+        if rng.random() < 0.5:
+            b = apply_positionwise_permutation(b, random_positionwise(rng, b.alphabet, 1))
+        verdict = conjugacy_verdict(a, b, rng.randint(0, 3))
+        assert not isinstance(verdict, (RefutedUpTo, NotConjugateCertified)), (a, b, verdict)
+        seen.add(type(verdict))
+        for row in invariant_compare(a, b, 8).stages:
+            assert row.result is not EfinResult.REFUTED, (a, b, row)
+            seen.add(row.result)
+    assert seen == {ConjugateCertified, Unknown, EfinResult.CERTIFIED_EQUAL, EfinResult.UNDETERMINED, None}

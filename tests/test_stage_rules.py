@@ -1,7 +1,9 @@
 """Differential tests: the one-rule stage facts (residue-class statuses, arcs
-between holes, stage rows, part-class comparison, stage values) against the
-case-split code they replaced, kept here verbatim as references."""
+between holes, stage rows, part-class comparison, stage values, chi stages,
+part equivalence, essential periods) against the case-split code they
+replaced, kept here verbatim as references."""
 
+import math
 import random
 from itertools import combinations
 from typing import Optional
@@ -10,8 +12,12 @@ import pytest
 
 from toepcalc import (
     BlockSpan,
+    ChiStage,
     DpKind,
+    DpResult,
     EfinResult,
+    EssentialOutcome,
+    EssentialStatus,
     FilledBlocks,
     IncompatiblePeriods,
     MissingScaleDeclaration,
@@ -21,19 +27,25 @@ from toepcalc import (
     SkeletonTower,
     StageReport,
     InvariantComparison,
+    StarStatus,
     Status,
     SupernaturalNumber,
     apply_positionwise_permutation,
     chi_stage,
     dp_equivalent,
     efin_equal,
+    essential_period_status,
     filled_blocks,
     invariant_compare,
     natural_factorization,
+    parts_star,
+    period_status,
     periodic_part,
     rotate_tower,
     with_common_depth,
 )
+from toepcalc.codes import AlphabetMismatch
+from toepcalc.conjugacy import Consistent, _Pair
 from toepcalc.odometer import INF, OdometerError, prime_index, supernatural_equal
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
 from helpers import tower
@@ -378,3 +390,175 @@ def test_stage_value_bound():
         u = SupernaturalNumber(factors)
         with pytest.raises(OdometerError, match="not below 2\\^10000"):
             natural_factorization(u, 10**6)
+
+
+def reference_chi_stage(tower, p):
+    """``chi_stage`` through the star status of every residue."""
+    entries = parts_star(tower, p)
+    parts: set[Part] = set()
+    complete = True
+    for e in entries:
+        if e.status is StarStatus.UNKNOWN or (e.status is StarStatus.STARRED and e.length is None):
+            complete = False
+        elif e.status is StarStatus.STARRED:
+            parts.add(Part(tower, p, (e.part.k + e.length // 2) % p))
+    return ChiStage(p, frozenset(parts), complete)
+
+
+def reference_dp_equivalent(w, z):
+    """``dp_equivalent`` testing ``contradicted`` before ``gamma`` at every
+    block-aligned shift, with a flag for the refutation."""
+    if w.p != z.p:
+        raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
+    if w.base.alphabet != z.base.alphabet:
+        raise AlphabetMismatch("parts use different alphabets")
+    if w.base.deepest_period != z.base.deepest_period:
+        raise PeriodMismatch("parts rest on towers of different depth")
+    a, b = w.base.deepest_word.cells, z.base.deepest_word.cells
+    pair = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k])
+    all_contradicted = True
+    for j in range(w.base.deepest_period // w.p):
+        if not pair.contradicted(w.p, j * w.p):  # gamma is not Contradicted there
+            g = pair.gamma(w.p, j * w.p)
+            if isinstance(g, Consistent):
+                return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, j)
+            all_contradicted = False
+    return DpResult(DpKind.REFUTED if all_contradicted else DpKind.UNDETERMINED)
+
+
+def reference_essential_period_status(tower, p):
+    """``essential_period_status`` with separation, equality and nonemptiness
+    flags and a per-position loop over the window."""
+    rp = period_status(tower, p)
+    if all(s is Status.OUT for s in rp.statuses):
+        return EssentialStatus(p, EssentialOutcome.NOT_ESSENTIAL, "periodic part certified empty")
+    has_in = any(s is Status.IN for s in rp.statuses)
+    deep = tower.deepest_period
+    undetermined: list[int] = []
+    for q in (d for d in range(1, min(p, deep + 1)) if deep % d == 0):
+        rq = periodic_part(tower, q)
+        window = math.lcm(rp.modulus, rq.modulus)
+        separated = False
+        determined_equal = True
+        for x in range(window):
+            a = rp.status_at(x)
+            b = rq.status_at(x)
+            if a is Status.UNKNOWN or b is Status.UNKNOWN:
+                determined_equal = False
+            elif a is not b:
+                separated = True
+                break
+        if separated:
+            continue
+        if determined_equal:
+            return EssentialStatus(
+                p, EssentialOutcome.NOT_ESSENTIAL, f"certified equal to the {q}-periodic part"
+            )
+        undetermined.append(q)
+    if undetermined:
+        return EssentialStatus(
+            p,
+            EssentialOutcome.UNKNOWN,
+            "separation undecided against " + ", ".join(map(str, undetermined)),
+            tuple(undetermined),
+        )
+    if not has_in:
+        return EssentialStatus(
+            p, EssentialOutcome.UNKNOWN, "separated everywhere but nonemptiness uncertified"
+        )
+    return EssentialStatus(p, EssentialOutcome.ESSENTIAL, "separated from every shorter period")
+
+
+def tower_shapes(t, p):
+    """The shapes of a tower at stage ``p`` that the stage rules treat apart."""
+    shapes = set()
+    fb = filled_blocks(t, p)
+    if p == 1:
+        shapes.add("period 1")
+    if len(fb.holes) == 1:
+        shapes.add("single hole")
+    if not fb.holes and fb.unknown_residues:
+        shapes.add("unknown without a hole")
+    if any(s.length is not None and s.length % 2 for s in fb.spans):
+        shapes.add("odd certified span")
+    if t.deepest_word.blank_positions() == tuple(range(t.deepest_period)):
+        shapes.add("all blank")
+    if len(t.alphabet) == 3:
+        shapes.add("three symbols")
+    return shapes
+
+
+def test_chi_stage_matches_starred_parts():
+    rng = random.Random(55)
+    seen = set()
+    for _ in range(1200):
+        t = random_stage_tower(rng)
+        for p in divisors(t.deepest_period):
+            want = reference_chi_stage(t, p)
+            assert chi_stage(t, p) == want, (t, p)
+            seen |= tower_shapes(t, p)
+            seen.add("complete" if want.complete else "incomplete")
+    assert seen == {
+        "period 1",
+        "single hole",
+        "unknown without a hole",
+        "odd certified span",
+        "all blank",
+        "three symbols",
+        "complete",
+        "incomplete",
+    }
+
+
+def dp_pool(rng):
+    """Parts at one stage of a tower and of a partner of the same depth: a
+    rotation, a rotated positionwise image or an unrelated tower."""
+    symbols = rng.choice((("0", "1"), ("a", "b", "c")))
+    fill = rng.choice((1.0, 0.8, 0.5))
+    a = random_tower(rng, symbols, depth=rng.randint(1, 2), base_periods=(1, 2, 3, 4, 6), fill=fill)
+    n = a.deepest_period
+    kind = rng.randrange(3)
+    if kind == 0:
+        b = rotate_tower(a, rng.randrange(n))
+    elif kind == 1:
+        phi = random_positionwise(rng, a.alphabet, a.periods[0])
+        b = rotate_tower(apply_positionwise_permutation(a, phi), rng.randrange(n))
+    else:
+        b = random_tower(rng, symbols, depth=1, base_periods=(n,), fill=fill)
+    p = rng.choice(divisors(n))
+    return p, [Part(a, p, k) for k in range(p)] + [Part(b, p, k) for k in range(p)]
+
+
+def test_dp_equivalent_matches_contradicted_then_gamma_loop():
+    rng = random.Random(56)
+    seen = set()
+    for _ in range(500):
+        p, pool = dp_pool(rng)
+        for _ in range(4):
+            w, z = rng.choice(pool), rng.choice(pool)
+            want = reference_dp_equivalent(w, z)
+            assert dp_equivalent(w, z) == want, (w, z)
+            seen.add(want.kind)
+            if want.block_rotation:
+                seen.add("witness after a block rotation")
+            if p == 1:
+                seen.add("period 1")
+    assert seen == {*DpKind, "witness after a block rotation", "period 1"}
+
+
+def test_essential_period_status_matches_flag_loop():
+    rng = random.Random(57)
+    seen = set()
+    for _ in range(1200):
+        t = random_stage_tower(rng)
+        deep = t.deepest_period
+        non_divisors = [q for q in range(2, 2 * deep + 2) if deep % q][:2]
+        for p in (*divisors(deep), *non_divisors):
+            want = reference_essential_period_status(t, p)
+            assert essential_period_status(t, p) == want, (t, p)
+            seen.add(want.outcome)
+            if want.reason.startswith("certified equal"):
+                seen.add("certified equal")
+            if deep % p:
+                seen.add("non-divisor")
+    assert seen == {*EssentialOutcome, "certified equal", "non-divisor"}
