@@ -15,7 +15,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .codes import CodeError, apply_block_code, apply_positionwise_permutation, parse_block_code
 from .codes import PositionwisePermutation
@@ -38,6 +38,7 @@ from .skeleton import Status, growth_profile, natural_factorization, periodic_pa
 from .towerfile import parse_tower_text, serialize_tower
 
 Report = dict
+T = TypeVar("T")
 
 # the K-stage example has 5·2^K cells at its deepest level (327680 at K = 16)
 MAX_GENERATE_STAGES = 16
@@ -106,8 +107,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_tower(path: str) -> SkeletonTower:
-    return parse_tower_text(Path(path).read_text(encoding="utf-8"))
+def _parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the UTF-8 text of the file; an error in decoding
+    or parsing it is raised as a ParseError that names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, ParseError, TowerError, CodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_tower(path: str | Path) -> SkeletonTower:
+    return _parse_file(path, parse_tower_text)
 
 
 def _write_tower(path: str, tower: SkeletonTower) -> None:
@@ -241,7 +251,7 @@ def _cmd_generate(ns) -> tuple[Report, int]:
 
 def _cmd_apply_code(ns) -> tuple[Report, int]:
     tower = _read_tower(ns.file)
-    code = parse_block_code(Path(ns.code).read_text(encoding="utf-8"), tower.alphabet)
+    code = _parse_file(ns.code, lambda text: parse_block_code(text, tower.alphabet))
     result = apply_block_code(tower, code)
     _write_tower(ns.output, result)
     return (
@@ -281,7 +291,7 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     """Pairwise verdict tags over the given tower files, keyed by file name
     in sorted order (independent of the discovery order)."""
     ordered = sorted(files, key=lambda f: f.name)
-    towers = {f.name: parse_tower_text(f.read_text(encoding="utf-8")) for f in ordered}
+    towers = {f.name: _read_tower(f) for f in ordered}
     names = [f.name for f in ordered]
     matrix: Report = {}
     for a in names:
@@ -363,7 +373,7 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
     try:
         report, code = _COMMANDS[ns.command](ns)
     except (
-        UsageError, ParseError, TowerError, CodeError, OdometerError, OSError, UnicodeDecodeError,
+        UsageError, ParseError, TowerError, CodeError, OdometerError, OSError,
         IncompatiblePeriods, MissingScaleDeclaration,
     ) as exc:
         return 3, f"error: {exc}"

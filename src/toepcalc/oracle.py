@@ -89,16 +89,14 @@ class SearchWitness:
     shift: int
 
 
-def _occurring_windows(word: PeriodicWord, m: int) -> list[Window]:
-    n = word.period
-    return sorted({tuple(word.cell(x + d) for d in range(-m, m + 1)) for x in range(n)})
-
-
-def _apply_table(word: PeriodicWord, m: int, table: dict[Window, str]) -> tuple[str, ...]:
-    n = word.period
-    return tuple(
-        table[tuple(word.cell(x + d) for d in range(-m, m + 1))] for x in range(n)
-    )
+def _window_index(word: PeriodicWord, m: int) -> tuple[list[Window], tuple[int, ...]]:
+    """The sorted occurring radius-m windows of word, and for each position
+    the index of its window in that list."""
+    n, cells = word.period, word.cells
+    at = [tuple(cells[(x + d) % n] for d in range(-m, m + 1)) for x in range(n)]
+    windows = sorted(set(at))
+    number = {window: i for i, window in enumerate(windows)}
+    return windows, tuple(number[window] for window in at)
 
 
 def _full_code(alphabet: Alphabet, m: int, table: dict[Window, str]) -> BlockCode:
@@ -121,36 +119,37 @@ def exact_conjugacy_search(
     w and whose backward image restores v exactly is returned, with both
     tables completed to total codes (unused windows map to the first symbol).
     Returns None when every radius up to max_radius is exhausted.
+
+    Cost: O(n·(2m+1)) per radius m to number the windows of v (period n),
+    O(w.period·span) once for the dict from each rotation of w, tiled to
+    span = lcm of the periods, to its first shift, then O(n + span) per table.
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatch("words use different alphabets")
-    symbols = v.alphabet.symbols
     span = lcm(v.period, w.period)
-    w_long = tuple(w.cell(x) for x in range(span))
+    w_long = w.cells * (span // w.period)
+    first_shift: dict[tuple[str, ...], int] = {}
+    for shift in range(w.period):  # shift + w.period gives the same rotation
+        first_shift.setdefault(w_long[shift:] + w_long[:shift], shift)
     for m in range(max_radius + 1):
-        windows_v = _occurring_windows(v, m)
-        for values in product(symbols, repeat=len(windows_v)):
-            table = dict(zip(windows_v, values))
-            y_cells = _apply_table(v, m, table)
-            y_long = tuple(y_cells[x % v.period] for x in range(span))
-            for shift in range(span):
-                if any(y_long[x] != w_long[(x + shift) % span] for x in range(span)):
-                    continue
-                y = PeriodicWord(v.alphabet, y_cells)
-                back = _inverse_search(y, v, max_radius)
-                if back is not None:
-                    return SearchWitness(
-                        _full_code(v.alphabet, m, table), back, shift
-                    )
-                break  # other shifts give the same orbit; inverse cannot differ
+        windows, index = _window_index(v, m)
+        for values in product(v.alphabet.symbols, repeat=len(windows)):
+            y_cells = tuple(values[i] for i in index)
+            shift = first_shift.get(y_cells * (span // v.period))
+            if shift is None:
+                continue
+            # other shifts give the same orbit; the inverse cannot differ
+            back = _inverse_search(PeriodicWord(v.alphabet, y_cells), v, max_radius)
+            if back is not None:
+                code = _full_code(v.alphabet, m, dict(zip(windows, values)))
+                return SearchWitness(code, back, shift)
     return None
 
 
 def _inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
     for m in range(max_radius + 1):
-        windows = _occurring_windows(y, m)
+        windows, index = _window_index(y, m)
         for values in product(y.alphabet.symbols, repeat=len(windows)):
-            table = dict(zip(windows, values))
-            if _apply_table(y, m, table) == v.cells:
-                return _full_code(y.alphabet, m, table)
+            if tuple(values[i] for i in index) == v.cells:
+                return _full_code(y.alphabet, m, dict(zip(windows, values)))
     return None

@@ -284,3 +284,22 @@ def test_non_utf8_files_are_exit_3(tmp_path):
         code, text = run_command(argv)
         assert code == 3 and text.startswith("error:") and "utf-8" in text, argv
     assert not Path(out).exists()
+
+
+def test_read_errors_name_the_file(tmp_path):
+    gen_file(tmp_path, 1, "a.tw")
+    Path(tmp_path / "bin.tw").write_bytes(b"\xff\xfe")
+    code, text = run_command(["corpus", str(tmp_path)])
+    assert code == 3 and text.startswith("error:") and "bin.tw" in text and "utf-8" in text
+
+    bad = write(tmp_path / "bad.tw", "alphabet = 0 1\nperiod 4 = 0 1 0\n")
+    for argv in (["validate", bad], ["compare", bad, bad], ["corpus", str(tmp_path)]):
+        code, text = run_command(argv)
+        assert code == 3 and text.startswith("error:") and "bad.tw" in text, argv
+    code, text = run_command(["validate", bad])
+    assert "expected 4 cells" in text
+
+    good = str(tmp_path / "a.tw")
+    code_file = write(tmp_path / "bad.code", "radius = 1\n")
+    code, text = run_command(["apply-code", good, "--code", code_file, "-o", str(tmp_path / "o.tw")])
+    assert code == 3 and text.startswith("error:") and "bad.code" in text

@@ -4,16 +4,33 @@ These are deliberately independent of the skeleton machinery: membership in
 Per_p is computed by scanning, conjugacy by enumerating block-code tables.
 """
 
+import itertools
 import math
 import random
+from collections import Counter
+from itertools import product
+from math import lcm
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toepcalc import Status, exact_conjugacy_search, exact_periodic_analysis, periodic_part
+from toepcalc import (
+    Alphabet,
+    ConjugateCertified,
+    NotConjugateCertified,
+    RefutedUpTo,
+    Status,
+    Unknown,
+    conjugacy_verdict,
+    exact_conjugacy_search,
+    exact_periodic_analysis,
+    periodic_part,
+)
+from toepcalc.codes import AlphabetMismatch, BlockCode, Window
 from toepcalc.core import AlphabetError
-from toepcalc.oracle import PeriodicWord
+from toepcalc.oracle import PeriodicWord, SearchWitness, _full_code
 from toepcalc.skeleton import NonDivisorError
 from helpers import BINARY, tower
 
@@ -105,3 +122,112 @@ def test_search_round_trips_when_found(seed):
     assert apply_cycle(wit.backward, y) == v.cells
     span = math.lcm(v.period, w.period)
     assert all(w.cells[(x + wit.shift) % w.period] == y[x % v.period] for x in range(span))
+
+
+# The search as it was before windows were numbered once per (word, radius)
+# and the shift found by one rotation lookup, kept verbatim as the reference.
+
+
+def _occurring_windows(word: PeriodicWord, m: int) -> list[Window]:
+    n = word.period
+    return sorted({tuple(word.cell(x + d) for d in range(-m, m + 1)) for x in range(n)})
+
+
+def _apply_table(word: PeriodicWord, m: int, table: dict[Window, str]) -> tuple[str, ...]:
+    n = word.period
+    return tuple(
+        table[tuple(word.cell(x + d) for d in range(-m, m + 1))] for x in range(n)
+    )
+
+
+def reference_conjugacy_search(
+    v: PeriodicWord, w: PeriodicWord, max_radius: int
+) -> Optional[SearchWitness]:
+    if v.alphabet != w.alphabet:
+        raise AlphabetMismatch("words use different alphabets")
+    symbols = v.alphabet.symbols
+    span = lcm(v.period, w.period)
+    w_long = tuple(w.cell(x) for x in range(span))
+    for m in range(max_radius + 1):
+        windows_v = _occurring_windows(v, m)
+        for values in product(symbols, repeat=len(windows_v)):
+            table = dict(zip(windows_v, values))
+            y_cells = _apply_table(v, m, table)
+            y_long = tuple(y_cells[x % v.period] for x in range(span))
+            for shift in range(span):
+                if any(y_long[x] != w_long[(x + shift) % span] for x in range(span)):
+                    continue
+                y = PeriodicWord(v.alphabet, y_cells)
+                back = _inverse_search(y, v, max_radius)
+                if back is not None:
+                    return SearchWitness(
+                        _full_code(v.alphabet, m, table), back, shift
+                    )
+                break  # other shifts give the same orbit; inverse cannot differ
+    return None
+
+
+def _inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
+    for m in range(max_radius + 1):
+        windows = _occurring_windows(y, m)
+        for values in product(y.alphabet.symbols, repeat=len(windows)):
+            table = dict(zip(windows, values))
+            if _apply_table(y, m, table) == v.cells:
+                return _full_code(y.alphabet, m, table)
+    return None
+
+
+def test_search_matches_table_enumeration():
+    binary = [
+        word("".join(bits)) for n in range(1, 5) for bits in itertools.product("01", repeat=n)
+    ]
+    cases = [(v, w, 2) for v in binary for w in binary]
+    rng = random.Random(8)
+    # a radius-2 forward code first appears at period 6 (3.5% of those pairs)
+    six = ["".join(bits) for bits in itertools.product("01", repeat=6)]
+    cases += [(word(rng.choice(six)), word(rng.choice(six)), 2) for _ in range(150)]
+    ternary = Alphabet(("a", "b", "c"))
+    for i in range(500):
+        v = "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+        if i % 3:
+            w = "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+        else:
+            r = rng.randrange(len(v))
+            w = v[r:] + v[:r]
+        pair = (PeriodicWord.from_text(ternary, v), PeriodicWord.from_text(ternary, w))
+        cases.append((*pair, rng.randint(0, 2)))
+    seen = Counter()
+    for v, w, radius in cases:
+        expected = reference_conjugacy_search(v, w, radius)
+        got = exact_conjugacy_search(v, w, radius)
+        assert repr(got) == repr(expected), (v.cells, w.cells, radius)
+        if got is None:
+            seen["none"] += 1
+        else:
+            seen[f"radius {got.forward.length}"] += 1
+            seen["nonzero shift"] += got.shift != 0
+    for kind in ("none", "radius 0", "radius 1", "radius 2", "nonzero shift"):
+        assert seen[kind] > 0, (kind, seen)
+
+
+def test_verdicts_are_sound_against_the_oracle():
+    words = ["".join(bits) for n in range(1, 7) for bits in itertools.product("01", repeat=n)]
+    towers = {bits: tower(bits) for bits in words}
+    counts = Counter()
+    violations = []
+    for v, w in itertools.product(words, words):
+        verdict = conjugacy_verdict(towers[v], towers[w], 2)
+        witness = exact_conjugacy_search(word(v), word(w), 2)
+        kind = type(verdict).__name__
+        if isinstance(verdict, Unknown):
+            kind += " with witness" if witness else " without witness"
+        counts[kind] += 1
+        if isinstance(verdict, ConjugateCertified) and witness is None:
+            violations.append((v, w, verdict))
+        if isinstance(verdict, NotConjugateCertified) and witness is not None:
+            violations.append((v, w, verdict))
+        if isinstance(verdict, RefutedUpTo) and witness and witness.forward.length <= verdict.radius:
+            violations.append((v, w, verdict, witness.forward.length))
+    assert not violations, violations[:5]
+    for kind in ("ConjugateCertified", "RefutedUpTo", "Unknown with witness", "Unknown without witness"):
+        assert counts[kind] > 0, (kind, counts)
