@@ -23,12 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, count, repeat
+from itertools import combinations, compress, count
 from operator import and_
 from typing import Iterable, Optional
 
 from .codes import AlphabetMismatch, PeriodMismatch
-from .core import PartialCyclicWord, SkeletonTower
+from .core import Alphabet, SkeletonTower
 from .odometer import supernatural_equal
 from .skeleton import (
     NonDivisorError,
@@ -71,8 +71,8 @@ class Undetermined(GammaResult):
     reason: str
 
 
-def _tiled(word: PartialCyclicWord, n: int) -> tuple[Optional[str], ...]:
-    return word.repeated(n // word.period).cells if n != word.period else word.cells
+def _tiled(tower: SkeletonTower, n: int) -> str:
+    return tower._text * (n // tower.deepest_period)
 
 
 def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
@@ -83,20 +83,21 @@ def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
 
 
 class _Pair:
-    """Two deepest words prepared once per verdict: the source is cut into
-    blocks at offset 0 and the doubled target at each offset class ``c`` mod
-    ``p``, once per stage; shift ``k`` sees class ``k mod p`` rotated by
-    ``(k mod n) // p`` blocks."""
+    """Two deepest words encoded as in ``SkeletonTower._text``, prepared once
+    per verdict: blocks are ``str`` slices of the source at offset 0 and of the
+    doubled target at each offset class ``c`` mod ``p``, numbered once per
+    stage; shift ``k`` sees class ``k mod p`` rotated by ``(k mod n) // p`` blocks."""
 
-    def __init__(self, src: tuple[Optional[str], ...], tgt: tuple[Optional[str], ...]):
+    def __init__(self, src: str, tgt: str, alphabet: Alphabet):
         self.n = len(src)
         self.src = src
         self.tgt2 = tgt + tgt
+        self.cells = (None, *alphabet)  # the cell of each code point
         self._numbers: dict[tuple[int, Optional[int]], tuple[list[int], list[bool]]] = {}  # (p, class)
 
     @cached_property
     def masks(self) -> tuple[str, str]:
-        return tuple("".join(map({None: "1"}.get, w, repeat("0"))) for w in (self.src, self.tgt2))
+        return tuple(w.translate("1".ljust(len(self.cells), "0")) for w in (self.src, self.tgt2))  # blank: 1
 
     @cached_property
     def mask_shifts(self) -> range:
@@ -106,10 +107,10 @@ class _Pair:
         first = tmask2.find(smask)
         return range(first, self.n, tmask2.find(tmask2[: self.n], 1)) if first >= 0 else range(0)
 
-    def blocks(self, p: int, o: Optional[int] = None) -> list[Block]:
-        """Consecutive ``p``-tuples of the source, or of the target from offset ``o``."""
+    def blocks(self, p: int, o: Optional[int] = None) -> list[str]:
+        """Consecutive ``p``-slices of the source, or of the target from offset ``o``."""
         word, o = (self.src, 0) if o is None else (self.tgt2, o)
-        return list(zip(*[iter(word[o : o + self.n])] * p))
+        return [word[i : i + p] for i in range(o, o + self.n, p)]
 
     def numbered(self, p: int, c: Optional[int] = None) -> tuple[list[int], list[bool]]:
         """Numbers (equal blocks share one) and fullness of the stage-``p``
@@ -117,7 +118,7 @@ class _Pair:
         key = (p, c)
         if key not in self._numbers:
             blocks = self.blocks(p, c)
-            self._numbers[key] = list(map({}.setdefault, blocks, count())), [None not in b for b in blocks]
+            self._numbers[key] = list(map({}.setdefault, blocks, count())), ["\0" not in b for b in blocks]
         return self._numbers[key]
 
     def fully_filled(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
@@ -141,14 +142,14 @@ class _Pair:
         if smask != tmask:
             j = next(j for j, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
             return Undetermined(f"blank masks differ at block {j}")
-        forward: dict[Block, tuple[Block, int]] = {}  # first target and index per source
-        backward: dict[Block, tuple[Block, int]] = {}
+        forward: dict[str, tuple[str, int]] = {}  # first target and index per source
+        backward: dict[str, tuple[str, int]] = {}
         for j, (s, t) in enumerate(zip(self.blocks(p), self.blocks(p, o))):
             if forward.setdefault(s, (t, j))[0] != t:
                 return Undetermined(f"partial blocks {j} and {forward[s][1]} break well-definedness")
             if backward.setdefault(t, (s, j))[0] != s:
                 return Undetermined(f"partial blocks {j} and {backward[t][1]} break injectivity")
-        if None in self.src:
+        if "\0" in self.src:
             # a witness exists when, per in-block offset, the observed symbol
             # pairs form a bijection (masks agree: a blank only meets a blank)
             tw = self.tgt2[o : o + n]
@@ -156,7 +157,10 @@ class _Pair:
                 pairs = set(zip(self.src[u::p], tw[u::p]))
                 if len(pairs) != len({x for x, _ in pairs}) or len(pairs) != len({y for _, y in pairs}):
                     return Undetermined(f"no positionwise witness at offset {u}")
-        return Consistent(tuple((s, t) for s, (t, _) in forward.items()))
+        return Consistent(tuple((self.block(s), self.block(t)) for s, (t, _) in forward.items()))
+
+    def block(self, text: str) -> Block:
+        return tuple(map(self.cells.__getitem__, map(ord, text)))
 
 
 def _has_conflict(src: list[int], tgt: list[int]) -> bool:
@@ -191,16 +195,16 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     a well-defined injective map on block types, and (when blanks exist) a
     positionwise witness.  Everything else is Undetermined.
 
-    Cost: O(n) for the common length ``n``: the source and the target's
-    offset class ``k mod p`` are numbered once, read rotated by
-    ``(k mod n) // p`` blocks, and searched for a conflict in O(n/p).
+    Cost: O(n) for the common length ``n``: the source and the target's offset
+    class ``k mod p`` are cut from the towers' cached encodings and numbered
+    once, read rotated by ``(k mod n) // p`` blocks, and searched in O(n/p).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
     n = _common_length(a, b)
     if p < 1 or n % p:
         raise IncompatiblePeriods(f"stage {p} does not divide the common period {n}")
-    return _Pair(_tiled(a.deepest_word, n), _tiled(b.deepest_word, n)).gamma(p, k)
+    return _Pair(_tiled(a, n), _tiled(b, n), a.alphabet).gamma(p, k)
 
 
 class Verdict:
@@ -295,12 +299,12 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
        with a consistent correspondence, so none exists.
     4. Else Unknown, with a per-stage accounting.
 
-    Cost: the words are tiled once; each stage is numbered once per target
-    offset class its shifts meet, and its phase separation checked only when
-    reached; mask-compatible shifts come from one O(n) string search; each
-    correspondence tried is O(n/p) when contradicted, else O(n).  Margins and
-    candidate shifts take O(stages · n), independent of ``max_radius``: each
-    stage is tried for refutation once, at its own margin.
+    Cost: the cached encodings are tiled once; each stage's blocks are cut as
+    slices and numbered once per target offset class its shifts meet; phase
+    separation is checked only when reached; mask-compatible shifts come from
+    one O(n) string search; a correspondence is O(n/p) when contradicted (n²/p
+    per stage over all shifts), else O(n).  Margins and candidate shifts take
+    O(stages · n), independent of ``max_radius``: one refutation per stage.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -317,7 +321,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     except IncompatiblePeriods as exc:
         return Unknown((str(exc),))
     stages = sorted(set(a.periods) | set(b.periods))
-    pair = _Pair(_tiled(a.deepest_word, n), _tiled(b.deepest_word, n))
+    pair = _Pair(_tiled(a, n), _tiled(b, n), a.alphabet)
     separated: dict[int, bool] = {}
     for p in stages:
         separated[p] = phase_separated(a, p) and phase_separated(b, p)
@@ -448,11 +452,11 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     witness, Contradicted everywhere is a refutation.  Only shifts with
     matching blank masks can be Consistent, so ``gamma`` runs only there.
 
-    Cost: O(n) to find the mask-compatible shifts and to number the
-    ``B = n/p`` blocks of each rotated word once (every shift reads the
-    target's offset class 0, rotated); then O(n) per mask-compatible
-    block-aligned shift, and, when none is Consistent, O(B) per other
-    block-aligned shift, whose conflict position is never computed.
+    Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
+    find the mask-compatible shifts and number the ``B = n/p`` blocks once
+    (every shift reads the target's offset class 0, rotated); then O(n) per
+    mask-compatible block-aligned shift, and, when none is Consistent, O(B)
+    per other block-aligned shift, whose conflict position is never computed.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -460,8 +464,8 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
         raise AlphabetMismatch("parts use different alphabets")
     if w.base.deepest_period != z.base.deepest_period:
         raise PeriodMismatch("parts rest on towers of different depth")
-    a, b = w.base.deepest_word.cells, z.base.deepest_word.cells
-    pair, p = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k]), w.p
+    a, b = w.base._text, z.base._text
+    pair, p = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k], w.base.alphabet), w.p
     tried: dict[int, GammaResult] = {}
     for k in pair.mask_shifts:
         if k % p == 0:
@@ -529,7 +533,7 @@ def with_common_depth(a: SkeletonTower, b: SkeletonTower) -> tuple[SkeletonTower
 def _pad(t: SkeletonTower, n: int) -> SkeletonTower:
     if t.deepest_period == n:
         return t
-    deeper = (n, PartialCyclicWord(_tiled(t.deepest_word, n)))
+    deeper = (n, t.deepest_word.repeated(n // t.deepest_period))
     return SkeletonTower(t.alphabet, (*t.levels, deeper), t.declared_scale)
 
 

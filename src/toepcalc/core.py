@@ -14,6 +14,7 @@ period, so negative positions are always meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .odometer import SupernaturalNumber, divides
@@ -178,6 +179,12 @@ class SkeletonTower:
     @property
     def deepest_word(self) -> PartialCyclicWord:
         return self.levels[-1][1]
+
+    @cached_property
+    def _text(self) -> str:
+        """The deepest word, one code point per cell: 0 for a blank, the alphabet index + 1 for a symbol."""
+        code = {cell: chr(i) for i, cell in enumerate((None, *self.alphabet))}
+        return "".join(map(code.__getitem__, self.deepest_word.cells))
 
 
 def validate_tower(tower: SkeletonTower) -> None:

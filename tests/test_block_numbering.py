@@ -1,0 +1,126 @@
+"""Differential test: block numbering on ``str`` slices of each tower's cached
+encoding against the tuple-cut numbering it replaced."""
+
+import random
+from collections import Counter
+from itertools import compress, count
+from operator import and_
+
+from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower
+from toepcalc.conjugacy import _Pair, _tiled
+
+# multi-character tokens beside their characters: concatenating the tokens of
+# ("0", "1") and of ("01",) gives the same text, so an encoding that did so
+# would number distinct blocks alike
+SYMBOLS = ("0", "1", "01", "10")
+ALPHABET = Alphabet(SYMBOLS)
+
+
+class ReferencePair:
+    """``_Pair``'s tuple-cut numbering as it was before blocks became slices
+    of one encoding: ``__init__``, ``blocks``, ``numbered``, ``fully_filled``
+    and ``contradicted`` verbatim."""
+
+    def __init__(self, src, tgt):
+        self.n = len(src)
+        self.src = src
+        self.tgt2 = tgt + tgt
+        self._numbers = {}  # (p, class)
+
+    def blocks(self, p, o=None):
+        """Consecutive ``p``-tuples of the source, or of the target from offset ``o``."""
+        word, o = (self.src, 0) if o is None else (self.tgt2, o)
+        return list(zip(*[iter(word[o : o + self.n])] * p))
+
+    def numbered(self, p, c=None):
+        """Numbers (equal blocks share one) and fullness of the stage-``p``
+        blocks of the source, or of the target at offset class ``c``."""
+        key = (p, c)
+        if key not in self._numbers:
+            blocks = self.blocks(p, c)
+            self._numbers[key] = list(map({}.setdefault, blocks, count())), [None not in b for b in blocks]
+        return self._numbers[key]
+
+    def fully_filled(self, p, k):
+        """Source and target block numbers where both blocks are full, and
+        their indices; only these blocks can contradict."""
+        sid, sfull = self.numbered(p)
+        j, c = divmod(k % self.n, p)
+        tid, tfull = (x[j:] + x[:j] for x in self.numbered(p, c))
+        index = list(compress(count(), map(and_, sfull, tfull)))
+        return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
+
+    def contradicted(self, p, k):
+        return _has_conflict(*self.fully_filled(p, k)[:2])
+
+
+def _has_conflict(src, tgt):
+    """Not a bijection: distinct sources, targets and pairs differ in number."""
+    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
+
+
+def relabelled(numbers):
+    """Block numbers renamed in order of first occurrence: the equality pattern."""
+    return list(map({}.setdefault, numbers, count()))
+
+
+def word_tower(cells):
+    return SkeletonTower(ALPHABET, ((len(cells), PartialCyclicWord(cells)),))
+
+
+def random_cells(rng, n):
+    """A word of length ``n`` over 1-4 symbols, with no, some or only blanks."""
+    used = rng.sample(SYMBOLS, rng.randint(1, 4))
+    blank_rate = rng.choice((0.0, 0.0, 0.2, 0.5, 1.0))
+    return tuple(None if rng.random() < blank_rate else rng.choice(used) for _ in range(n))
+
+
+def assert_same_numbering(a, b):
+    """Every stage ``p | n``, class and shift of the pair ``(a, b)`` read alike
+    from the encoded text and from the reference's tuple cut."""
+    n = max(a.deepest_period, b.deepest_period)
+    pair = _Pair(_tiled(a, n), _tiled(b, n), ALPHABET)
+    ref = ReferencePair(*(t.deepest_word.repeated(n // t.deepest_period).cells for t in (a, b)))
+    for p in (d for d in range(1, n + 1) if n % d == 0):
+        for c in (None, *range(p)):
+            ids, full = pair.numbered(p, c)
+            ref_ids, ref_full = ref.numbered(p, c)
+            assert relabelled(ids) == relabelled(ref_ids), (p, c)
+            assert full == ref_full, (p, c)
+            assert list(map(pair.block, pair.blocks(p, c))) == ref.blocks(p, c), (p, c)
+        for k in range(n):
+            src, tgt, index = pair.fully_filled(p, k)
+            ref_src, ref_tgt, ref_index = ref.fully_filled(p, k)
+            assert index == ref_index, (p, k)
+            assert relabelled(src) == relabelled(ref_src), (p, k)
+            assert relabelled(tgt) == relabelled(ref_tgt), (p, k)
+            assert pair.contradicted(p, k) == ref.contradicted(p, k), (p, k)
+
+
+def test_edge_words_number_like_the_tuple_cut():
+    for a, b in [
+        (("0",), ("1",)),  # period 1
+        ((None,), ("01",)),
+        ((None,) * 6, (None,) * 6),  # all blank
+        ((None,) * 6, ("0", "1", "01", "10", "0", "1")),
+        (("0", "1", "0", "1"), ("01", "01", "10", "10")),  # tokens spelling one text
+        (("01", None, "10", "1", "0", None), ("1", "0")),  # the target tiled three times
+    ]:
+        assert_same_numbering(word_tower(a), word_tower(b))
+        assert_same_numbering(word_tower(b), word_tower(a))
+
+
+def test_random_words_number_like_the_tuple_cut():
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        m = rng.choice([d for d in range(1, n + 1) if n % d == 0])  # the other word may be shallower
+        a, b = random_cells(rng, n), random_cells(rng, m)
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert_same_numbering(word_tower(a), word_tower(b))
+        kinds["blank"] += None in a + b
+        kinds["complete"] += None not in a + b
+        kinds["tokens"] += any(c in ("01", "10") for c in a + b)
+    assert min(kinds.values()) > 50, kinds

@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import toepcalc
 from toepcalc import reference_example, parse_tower_text, serialize_tower
 from toepcalc.cli import corpus_matrix, run_command
 from helpers import tower
@@ -303,3 +307,18 @@ def test_read_errors_name_the_file(tmp_path):
     code_file = write(tmp_path / "bad.code", "radius = 1\n")
     code, text = run_command(["apply-code", good, "--code", code_file, "-o", str(tmp_path / "o.tw")])
     assert code == 3 and text.startswith("error:") and "bad.code" in text
+
+
+def test_module_runs_the_readme_example(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(toepcalc.__file__).parents[1])}
+
+    def toepcalc_main(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "toepcalc", *args], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+
+    assert toepcalc_main("generate", "paper-example", "--stages", "2", "-o", "a.tw").returncode == 0
+    assert toepcalc_main("rotate", "a.tw", "-k", "7", "-o", "b.tw").returncode == 0
+    done = toepcalc_main("compare", "a.tw", "b.tw")
+    assert done.returncode == 0, done.stderr
+    assert {"verdict = conjugate-certified", "stage = 5", "shift = 13"} <= set(done.stdout.splitlines())

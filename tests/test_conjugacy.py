@@ -309,6 +309,24 @@ def test_efin_refuted_and_equal_cases():
     assert efin_equal([b], [c], 2) is EfinResult.CERTIFIED_EQUAL
 
 
+def test_encoding_cache_is_invisible(monkeypatch):
+    a, b = reference_example(2), reference_example(2)
+    cold_repr, cold_hash = repr(a), hash(a)
+    assert "_text" not in vars(a)
+    assert isinstance(conjugacy_verdict(a, rotate_tower(a, 7), 2), ConjugateCertified)
+    assert "_text" in vars(a) and "_text" not in vars(b)  # a warm, b cold
+    assert a == b and hash(a) == hash(b) == cold_hash
+    assert repr(a) == repr(b) == cold_repr
+    assert {a, b} == {b}
+    assert {Part(a, 5, k) for k in range(5)} | {Part(b, 5, k) for k in range(5)} == {Part(b, 5, k) for k in range(5)}
+    calls = []
+    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", lambda w, z: calls.append(1) or dp_equivalent(w, z))
+    s = [Part(a, 5, k) for k in range(5)]
+    t = [Part(b, 5, k) for k in range(5)]
+    assert efin_equal(s, t, 5) is EfinResult.CERTIFIED_EQUAL
+    assert len(calls) == 10  # the 5 distinct parts pairwise, each of a's parts deduplicated with b's
+
+
 # --- invariant_compare -------------------------------------------------------
 
 

@@ -41,7 +41,7 @@ def reference_verdict(a, b, max_radius):
     except conjugacy.IncompatiblePeriods as exc:
         return Unknown((str(exc),))
     stages = sorted(set(a.periods) | set(b.periods))
-    pair = conjugacy._Pair(conjugacy._tiled(a.deepest_word, n), conjugacy._tiled(b.deepest_word, n))
+    pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
     separated = {}
     for p in stages:
         separated[p] = phase_separated(a, p) and phase_separated(b, p)

@@ -415,7 +415,7 @@ def reference_dp_equivalent(w, z):
     if w.base.deepest_period != z.base.deepest_period:
         raise PeriodMismatch("parts rest on towers of different depth")
     a, b = w.base.deepest_word.cells, z.base.deepest_word.cells
-    pair = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k])
+    pair = _Pair(*(x.base._text[x.k :] + x.base._text[: x.k] for x in (w, z)), w.base.alphabet)
     all_contradicted = True
     for j in range(w.base.deepest_period // w.p):
         if not pair.contradicted(w.p, j * w.p):  # gamma is not Contradicted there
