@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -382,6 +383,10 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     code, text = run_command(sys.argv[1:] if argv is None else argv)
-    if text:
-        print(text, file=sys.stderr if code == 3 else sys.stdout)
+    stream = sys.stderr if code == 3 else sys.stdout
+    try:
+        if text:
+            print(text, file=stream, flush=True)
+    except BrokenPipeError:  # the reader has gone; send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)

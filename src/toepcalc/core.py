@@ -20,10 +20,17 @@ from typing import Optional
 from .odometer import SupernaturalNumber, divides
 
 BLANK = "_"
+MAX_SYMBOLS = 0x10FFFF  # symbol i is code point i + 1 in SkeletonTower._text; 0 is the blank
 
 
 class TowerError(ValueError):
-    """Base for structural failures of alphabets, words and towers."""
+    """Base for structural failures of alphabets, words and towers; ``level``
+    indexes the tower level at fault and ``position`` its cell, when known."""
+
+    def __init__(self, message: str, level: int | None = None, position: int | None = None):
+        super().__init__(message)
+        self.level = level
+        self.position = position
 
 
 class AlphabetError(TowerError):
@@ -37,9 +44,9 @@ class DivisibilityError(TowerError):
 class ConsistencyError(TowerError):
     """Adjacent levels disagree on a filled cell."""
 
-    def __init__(self, shallow_period: int, deep_period: int, index: int, detail: str):
+    def __init__(self, shallow_period: int, deep_period: int, index: int, detail: str, level: int | None = None):
         super().__init__(
-            f"levels {shallow_period}/{deep_period} disagree at position {index}: {detail}"
+            f"levels {shallow_period}/{deep_period} disagree at position {index}: {detail}", level, index
         )
         self.shallow_period = shallow_period
         self.deep_period = deep_period
@@ -75,6 +82,8 @@ class Alphabet:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if len(self.symbols) < 2:
             raise AlphabetError("an alphabet needs at least two symbols")
+        if len(self.symbols) > MAX_SYMBOLS:
+            raise AlphabetError(f"an alphabet has at most {MAX_SYMBOLS} symbols")
         seen = set()
         for s in self.symbols:
             if not isinstance(s, str) or not s:
@@ -190,38 +199,41 @@ class SkeletonTower:
 def validate_tower(tower: SkeletonTower) -> None:
     """Raise a ``TowerError`` subclass describing the first defect found.
 
-    Checks, in order: period chain (positive, strictly increasing, each
-    dividing the next), word lengths, symbol membership, adjacent-level
-    consistency (a filled cell at period ``p`` must reappear verbatim at every
-    congruent position of the next level), and declared-scale divisibility.
+    The only checks of a tower's structure, also for parsed files.  Level by
+    level: a positive period, greater than and a multiple of the one above, one
+    cell per period, symbols of the alphabet; then adjacent-level consistency (a
+    filled cell at period ``p`` must reappear verbatim at every congruent
+    position of the next level, which is at fault) and declared-scale divisibility.
     """
     if not tower.levels:
         raise TowerError("a tower needs at least one level")
+    cell_values = {None, *tower.alphabet}
     prev = 0
-    for p, w in tower.levels:
+    for level, (p, w) in enumerate(tower.levels):
         if not isinstance(p, int) or p < 1:
-            raise DivisibilityError(f"period {p!r} is not a positive integer")
-        if prev and (p <= prev or p % prev):
-            raise DivisibilityError(f"period {p} does not properly extend {prev}")
+            raise DivisibilityError(f"period must be a positive integer, got {p!r}", level)
+        if prev and p <= prev:
+            raise DivisibilityError(f"periods must increase, got {p} after {prev}", level)
+        if prev and p % prev:
+            raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
         if w.period != p:
-            raise DivisibilityError(f"word of length {w.period} declared at period {p}")
+            raise DivisibilityError(f"expected {p} cells, got {w.period}", level)
+        if not cell_values.issuperset(w.cells):
+            i = next(i for i, c in enumerate(w.cells) if c not in cell_values)
+            raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i)
         prev = p
-    for p, w in tower.levels:
-        for i, c in enumerate(w.cells):
-            if c is not None and c not in tower.alphabet:
-                raise AlphabetError(f"symbol {c!r} at level {p}, position {i}")
-    for (p, shallow), (q, deep) in zip(tower.levels, tower.levels[1:]):
+    for level, ((p, shallow), (q, deep)) in enumerate(zip(tower.levels, tower.levels[1:]), start=1):
         for x in range(q):
             s = shallow.cell(x)
             if s is not None and deep.cells[x] != s:
                 raise ConsistencyError(
-                    p, q, x, f"{s!r} above, {deep.cells[x]!r} below"
+                    p, q, x, f"{s!r} above, {deep.cells[x]!r} below", level
                 )
     if tower.declared_scale is not None:
-        for p, _ in tower.levels:
+        for level, (p, _) in enumerate(tower.levels):
             if not divides(p, tower.declared_scale):
                 raise ScaleError(
-                    f"declared period {p} does not divide scale {tower.declared_scale}"
+                    f"declared period {p} does not divide scale {tower.declared_scale}", level
                 )
 
 

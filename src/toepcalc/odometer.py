@@ -129,13 +129,16 @@ class SupernaturalNumber:
                 raise OdometerError(f"cannot parse scale factor {chunk.strip()!r}")
             exp_text = m.group(2)
             e: int | float
-            if exp_text is None:
-                e = 1
-            elif exp_text == "inf":
-                e = INF
-            else:
-                e = int(exp_text)
-            factors.append((int(m.group(1)), e))
+            try:
+                if exp_text is None:
+                    e = 1
+                elif exp_text == "inf":
+                    e = INF
+                else:
+                    e = int(exp_text)
+                factors.append((int(m.group(1)), e))
+            except ValueError as exc:  # more digits than Python's int-string limit
+                raise OdometerError(f"scale factor of {len(chunk.strip())} characters is too long") from exc
         return cls(tuple(sorted(factors)))  # accept any written order
 
     def exponent(self, p: int) -> int | float:

@@ -1,9 +1,9 @@
 """Seeded random instances for stress tests.
 
 All generators take an explicit ``random.Random`` so callers own the seed.
-``deepen`` refines a tower by one level; with ``preserve_holes`` it never
-completes a residue class that the old deepest word had declared blank to a
-constant, so declared holes may relax to Unknown but never flip to In.
+``deepen`` refines a tower by one level; it never completes a residue class
+that the old deepest word had declared blank to a constant, so declared holes
+may relax to Unknown but never flip to In.
 """
 
 from __future__ import annotations
@@ -64,21 +64,19 @@ def deepen(
     tower: SkeletonTower,
     multiplier: int = 2,
     fill: float = 0.5,
-    preserve_holes: bool = True,
 ) -> SkeletonTower:
     if multiplier < 2:
         raise ValueError("multiplier must be at least 2")
     n = tower.deepest_period
     old = tower.deepest_word.cells
     new = _refine(rng, old, multiplier, fill, tower.alphabet.symbols)
-    if preserve_holes:
-        for r in range(n):
-            if old[r] is not None:
-                continue
-            spots = [r + j * n for j in range(multiplier)]
-            values = {new[x] for x in spots}
-            if None not in values and len(values) == 1:
-                new[rng.choice(spots)] = None
+    for r in range(n):
+        if old[r] is not None:
+            continue
+        spots = [r + j * n for j in range(multiplier)]
+        values = {new[x] for x in spots}
+        if None not in values and len(values) == 1:
+            new[rng.choice(spots)] = None
     scale = tower.declared_scale
     if scale is not None and not divides(n * multiplier, scale):
         scale = None

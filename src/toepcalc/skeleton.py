@@ -26,14 +26,12 @@ from typing import Optional
 from .core import (
     DivisibilityError,
     PartialCyclicWord,
-    ScaleError,
     SkeletonTower,
 )
 from .odometer import (
     EmptyScale,
     OdometerError,
     SupernaturalNumber,
-    divides,
     prime_index,
     supernatural_lcm,
 )
@@ -242,8 +240,8 @@ def scale_truncation(tower: SkeletonTower) -> ScaleTruncation:
 
     Only divisors of the deepest period can be certified essential at this
     stage (anything else is indistinguishable from its gcd with it), so the
-    scan is complete.  A certified essential period that fails to divide a
-    declared scale is a hard contradiction.
+    scan is complete.  Each of them divides the deepest period, which
+    ``validate_tower`` has checked to divide a declared scale.
     """
     deep = tower.deepest_period
     essentials: list[int] = []
@@ -255,13 +253,6 @@ def scale_truncation(tower: SkeletonTower) -> ScaleTruncation:
         elif st.outcome is EssentialOutcome.UNKNOWN:
             pending.append(p)
     certified = supernatural_lcm(*(SupernaturalNumber.from_int(p) for p in essentials))
-    if tower.declared_scale is not None:
-        for p in essentials:
-            if not divides(p, tower.declared_scale):
-                raise ScaleError(
-                    f"certified essential period {p} does not divide declared scale "
-                    f"{tower.declared_scale}"
-                )
     return ScaleTruncation(certified, tuple(pending), tuple(essentials))
 
 

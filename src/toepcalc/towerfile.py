@@ -8,9 +8,10 @@
 
 One whitespace-separated token per cell, ``_`` for a blank.  The alphabet
 line comes first, the optional scale line next, then the period lines with
-strictly increasing periods, each dividing the next.  Parse errors carry the
-1-based line (and column where it points at a token); cross-level
-consistency violations surface as TowerError from tower validation.
+strictly increasing periods, each dividing the next.  The parser checks only
+the syntax; ``validate_tower`` checks the tower, and its errors come back as a
+``ParseError`` at the 1-based line of the level at fault (and the column of
+the cell, when one is named), as do the parser's own errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .core import BLANK, Alphabet, AlphabetError, ParseError, PartialCyclicWord, SkeletonTower
+from .core import BLANK, Alphabet, ParseError, PartialCyclicWord, SkeletonTower, TowerError
 from .odometer import OdometerError, SupernaturalNumber
 
 _TOKEN = re.compile(r"\S+")
@@ -28,82 +29,65 @@ def parse_tower_text(text: str) -> SkeletonTower:
     alphabet: Optional[Alphabet] = None
     scale: Optional[SupernaturalNumber] = None
     levels: list[tuple[int, PartialCyclicWord]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        head, eq, payload = line.partition("=")
-        if not eq:
-            raise ParseError("expected 'name = ...' directive", line=ln, column=1)
-        name = head.split()
-        if not name:
-            raise ParseError("missing directive name", line=ln, column=1)
-        if name[0] == "alphabet":
-            if len(name) != 1:
-                raise ParseError("malformed alphabet directive", line=ln, column=1)
-            if alphabet is not None:
-                raise ParseError("duplicate alphabet line", line=ln, column=1)
-            if levels or scale is not None:
-                raise ParseError("alphabet line must come first", line=ln, column=1)
-            symbols = tuple(payload.split())
-            try:
-                alphabet = Alphabet(symbols)
-            except AlphabetError as exc:
-                raise ParseError(str(exc), line=ln) from exc
-        elif name[0] == "scale":
-            if len(name) != 1:
-                raise ParseError("malformed scale directive", line=ln, column=1)
-            if alphabet is None:
-                raise ParseError("scale line before alphabet line", line=ln, column=1)
-            if scale is not None:
-                raise ParseError("duplicate scale line", line=ln, column=1)
-            if levels:
-                raise ParseError("scale line must precede period lines", line=ln, column=1)
-            try:
-                scale = SupernaturalNumber.parse(payload.strip())
-            except OdometerError as exc:
-                raise ParseError(str(exc), line=ln) from exc
-        elif name[0] == "period":
-            if alphabet is None:
-                raise ParseError("period line before alphabet line", line=ln, column=1)
-            if len(name) != 2 or not name[1].isdigit():
-                raise ParseError("expected 'period N = ...'", line=ln, column=1)
-            period = int(name[1])
-            if period < 1:
-                raise ParseError("period must be positive", line=ln, column=1)
-            if levels:
-                prev = levels[-1][0]
-                if period <= prev:
-                    raise ParseError("periods must increase", line=ln, column=1)
-                if period % prev:
-                    raise ParseError(
-                        f"period {period} is not a multiple of {prev}", line=ln, column=1
-                    )
-            offset = line.index("=") + 1
-            tokens = list(_TOKEN.finditer(line, offset))
-            if len(tokens) != period:
-                raise ParseError(
-                    f"expected {period} cells, got {len(tokens)}", line=ln, column=offset + 1
-                )
-            cells: list[Optional[str]] = []
-            for tok in tokens:
-                t = tok.group()
-                if t == BLANK:
-                    cells.append(None)
-                elif t in alphabet:
-                    cells.append(t)
-                else:
-                    raise ParseError(
-                        f"symbol {t!r} not in alphabet", line=ln, column=tok.start() + 1
-                    )
-            levels.append((period, PartialCyclicWord(tuple(cells))))
-        else:
-            raise ParseError(f"unknown directive {name[0]!r}", line=ln, column=1)
-    if alphabet is None:
-        raise ParseError("missing alphabet line")
-    if not levels:
-        raise ParseError("missing period lines")
-    return SkeletonTower(alphabet, tuple(levels), scale)
+    level_lines: list[tuple[int, str]] = []  # line number and text of each level, for errors
+    try:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].rstrip()
+            if not line.strip():
+                continue
+            head, eq, payload = line.partition("=")
+            if not eq:
+                raise ParseError("expected 'name = ...' directive", line=ln, column=1)
+            name = head.split()
+            if not name:
+                raise ParseError("missing directive name", line=ln, column=1)
+            if name[0] == "alphabet":
+                if len(name) != 1:
+                    raise ParseError("malformed alphabet directive", line=ln, column=1)
+                if alphabet is not None:
+                    raise ParseError("duplicate alphabet line", line=ln, column=1)
+                if levels or scale is not None:
+                    raise ParseError("alphabet line must come first", line=ln, column=1)
+                alphabet = Alphabet(tuple(payload.split()))
+            elif name[0] == "scale":
+                if len(name) != 1:
+                    raise ParseError("malformed scale directive", line=ln, column=1)
+                if alphabet is None:
+                    raise ParseError("scale line before alphabet line", line=ln, column=1)
+                if scale is not None:
+                    raise ParseError("duplicate scale line", line=ln, column=1)
+                if levels:
+                    raise ParseError("scale line must precede period lines", line=ln, column=1)
+                try:
+                    scale = SupernaturalNumber.parse(payload.strip())
+                except OdometerError as exc:
+                    raise ParseError(str(exc), line=ln) from exc
+            elif name[0] == "period":
+                if alphabet is None:
+                    raise ParseError("period line before alphabet line", line=ln, column=1)
+                if len(name) != 2 or not name[1].isdecimal():
+                    raise ParseError("expected 'period N = ...'", line=ln, column=1)
+                try:
+                    period = int(name[1])
+                except ValueError as exc:  # more digits than Python's int-string limit
+                    raise ParseError(f"period of {len(name[1])} digits is too long", line=ln, column=1) from exc
+                cells = tuple(None if t == BLANK else t for t in payload.split())
+                levels.append((period, PartialCyclicWord(cells)))
+                level_lines.append((ln, line))
+            else:
+                raise ParseError(f"unknown directive {name[0]!r}", line=ln, column=1)
+        if alphabet is None:
+            raise ParseError("missing alphabet line")
+        if not levels:
+            raise ParseError("missing period lines")
+        return SkeletonTower(alphabet, tuple(levels), scale)
+    except TowerError as exc:  # a bad alphabet or word on line ln, or a rule of validate_tower at exc.level
+        column = None
+        if exc.level is not None:
+            ln, line = level_lines[exc.level]
+            if exc.position is not None:
+                column = list(_TOKEN.finditer(line, line.index("=") + 1))[exc.position].start() + 1
+        raise ParseError(str(exc), line=ln, column=column) from exc
 
 
 def serialize_tower(tower: SkeletonTower) -> str:

@@ -114,7 +114,7 @@ def test_criterion_03_periodicity_monotonicity():
                         failures.append(("divisor-in", seed, p, q, r))
                     if q < n and sq.status_at(r) is Status.OUT and sp.status_at(r) is not Status.OUT:
                         failures.append(("divisor-out", seed, p, q, r))
-        deeper = deepen(rng, t, multiplier=rng.choice((2, 3)), preserve_holes=True)
+        deeper = deepen(rng, t, multiplier=rng.choice((2, 3)))
         for p in divs:
             before, after = status[p], periodic_part(deeper, p) if deeper.deepest_period % p == 0 else None
             if after is None:

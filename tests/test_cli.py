@@ -6,8 +6,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import toepcalc
-from toepcalc import reference_example, parse_tower_text, serialize_tower
+from toepcalc import SupernaturalNumber, reference_example, parse_tower_text, serialize_tower
+from toepcalc.odometer import OdometerError
 from toepcalc.cli import corpus_matrix, run_command
 from helpers import tower
 
@@ -322,3 +325,46 @@ def test_module_runs_the_readme_example(tmp_path):
     done = toepcalc_main("compare", "a.tw", "b.tw")
     assert done.returncode == 0, done.stderr
     assert {"verdict = conjugate-certified", "stage = 5", "shift = 13"} <= set(done.stdout.splitlines())
+
+
+def test_integer_literals_python_cannot_read_are_exit_3(tmp_path):
+    # '²' passes str.isdigit but not int(); 5000 digits pass the grammar but not Python's int-string limit
+    long = "9" * 5000
+    files = {
+        "alphabet = 0 1\nperiod ² = 0 1\n": 2,
+        f"alphabet = 0 1\nperiod {long} = 0 1\n": 2,
+        f"alphabet = 0 1\n\nscale = {long}\nperiod 1 = 0\n": 3,
+        f"alphabet = 0 1\nscale = 2^{long}\nperiod 1 = 0\n": 2,
+    }
+    for n, (text, line) in enumerate(files.items()):
+        f = write(tmp_path / f"{n}.tw", text)
+        for argv in (["validate", f], ["compare", f, f]):
+            code, report = run_command(argv)
+            assert code == 3 and report.startswith("error:") and f"(line {line}" in report, (argv, report[:200])
+    for scale in (long, f"2^{long}", f"3 * {long}^inf"):
+        with pytest.raises(OdometerError):
+            SupernaturalNumber.parse(scale)
+        code, report = run_command(["factor", "--scale", scale, "--count", "2"])
+        assert code == 3 and report.startswith("error:") and len(report) < 200, report[:200]
+
+
+def test_closed_pipe_exits_with_the_command_code_and_no_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(toepcalc.__file__).parents[1])}
+    a, b = gen_file(tmp_path, 2, "a.tw"), str(tmp_path / "b.tw")
+    assert run_command(["rotate", a, "-k", "7", "-o", b])[0] == 0
+    bad = write(tmp_path / "bad.tw", "alphabet = 0 1\nperiod 4 = 0 1 0\n")
+
+    def into_closed_pipe(argv: list[str], stream: str) -> subprocess.CompletedProcess:
+        """Run the CLI with ``stream`` a pipe whose reader is closed before the child writes."""
+        reader, writer = os.pipe()
+        os.close(reader)
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: writer}
+        try:
+            return subprocess.run([sys.executable, "-m", "toepcalc", *argv], env=env, timeout=60, **pipes)
+        finally:
+            os.close(writer)
+
+    done = into_closed_pipe(["compare", a, b], "stdout")
+    assert done.returncode == 0
+    assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr, done.stderr
+    assert into_closed_pipe(["compare", bad, b], "stderr").returncode == 3

@@ -136,8 +136,8 @@ def test_contradicted_persists_under_deepening(seed):
         if isinstance(gamma_map(a, b, p, k), Contradicted)
     ]
     assume(found)
-    da = deepen(rng, a, multiplier=2, preserve_holes=True)
-    db = deepen(rng, b, multiplier=2, preserve_holes=True)
+    da = deepen(rng, a, multiplier=2)
+    db = deepen(rng, b, multiplier=2)
     for p, k in found:
         assert isinstance(gamma_map(da, db, p, k), Contradicted)
 
@@ -154,7 +154,7 @@ def test_consistent_persists_under_coherent_deepening(seed, rot):
     g = gamma_map(t, b, p, -r)  # same integer shift below, mod-reduced inside
     assert isinstance(g, Consistent)
     # the same construction applied to a deepening of t deepens b coherently
-    dt = deepen(rng, t, multiplier=2, preserve_holes=True)
+    dt = deepen(rng, t, multiplier=2)
     db = rotate_tower(apply_positionwise_permutation(dt, phi), r)
     assert isinstance(gamma_map(dt, db, p, -r), Consistent)
 

@@ -28,6 +28,15 @@ def test_alphabet_rejects_degenerate():
         Alphabet(("a", "b c"))
 
 
+def test_alphabet_size_is_bounded_by_the_cell_encoding():
+    # a tower encodes symbol i as code point i + 1, so 0x10FFFF symbols is the most; the size is
+    # checked before the symbols, so the repeated symbol below is never reached when too many
+    with pytest.raises(AlphabetError, match="at most 1114111 symbols"):
+        Alphabet(("0",) * 0x110000)
+    with pytest.raises(AlphabetError, match="duplicate"):
+        Alphabet(("0",) * 0x10FFFF)
+
+
 def test_word_round_trip_and_cells():
     w = PartialCyclicWord.from_text("0_1_0")
     assert w.period == 5

@@ -13,11 +13,15 @@ from toepcalc.cli import run_command
 from toepcalc.randomgen import random_tower
 
 BIG = (10**9, -(10**12), 2**70, -(2**70), 10**23)
-numbers = st.one_of(st.sampled_from((0, 1, 2, 5, -1, *BIG)), st.integers(-40, 40))
+# literals int() refuses: a digit that is not decimal, and more digits than Python's int-string limit
+UNREADABLE = ("²", "9" * 5000)
+numbers = st.one_of(st.sampled_from((0, 1, 2, 5, -1, *BIG, *UNREADABLE)), st.integers(-40, 40))
 flags = st.one_of(numbers.map(str), st.sampled_from(("", "x", "1.5", "1e3", "--", "٣")))
 
 scales = st.one_of(
-    st.sampled_from(("2^inf * 5", "2^inf * 3^inf", "5", "1", "0", "2^-1", "inf", "2^inf *", "3 * 3", "9999991^inf")),
+    st.sampled_from(
+        ("2^inf * 5", "2^inf * 3^inf", "5", "1", "0", "2^-1", "inf", "2^inf *", "3 * 3", "9999991^inf", *UNREADABLE)
+    ),
     st.lists(
         st.tuples(st.sampled_from((2, 3, 4, 5, 7, 9999991, 2**61 - 1, 2**89 - 1)), st.one_of(numbers, st.just("inf"))),
         min_size=1,

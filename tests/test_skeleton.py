@@ -281,7 +281,7 @@ def test_divisor_monotonicity(seed):
 def test_hole_preserving_deepening_never_flips(seed, mult):
     rng = random.Random(seed)
     shallow = random_tower(rng)
-    deep = deepen(rng, shallow, multiplier=mult, preserve_holes=True)
+    deep = deepen(rng, shallow, multiplier=mult)
     n = shallow.deepest_period
     for p in (d for d in range(1, n + 1) if n % d == 0):
         before = periodic_part(shallow, p)

@@ -1,10 +1,27 @@
 import random
+import re
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toepcalc import ParseError, parse_tower_text, reference_example, serialize_tower
+from toepcalc import (
+    Alphabet,
+    AlphabetError,
+    ConsistencyError,
+    ParseError,
+    PartialCyclicWord,
+    ScaleError,
+    SkeletonTower,
+    SupernaturalNumber,
+    TowerError,
+    parse_tower_text,
+    reference_example,
+    serialize_tower,
+)
+from toepcalc.core import BLANK
+from toepcalc.odometer import INF, OdometerError, divides
 from toepcalc.randomgen import random_tower
 from helpers import tower
 
@@ -88,3 +105,250 @@ def test_round_trip_random_towers(seed, with_scale):
     rng = random.Random(seed)
     t = random_tower(rng, with_scale=with_scale)
     assert parse_tower_text(serialize_tower(t)) == t
+
+
+def test_structural_errors_name_the_line():
+    # consistency: the deeper level is at fault, at the cell that disagrees
+    text = "# two levels\nalphabet = 0 1\n\nperiod 2 = 0 1\nperiod 4 = 0 0 0 1  # cell 1 breaks cell 1 above\n"
+    with pytest.raises(ParseError) as e:
+        parse_tower_text(text)
+    assert "levels 2/4 disagree at position 1" in str(e.value)
+    assert (e.value.line, e.value.column) == (5, 14)
+    assert isinstance(e.value.__cause__, ConsistencyError)
+
+    # scale: the first level whose period the scale does not divide
+    text = "alphabet = 0 1\nscale = 2^inf\nperiod 2 = 0 1\n# next\nperiod 6 = 0 1 0 1 0 1\n"
+    with pytest.raises(ParseError) as e:
+        parse_tower_text(text)
+    assert "declared period 6 does not divide scale 2^inf" in str(e.value)
+    assert (e.value.line, e.value.column) == (5, None)
+    assert isinstance(e.value.__cause__, ScaleError)
+
+    # a symbol: its own column; a count: the line
+    with pytest.raises(ParseError) as e:
+        parse_tower_text("alphabet = 0 1\nperiod 2 = 0 1\nperiod 4 = 0 _  x _\n")
+    assert "symbol 'x' not in alphabet" in str(e.value)
+    assert (e.value.line, e.value.column) == (3, 17)
+    with pytest.raises(ParseError) as e:
+        parse_tower_text("alphabet = 0 1\nperiod 2 = 0 1\n\nperiod 4 = 0 _ _\n")
+    assert "expected 4 cells, got 3" in str(e.value) and e.value.line == 4
+
+
+# --- the parser that checked the tower rules itself, kept as the reference ---
+
+_TOKEN = re.compile(r"\S+")
+
+
+def reference_parse_tower_text(text: str) -> SkeletonTower:
+    alphabet: Optional[Alphabet] = None
+    scale: Optional[SupernaturalNumber] = None
+    levels: list[tuple[int, PartialCyclicWord]] = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        head, eq, payload = line.partition("=")
+        if not eq:
+            raise ParseError("expected 'name = ...' directive", line=ln, column=1)
+        name = head.split()
+        if not name:
+            raise ParseError("missing directive name", line=ln, column=1)
+        if name[0] == "alphabet":
+            if len(name) != 1:
+                raise ParseError("malformed alphabet directive", line=ln, column=1)
+            if alphabet is not None:
+                raise ParseError("duplicate alphabet line", line=ln, column=1)
+            if levels or scale is not None:
+                raise ParseError("alphabet line must come first", line=ln, column=1)
+            symbols = tuple(payload.split())
+            try:
+                alphabet = Alphabet(symbols)
+            except AlphabetError as exc:
+                raise ParseError(str(exc), line=ln) from exc
+        elif name[0] == "scale":
+            if len(name) != 1:
+                raise ParseError("malformed scale directive", line=ln, column=1)
+            if alphabet is None:
+                raise ParseError("scale line before alphabet line", line=ln, column=1)
+            if scale is not None:
+                raise ParseError("duplicate scale line", line=ln, column=1)
+            if levels:
+                raise ParseError("scale line must precede period lines", line=ln, column=1)
+            try:
+                scale = SupernaturalNumber.parse(payload.strip())
+            except OdometerError as exc:
+                raise ParseError(str(exc), line=ln) from exc
+        elif name[0] == "period":
+            if alphabet is None:
+                raise ParseError("period line before alphabet line", line=ln, column=1)
+            if len(name) != 2 or not name[1].isdigit():
+                raise ParseError("expected 'period N = ...'", line=ln, column=1)
+            period = int(name[1])
+            if period < 1:
+                raise ParseError("period must be positive", line=ln, column=1)
+            if levels:
+                prev = levels[-1][0]
+                if period <= prev:
+                    raise ParseError("periods must increase", line=ln, column=1)
+                if period % prev:
+                    raise ParseError(
+                        f"period {period} is not a multiple of {prev}", line=ln, column=1
+                    )
+            offset = line.index("=") + 1
+            tokens = list(_TOKEN.finditer(line, offset))
+            if len(tokens) != period:
+                raise ParseError(
+                    f"expected {period} cells, got {len(tokens)}", line=ln, column=offset + 1
+                )
+            cells: list[Optional[str]] = []
+            for tok in tokens:
+                t = tok.group()
+                if t == BLANK:
+                    cells.append(None)
+                elif t in alphabet:
+                    cells.append(t)
+                else:
+                    raise ParseError(
+                        f"symbol {t!r} not in alphabet", line=ln, column=tok.start() + 1
+                    )
+            levels.append((period, PartialCyclicWord(tuple(cells))))
+        else:
+            raise ParseError(f"unknown directive {name[0]!r}", line=ln, column=1)
+    if alphabet is None:
+        raise ParseError("missing alphabet line")
+    if not levels:
+        raise ParseError("missing period lines")
+    return SkeletonTower(alphabet, tuple(levels), scale)
+
+
+# --- files with at most one defect ---
+
+DEFECTS = (
+    "none", "smaller", "zero", "non-multiple", "long", "drop", "add", "non-symbol", "inconsistent", "scale", "swap",
+)
+
+
+def _set_period(line: str, period) -> str:
+    return re.sub(r"^period \d+", f"period {period}", line)
+
+
+def defective_file(rng: random.Random, defect: str) -> Optional[str]:
+    """A serialized random tower with the given defect, or None where the
+    drawn tower has no place for it."""
+    symbols = rng.choice((("0", "1"), ("0", "1", "2"), ("a", "bb", "c01")))
+    t = random_tower(
+        rng,
+        symbols=symbols,
+        depth=rng.randint(1, 4),
+        fill=rng.choice((0.0, 0.4, 0.8, 1.0)),
+        with_scale=rng.random() < 0.5,
+    )
+    lines = serialize_tower(t).splitlines()
+    first = 2 if t.declared_scale is not None else 1  # the line index of level 0
+    deep = len(t.levels) - 1
+    i = rng.randint(0, deep)
+    p = t.levels[i][0]
+    head, _, payload = lines[first + i].partition(" = ")
+    tokens = payload.split()
+    if defect == "smaller":
+        lines[first + i] = _set_period(lines[first + i], rng.randint(1, p - 1))
+    elif defect == "zero":
+        lines[first + i] = _set_period(lines[first + i], 0)
+    elif defect == "non-multiple":
+        lines[first + i] = _set_period(lines[first + i], p + rng.randint(1, t.levels[i - 1][0] - 1) if i else p + 1)
+    elif defect == "long":
+        lines[first + i] = _set_period(lines[first + i], rng.randrange(10**29, 10**30))
+    elif defect in ("drop", "add", "non-symbol"):
+        k = rng.randrange(len(tokens))
+        if defect == "drop":
+            del tokens[k]
+        elif defect == "add":
+            tokens.insert(k, rng.choice((*symbols, BLANK)))
+        else:
+            tokens[k] = rng.choice([s for s in ("x", "2", "01", "__") if s not in symbols])
+        lines[first + i] = f"{head} = {' '.join(tokens)}"
+    elif defect == "inconsistent":
+        if i == deep:
+            return None
+        q, below = t.levels[i + 1]
+        filled = [x for x in range(q) if below.cells[x] is not None]
+        if not filled:
+            return None
+        x = rng.choice(filled)
+        tokens[x % p] = rng.choice([s for s in symbols if s != below.cells[x]])
+        lines[first + i] = f"{head} = {' '.join(tokens)}"
+    elif defect == "scale":
+        factors = dict(SupernaturalNumber.from_int(t.deepest_period).factors)
+        q = rng.choice(sorted(factors))
+        factors[q] -= 1  # q stays finite, the others may be inf
+        exponents = ((r, e if r == q or rng.random() < 0.5 else INF) for r, e in sorted(factors.items()))
+        scale = SupernaturalNumber(tuple((r, e) for r, e in exponents if e))
+        if t.declared_scale is None:
+            lines.insert(1, f"scale = {scale}")
+        else:
+            lines[1] = f"scale = {scale}"
+    elif defect == "swap":
+        if i == deep:
+            return None
+        lines[first + i], lines[first + i + 1] = lines[first + i + 1], lines[first + i]
+    return "\n".join(lines) + "\n"
+
+
+def _message(exc: Exception) -> str:
+    return str(exc).rsplit(" (line", 1)[0]
+
+
+def _same_rule(reference: str, message: str) -> bool:
+    """The parser's texts are the rule texts, but for two that now name the periods."""
+    for old, new in (("period must be positive", "period must be a positive integer, got "),
+                     ("periods must increase", "periods must increase, got ")):
+        if reference == old:
+            return message.startswith(new)
+    return message == reference
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except (ParseError, TowerError) as exc:
+        return exc
+
+
+def test_parser_matches_the_reference_on_defective_files():
+    seen = {"accepted": 0, "rejected": 0, ParseError: 0, ConsistencyError: 0, ScaleError: 0}
+    defects = dict.fromkeys(DEFECTS, 0)
+    seed = 0
+    while sum(defects.values()) < 2200:
+        seed += 1
+        rng = random.Random(seed)
+        defect = DEFECTS[seed % len(DEFECTS)]
+        text = defective_file(rng, defect)
+        if text is None:
+            continue
+        defects[defect] += 1
+        ref, new = _outcome(reference_parse_tower_text, text), _outcome(parse_tower_text, text)
+        context = (seed, defect, text, ref, new)
+        if isinstance(ref, SkeletonTower):
+            seen["accepted"] += 1
+            assert new == ref, context
+            continue
+        seen["rejected"] += 1
+        seen[type(ref)] += 1
+        assert type(new) is ParseError, context
+        lines = text.splitlines()
+        if isinstance(ref, ParseError):
+            assert new.line == ref.line and _same_rule(_message(ref), _message(new)), context
+            continue
+        level_line = {int(line.split()[1]): n for n, line in enumerate(lines, 1) if line.startswith("period")}
+        if isinstance(ref, ScaleError):
+            scale = SupernaturalNumber.parse(lines[1].split("=")[1])
+            assert new.line == min(level_line[p] for p in level_line if not divides(p, scale)), context
+            assert new.column is None and _message(new) == str(ref), context
+            continue
+        assert isinstance(ref, ConsistencyError), context
+        assert new.line == level_line[ref.deep_period] and _message(new) == str(ref), context
+        line = lines[new.line - 1]
+        assert len(line[: new.column - 1].split("=", 1)[1].split()) == ref.index, context
+        assert line[new.column - 2] == " " and line[new.column - 1] != " ", context
+    assert all(defects.values()), defects
+    assert all(seen.values()), seen
