@@ -86,7 +86,9 @@ class _Pair:
     """Two deepest words encoded as in ``SkeletonTower._text``, prepared once
     per verdict: blocks are ``str`` slices of the source at offset 0 and of the
     doubled target at each offset class ``c`` mod ``p``, numbered once per
-    stage; shift ``k`` sees class ``k mod p`` rotated by ``(k mod n) // p`` blocks."""
+    stage; shift ``k`` sees class ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.
+    Classes of one shape (equal numbers and fullness) conflict alike, so each
+    (shape, ``j``) is tested once, on bitmasks of the ``B = n/p`` blocks."""
 
     def __init__(self, src: str, tgt: str, alphabet: Alphabet):
         self.n = len(src)
@@ -94,6 +96,8 @@ class _Pair:
         self.tgt2 = tgt + tgt
         self.cells = (None, *alphabet)  # the cell of each code point
         self._numbers: dict[tuple[int, Optional[int]], tuple[list[int], list[bool]]] = {}  # (p, class)
+        self._shapes: dict[tuple, tuple] = {}  # (p, numbers, fullness)
+        self._shape_of: dict[tuple[int, Optional[int]], tuple] = {}  # (p, class)
 
     @cached_property
     def masks(self) -> tuple[str, str]:
@@ -123,20 +127,56 @@ class _Pair:
 
     def fully_filled(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
         """Source and target block numbers where both blocks are full, and
-        their indices; only these blocks can contradict."""
+        their indices: the lists ``_first_conflict`` searches."""
         sid, sfull = self.numbered(p)
         j, c = divmod(k % self.n, p)
         tid, tfull = (x[j:] + x[:j] for x in self.numbered(p, c))
         index = list(compress(count(), map(and_, sfull, tfull)))
         return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
 
+    def shape(self, p: int, c: Optional[int] = None) -> tuple[int, dict[int, int], dict[int, bool]]:
+        """The source's or target class's shape: bitmasks, doubled to ``2B``
+        bits for ``B = n/p`` blocks, of its full blocks and of each name of two
+        or more full blocks; and the target's conflict flag per block rotation."""
+        if (p, c) not in self._shape_of:
+            ids, full = self.numbered(p, c)
+            key = (p, tuple(ids), tuple(full))
+            if key not in self._shapes:
+                at: dict[int, int] = {}
+                for i in compress(count(), full):
+                    at[ids[i]] = at.get(ids[i], 0) | 1 << i
+                b, fullness = len(ids), sum(at.values())
+                self._shapes[key] = fullness | fullness << b, {x: m | m << b for x, m in at.items() if m & (m - 1)}, {}
+            self._shape_of[p, c] = self._shapes[key]
+        return self._shape_of[p, c]
+
     def contradicted(self, p: int, k: int) -> bool:
-        return _has_conflict(*self.fully_filled(p, k)[:2])
+        """Whether the names of the blocks full on both sides fail to pair off,
+        that is, the names covering two or more of them cover unequal block sets
+        on the two sides (one-block names cover the rest): a source name differs
+        from the target name at its first block, or the target has more."""
+        j, c = divmod(k % self.n, p)
+        tfull, tnames, table = self.shape(p, c)
+        if j not in table:
+            sfull, snames, _ = self.shape(p)
+            tids, b = self.numbered(p, c)[0], self.n // p
+            both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
+            matched = 0
+            for m in snames.values():
+                x = m & both
+                if x & (x - 1):
+                    first = (x & -x).bit_length() - 1
+                    if x != tnames.get(tids[(first + j) % b], 0) >> j & both:
+                        table[j] = True
+                        break
+                    matched += 1
+            else:  # no target name covers two or more blocks of source singletons
+                table[j] = matched != sum(1 for m in tnames.values() if (y := m >> j & both) & (y - 1))
+        return table[j]
 
     def gamma(self, p: int, k: int) -> GammaResult:
-        fs, ft, index = self.fully_filled(p, k)
-        if _has_conflict(fs, ft):
-            return _first_conflict(fs, ft, index)
+        if self.contradicted(p, k):
+            return _first_conflict(*self.fully_filled(p, k))
         n, o = self.n, k % self.n
         smask, tmask = self.masks[0], self.masks[1][o : o + n]
         if smask != tmask:
@@ -161,11 +201,6 @@ class _Pair:
 
     def block(self, text: str) -> Block:
         return tuple(map(self.cells.__getitem__, map(ord, text)))
-
-
-def _has_conflict(src: list[int], tgt: list[int]) -> bool:
-    """Not a bijection: distinct sources, targets and pairs differ in number."""
-    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
 
 
 def _first_conflict(src: list[int], tgt: list[int], index: list[int]) -> Contradicted:
@@ -197,7 +232,8 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
 
     Cost: O(n) for the common length ``n``: the source and the target's offset
     class ``k mod p`` are cut from the towers' cached encodings and numbered
-    once, read rotated by ``(k mod n) // p`` blocks, and searched in O(n/p).
+    once; the conflict test takes a few operations on ``n/p``-bit masks per
+    name of two or more full blocks, and a conflict is located in O(n/p).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -302,9 +338,12 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     Cost: the cached encodings are tiled once; each stage's blocks are cut as
     slices and numbered once per target offset class its shifts meet; phase
     separation is checked only when reached; mask-compatible shifts come from
-    one O(n) string search; a correspondence is O(n/p) when contradicted (n²/p
-    per stage over all shifts), else O(n).  Margins and candidate shifts take
-    O(stages · n), independent of ``max_radius``: one refutation per stage.
+    one O(n) string search; a correspondence is O(n) when not contradicted.
+    The refutation and the diagnostics share one conflict table per target
+    shape and rotation: ``s`` shapes (3-5 on ``reference_example``) give at
+    most ``s·n/p`` entries per stage, each a few operations on ``n/p``-bit
+    masks per name.  Margins and candidate shifts take O(stages · n),
+    independent of ``max_radius``: one refutation per stage.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -338,7 +377,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
     candidates = {p: _candidates(period_status(b, p), t, n) for p, t in margins.items() if t >= 0}
     for m in sorted(set(margins.values()) - {-1}, reverse=True):
-        # `all` stops at the first uncontradicted shift: counting all took refute-ladder top_rung_s 0.13 -> 0.33 s
+        # `all` stops at the first uncontradicted shift: counting all took refute-ladder top_rung_s 0.028 -> 0.045 s
         refuting = tuple(
             p for p in stages if margins[p] == m and all(pair.contradicted(p, k) for k in candidates[p])
         )
@@ -455,8 +494,9 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
     find the mask-compatible shifts and number the ``B = n/p`` blocks once
     (every shift reads the target's offset class 0, rotated); then O(n) per
-    mask-compatible block-aligned shift, and, when none is Consistent, O(B)
-    per other block-aligned shift, whose conflict position is never computed.
+    mask-compatible block-aligned shift, and, when none is Consistent, one
+    conflict-table entry (a few operations on ``B``-bit masks per name) per
+    other block-aligned shift, whose conflict position is never computed.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Optional
 
 from .odometer import SupernaturalNumber, divides
@@ -223,12 +224,11 @@ def validate_tower(tower: SkeletonTower) -> None:
             raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i)
         prev = p
     for level, ((p, shallow), (q, deep)) in enumerate(zip(tower.levels, tower.levels[1:]), start=1):
-        for x in range(q):
-            s = shallow.cell(x)
-            if s is not None and deep.cells[x] != s:
-                raise ConsistencyError(
-                    p, q, x, f"{s!r} above, {deep.cells[x]!r} below", level
-                )
+        above = shallow.cells * (q // p)
+        filled = [s is not None for s in shallow.cells] * (q // p)
+        if list(compress(above, filled)) != list(compress(deep.cells, filled)):
+            x = next(x for x, s in enumerate(above) if s is not None and deep.cells[x] != s)
+            raise ConsistencyError(p, q, x, f"{above[x]!r} above, {deep.cells[x]!r} below", level)
     if tower.declared_scale is not None:
         for level, (p, _) in enumerate(tower.levels):
             if not divides(p, tower.declared_scale):

@@ -261,6 +261,16 @@ def test_compare_huge_radius_is_fast(tmp_path):
     assert code == 2 and "unknown" in text
 
 
+def test_compare_two_depths_is_fast(tmp_path):
+    # every candidate shift of every stage is tested for the Unknown diagnostics
+    a = gen_file(tmp_path, 9, "a.tw")
+    b = gen_file(tmp_path, 11, "b.tw")
+    start = time.perf_counter()
+    code, text = run_command(["compare", a, b])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and "verdict = unknown" in text
+
+
 def test_compare_single_hole_tower_is_fast(tmp_path):
     # a rotation d is told apart only by the residue pairs that meet the hole, which a scan from r = 0 reaches late
     a = write(tmp_path / "a.tw", "alphabet = 0 1\nperiod 8000 = " + "0 " * 7999 + "_\n")

@@ -1,0 +1,124 @@
+"""Differential test: the conflict table per stage shape, read through
+``_Pair.contradicted``, against the per-shift bijection test it replaced."""
+
+import random
+from collections import Counter
+from itertools import compress, count
+from operator import and_
+
+from toepcalc import Alphabet, rotate_tower
+from toepcalc.codes import apply_block_code
+from toepcalc.conjugacy import _Pair, _tiled
+from toepcalc.randomgen import deepen, random_block_code, random_tower
+
+
+class ReferencePair(_Pair):
+    """``_Pair`` with the conflict test it had before the table:
+    ``fully_filled`` and ``contradicted`` verbatim, the first cutting the
+    rotated lists of one shift and the second counting distinct names."""
+
+    def fully_filled(self, p, k):
+        """Source and target block numbers where both blocks are full, and
+        their indices; only these blocks can contradict."""
+        sid, sfull = self.numbered(p)
+        j, c = divmod(k % self.n, p)
+        tid, tfull = (x[j:] + x[:j] for x in self.numbered(p, c))
+        index = list(compress(count(), map(and_, sfull, tfull)))
+        return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
+
+    def contradicted(self, p, k):
+        return _has_conflict(*self.fully_filled(p, k)[:2])
+
+
+def _has_conflict(src, tgt):
+    """Not a bijection: distinct sources, targets and pairs differ in number."""
+    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def assert_same_conflicts(src, tgt, alphabet, seen, rng):
+    """Every stage ``p | n`` and shift, queried in shuffled order and twice,
+    read alike from the table and from the reference; ``gamma`` too, and
+    ``seen`` counts the cases the table has to get right."""
+    pair, ref = _Pair(src, tgt, alphabet), ReferencePair(src, tgt, alphabet)
+    n = len(src)
+    queries = [(p, k) for p in divisors(n) for k in range(-n, 2 * n)] * 2
+    rng.shuffle(queries)
+    for p, k in queries:
+        expected = ref.contradicted(p, k)
+        assert pair.contradicted(p, k) == expected, (p, k)
+        seen["contradicted" if expected else "bijective"] += 1
+    for p in divisors(n):
+        for k in range(n):
+            assert pair.gamma(p, k) == ref.gamma(p, k), (p, k)
+        shapes = Counter(id(pair.shape(p, c)) for c in range(p))
+        seen["shared shape"] += any(m > 1 for m in shapes.values())
+        seen["unshared shape"] += any(m == 1 for m in shapes.values())
+        classes = {}
+        for c in range(p):
+            ids, full = pair.numbered(p, c)
+            classes.setdefault(tuple(ids), set()).add(tuple(full))
+        seen["numbers alike, fullness not"] += any(len(f) > 1 for f in classes.values())
+        sid, sfull = pair.numbered(p)
+        twice = {x for x, m in Counter(compress(sid, sfull)).items() if m == 2}
+        for k in range(n):
+            kept = Counter(ref.fully_filled(p, k)[0])
+            seen["a name of two full blocks keeps one"] += any(kept[x] == 1 for x in twice)
+
+
+def random_pair(rng, symbols):
+    """A tower and a rotation, a deepened copy, a block-code image or an
+    unrelated tower of a compatible depth, in either order."""
+    fill = rng.choice((1.0, 0.8, 0.5))
+    a = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 6), fill=fill)
+    kind = rng.choice(("rotation", "deepened", "code image", "unrelated"))
+    if kind == "rotation":
+        b = rotate_tower(a, rng.randrange(a.deepest_period))
+    elif kind == "deepened":
+        b = deepen(rng, a, rng.choice((2, 3)), fill=0.6)
+    elif kind == "code image":
+        b = apply_block_code(a, random_block_code(rng, a.alphabet, 1))
+    else:
+        period = rng.choice(divisors(a.deepest_period) + [2 * a.deepest_period])
+        b = random_tower(rng, symbols, depth=1, base_periods=(period,), fill=rng.choice((1.0, 0.8)))
+    if rng.random() < 0.5:
+        a, b = b, a
+    n = max(a.deepest_period, b.deepest_period)
+    return _tiled(a, n), _tiled(b, n), a.alphabet, kind
+
+
+def test_random_tower_pairs_conflict_like_the_per_shift_test():
+    rng = random.Random(20261018)
+    seen, kinds = Counter(), Counter()
+    for _ in range(90):
+        symbols = rng.choice((("0", "1"), ("a", "b", "c", "d")))
+        src, tgt, alphabet, kind = random_pair(rng, symbols)
+        assert_same_conflicts(src, tgt, alphabet, seen, rng)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 10, kinds
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+def test_edge_words_conflict_like_the_per_shift_test():
+    rng = random.Random(7)
+    seen = Counter()
+    binary, quaternary = Alphabet(("0", "1")), Alphabet(("a", "b", "c", "d"))
+    words = [
+        ("\0" * 12, "\0" * 12, binary),  # all blank
+        ("\0" * 12, "\1\2" * 6, binary),
+        ("\1", "\2", binary),  # period 1
+        ("\1", "\0", binary),
+        ("\1", "\1", binary),
+    ]
+    for letters, alphabet in ((2, binary), (4, quaternary)):  # complete and high-entropy
+        for n in (32, 48):
+            src = "".join(chr(rng.randint(1, letters)) for _ in range(n))
+            words.append((src, "".join(chr(rng.randint(1, letters)) for _ in range(n)), alphabet))
+            words.append((src, src[5:] + src[:5], alphabet))
+    for src, tgt, alphabet in words:
+        assert_same_conflicts(src, tgt, alphabet, seen, rng)
+        assert_same_conflicts(tgt, src, alphabet, seen, rng)
+    assert seen["contradicted"] and seen["bijective"], seen

@@ -1,3 +1,6 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +86,50 @@ def test_tower_validation_catches_mismatches():
     validate_tower(t)
     with pytest.raises(ConsistencyError):
         tower("01", "0_01")
+
+
+def old_consistency_check(tower):
+    """``validate_tower``'s adjacent-level check as it was, one ``cell`` call
+    per deep cell, verbatim."""
+    for level, ((p, shallow), (q, deep)) in enumerate(zip(tower.levels, tower.levels[1:]), start=1):
+        for x in range(q):
+            s = shallow.cell(x)
+            if s is not None and deep.cells[x] != s:
+                raise ConsistencyError(
+                    p, q, x, f"{s!r} above, {deep.cells[x]!r} below", level
+                )
+
+
+def test_consistency_check_matches_the_cell_by_cell_loop():
+    """Seeded towers with valid geometry whose deeper levels refine, blank or
+    overwrite cells of the level above: the same first error, or none."""
+    rng = random.Random(20261018)
+    alphabet = Alphabet(("0", "1", "01"))
+    outcomes = set()
+    for _ in range(400):
+        p = rng.randint(1, 6)
+        cells = [rng.choice((None, *alphabet)) for _ in range(p)]
+        levels = [(p, PartialCyclicWord(cells))]
+        for _ in range(rng.randint(1, 3)):
+            mult = rng.randint(2, 3)
+            p *= mult
+            cells = [
+                c if c is not None and rng.random() < 0.97 else rng.choice((None, *alphabet)) for c in cells * mult
+            ]
+            levels.append((p, PartialCyclicWord(cells)))
+        try:
+            old_consistency_check(SimpleNamespace(levels=levels))
+            expected = None
+        except ConsistencyError as exc:
+            expected = (str(exc), exc.level, exc.position, exc.shallow_period, exc.deep_period, exc.index)
+        try:
+            SkeletonTower(alphabet, tuple(levels))
+            got = None
+        except ConsistencyError as exc:
+            got = (str(exc), exc.level, exc.position, exc.shallow_period, exc.deep_period, exc.index)
+        assert got == expected
+        outcomes.add(None if got is None else (got[1] > 1, "None" in got[0]))  # a deeper level, a blank below
+    assert len(outcomes) == 5, outcomes
 
 
 def test_tower_accessors():
