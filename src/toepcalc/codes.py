@@ -62,10 +62,13 @@ class BlockCode:
             if window in mapping:
                 raise CodeError(f"window {window!r} listed twice")
             mapping[window] = out
-        if len(mapping) != len(self.alphabet) ** width:
-            raise CodeError(
-                f"table has {len(mapping)} of {len(self.alphabet) ** width} required windows"
-            )
+        # with two or more symbols, a width past the table size's bit length
+        # already needs more windows; the count is built only when it has under
+        # 4000 digits (Python prints at most 4300), else written as a power
+        a = len(self.alphabet)
+        if width > len(mapping).bit_length() or len(mapping) != a**width:
+            required = a**width if width * math.log10(a) < 4000 else f"{a}^{width}"
+            raise CodeError(f"table has {len(mapping)} of {required} required windows")
         canonical = tuple(
             sorted(mapping.items(), key=lambda kv: tuple(order[s] for s in kv[0]))
         )

@@ -19,12 +19,10 @@ permutation realizing the pairing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count
-from operator import and_
 from typing import Iterable, Optional
 
 from .codes import AlphabetMismatch, PeriodMismatch
@@ -85,17 +83,17 @@ def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
 class _Pair:
     """Two deepest words encoded as in ``SkeletonTower._text``, prepared once
     per verdict: blocks are ``str`` slices of the source at offset 0 and of the
-    doubled target at each offset class ``c`` mod ``p``, numbered once per
-    stage; shift ``k`` sees class ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.
-    Classes of one shape (equal numbers and fullness) conflict alike, so each
-    (shape, ``j``) is tested once, on bitmasks of the ``B = n/p`` blocks."""
+    doubled target at each offset class ``c`` mod ``p``; shift ``k`` sees class
+    ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.  Each class is cut and
+    numbered once per stage into its shape (block numbers and fullness), and
+    classes of one shape share it: its bitmasks of the ``B = n/p`` blocks
+    decide and locate conflicts, and its table holds each rotation's verdict."""
 
     def __init__(self, src: str, tgt: str, alphabet: Alphabet):
         self.n = len(src)
         self.src = src
         self.tgt2 = tgt + tgt
         self.cells = (None, *alphabet)  # the cell of each code point
-        self._numbers: dict[tuple[int, Optional[int]], tuple[list[int], list[bool]]] = {}  # (p, class)
         self._shapes: dict[tuple, tuple] = {}  # (p, numbers, fullness)
         self._shape_of: dict[tuple[int, Optional[int]], tuple] = {}  # (p, class)
 
@@ -116,37 +114,23 @@ class _Pair:
         word, o = (self.src, 0) if o is None else (self.tgt2, o)
         return [word[i : i + p] for i in range(o, o + self.n, p)]
 
-    def numbered(self, p: int, c: Optional[int] = None) -> tuple[list[int], list[bool]]:
-        """Numbers (equal blocks share one) and fullness of the stage-``p``
-        blocks of the source, or of the target at offset class ``c``."""
-        key = (p, c)
-        if key not in self._numbers:
-            blocks = self.blocks(p, c)
-            self._numbers[key] = list(map({}.setdefault, blocks, count())), ["\0" not in b for b in blocks]
-        return self._numbers[key]
-
-    def fully_filled(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
-        """Source and target block numbers where both blocks are full, and
-        their indices: the lists ``_first_conflict`` searches."""
-        sid, sfull = self.numbered(p)
-        j, c = divmod(k % self.n, p)
-        tid, tfull = (x[j:] + x[:j] for x in self.numbered(p, c))
-        index = list(compress(count(), map(and_, sfull, tfull)))
-        return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
-
-    def shape(self, p: int, c: Optional[int] = None) -> tuple[int, dict[int, int], dict[int, bool]]:
-        """The source's or target class's shape: bitmasks, doubled to ``2B``
-        bits for ``B = n/p`` blocks, of its full blocks and of each name of two
-        or more full blocks; and the target's conflict flag per block rotation."""
+    def shape(self, p: int, c: Optional[int] = None) -> tuple[tuple[int, ...], int, dict[int, int], dict[int, bool]]:
+        """The stage-``p`` shape of the source, or of the target at offset
+        class ``c``: its block numbers (equal blocks share one); bitmasks,
+        doubled to ``2B`` bits, of its full blocks and of each name of two or
+        more full blocks; and the target's conflict flag per block rotation."""
         if (p, c) not in self._shape_of:
-            ids, full = self.numbered(p, c)
-            key = (p, tuple(ids), tuple(full))
+            blocks = self.blocks(p, c)
+            ids = tuple(map({}.setdefault, blocks, count()))
+            full = tuple("\0" not in x for x in blocks)
+            key = (p, ids, full)
             if key not in self._shapes:
                 at: dict[int, int] = {}
                 for i in compress(count(), full):
                     at[ids[i]] = at.get(ids[i], 0) | 1 << i
                 b, fullness = len(ids), sum(at.values())
-                self._shapes[key] = fullness | fullness << b, {x: m | m << b for x, m in at.items() if m & (m - 1)}, {}
+                names = {x: m | m << b for x, m in at.items() if m & (m - 1)}
+                self._shapes[key] = ids, fullness | fullness << b, names, {}
             self._shape_of[p, c] = self._shapes[key]
         return self._shape_of[p, c]
 
@@ -156,10 +140,10 @@ class _Pair:
         on the two sides (one-block names cover the rest): a source name differs
         from the target name at its first block, or the target has more."""
         j, c = divmod(k % self.n, p)
-        tfull, tnames, table = self.shape(p, c)
+        tids, tfull, tnames, table = self.shape(p, c)
         if j not in table:
-            sfull, snames, _ = self.shape(p)
-            tids, b = self.numbered(p, c)[0], self.n // p
+            _, sfull, snames, _ = self.shape(p)
+            b = self.n // p
             both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
             matched = 0
             for m in snames.values():
@@ -174,9 +158,32 @@ class _Pair:
                 table[j] = matched != sum(1 for m in tnames.values() if (y := m >> j & both) & (y - 1))
         return table[j]
 
+    def conflict(self, p: int, k: int) -> Contradicted:
+        """The lexicographically first conflicting pair ``(i1, i2)`` of blocks
+        full on both sides, given that one exists: the first ``i1`` whose
+        source name and target name cover unequal sets of the later such
+        blocks, and ``i2`` the first block covered by only one of them."""
+        j, c = divmod(k % self.n, p)
+        sids, sfull, snames, _ = self.shape(p)
+        tids, tfull, tnames, _ = self.shape(p, c)
+        b = self.n // p
+        both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
+        later = both
+        while later:
+            i1 = (later & -later).bit_length() - 1
+            later &= later - 1  # the blocks full on both sides after i1
+            x = snames.get(sids[i1], 0) & later  # one-block names cover no later block
+            y = tnames.get(tids[(i1 + j) % b], 0) >> j & later
+            if x != y:
+                i2 = ((x ^ y) & -(x ^ y)).bit_length() - 1
+                if x >> i2 & 1:
+                    return Contradicted("equal full blocks map to distinct full blocks", (i1, i2))
+                return Contradicted("distinct full blocks map to one full block", (i1, i2))
+        raise AssertionError("no conflict among the fully filled blocks")
+
     def gamma(self, p: int, k: int) -> GammaResult:
         if self.contradicted(p, k):
-            return _first_conflict(*self.fully_filled(p, k))
+            return self.conflict(p, k)
         n, o = self.n, k % self.n
         smask, tmask = self.masks[0], self.masks[1][o : o + n]
         if smask != tmask:
@@ -203,23 +210,6 @@ class _Pair:
         return tuple(map(self.cells.__getitem__, map(ord, text)))
 
 
-def _first_conflict(src: list[int], tgt: list[int], index: list[int]) -> Contradicted:
-    """The lexicographically first conflicting pair, given that one exists;
-    counts of what lies at or after ``j1`` tell in O(1) if it has a partner."""
-    n_src, n_tgt, n_pair = Counter(src), Counter(tgt), Counter(zip(src, tgt))
-    for i1, (s, t) in enumerate(zip(src, tgt)):
-        if n_src[s] != n_pair[s, t] or n_tgt[t] != n_pair[s, t]:
-            # a partner shares exactly one of the source and the target
-            i2 = next(i for i in range(i1 + 1, len(src)) if (src[i] == s) != (tgt[i] == t))
-            if src[i2] == s:
-                return Contradicted("equal full blocks map to distinct full blocks", (index[i1], index[i2]))
-            return Contradicted("distinct full blocks map to one full block", (index[i1], index[i2]))
-        n_src[s] -= 1
-        n_tgt[t] -= 1
-        n_pair[s, t] -= 1
-    raise AssertionError("no conflict among the fully filled blocks")
-
-
 def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult:
     """Positional correspondence between the ``p``-blocks of ``a``'s deepest
     word and those of ``b``'s shifted by ``k``.
@@ -232,8 +222,9 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
 
     Cost: O(n) for the common length ``n``: the source and the target's offset
     class ``k mod p`` are cut from the towers' cached encodings and numbered
-    once; the conflict test takes a few operations on ``n/p``-bit masks per
-    name of two or more full blocks, and a conflict is located in O(n/p).
+    once into their shapes; the conflict test takes a few operations on
+    ``n/p``-bit masks per name of two or more full blocks, and a conflict is
+    located with a few such operations per block full on both sides up to it.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -336,9 +327,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     4. Else Unknown, with a per-stage accounting.
 
     Cost: the cached encodings are tiled once; each stage's blocks are cut as
-    slices and numbered once per target offset class its shifts meet; phase
-    separation is checked only when reached; mask-compatible shifts come from
-    one O(n) string search; a correspondence is O(n) when not contradicted.
+    slices and numbered into a shape once for the source and once per target
+    offset class its shifts meet; phase separation is checked only when
+    reached; mask-compatible shifts come from one O(n) string search; a
+    correspondence is O(n) when not contradicted.
     The refutation and the diagnostics share one conflict table per target
     shape and rotation: ``s`` shapes (3-5 on ``reference_example``) give at
     most ``s·n/p`` entries per stage, each a few operations on ``n/p``-bit
@@ -493,10 +485,10 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
 
     Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
     find the mask-compatible shifts and number the ``B = n/p`` blocks once
-    (every shift reads the target's offset class 0, rotated); then O(n) per
-    mask-compatible block-aligned shift, and, when none is Consistent, one
-    conflict-table entry (a few operations on ``B``-bit masks per name) per
-    other block-aligned shift, whose conflict position is never computed.
+    into a shape (every shift reads the target's offset class 0, rotated);
+    then O(n) per mask-compatible block-aligned shift, and, when none is
+    Consistent, one conflict-table entry (a few operations on ``B``-bit masks
+    per name) per block-aligned shift, already filled where ``gamma`` ran.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -506,14 +498,12 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
         raise PeriodMismatch("parts rest on towers of different depth")
     a, b = w.base._text, z.base._text
     pair, p = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k], w.base.alphabet), w.p
-    tried: dict[int, GammaResult] = {}
     for k in pair.mask_shifts:
         if k % p == 0:
-            g = tried[k] = pair.gamma(p, k)
+            g = pair.gamma(p, k)
             if isinstance(g, Consistent):
                 return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, k // p)
-    shifts = range(0, pair.n, p)
-    refuted = all(isinstance(tried[k], Contradicted) if k in tried else pair.contradicted(p, k) for k in shifts)
+    refuted = all(pair.contradicted(p, k) for k in range(0, pair.n, p))  # gamma read the same table
     return DpResult(DpKind.REFUTED if refuted else DpKind.UNDETERMINED)
 
 

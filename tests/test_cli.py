@@ -185,6 +185,21 @@ def test_apply_code_drops_scale(tmp_path):
     assert t.periods == (5, 10, 20)
 
 
+def test_header_only_code_with_a_huge_length_is_exit_3(tmp_path):
+    # the required window count 2^(2m+1) has more digits than Python prints, or takes long to build
+    f = gen_file(tmp_path, 2)
+    for m in (7142, 10**9, 10**11):
+        code_file = write(tmp_path / f"len{m}.code", f"len = {m}\n")
+        start = time.perf_counter()
+        code, text = run_command(["apply-code", f, "--code", code_file, "-o", str(tmp_path / "o.tw")])
+        assert time.perf_counter() - start < 2.0, m
+        assert code == 3 and text.startswith("error:") and f"len{m}.code" in text, text[:200]
+        assert f"table has 0 of 2^{2 * m + 1} required windows" in text
+    code_file = write(tmp_path / "len3.code", "len = 3\n")
+    code, text = run_command(["apply-code", f, "--code", code_file, "-o", str(tmp_path / "o.tw")])
+    assert code == 3 and "table has 0 of 128 required windows" in text
+
+
 def test_permute_round_trip(tmp_path):
     f = gen_file(tmp_path, 2)
     swap = "1,0;1,0;1,0;1,0;1,0"

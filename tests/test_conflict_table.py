@@ -1,5 +1,7 @@
 """Differential test: the conflict table per stage shape, read through
-``_Pair.contradicted``, against the per-shift bijection test it replaced."""
+``_Pair.contradicted``, against the per-shift bijection test it replaced; and
+the first conflict located on the shape masks by ``_Pair.conflict`` against
+the Counter search over per-class block numbers."""
 
 import random
 from collections import Counter
@@ -11,11 +13,29 @@ from toepcalc.codes import apply_block_code
 from toepcalc.conjugacy import _Pair, _tiled
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
+from helpers import _first_conflict
+
+REASONS = ("equal full blocks map to distinct full blocks", "distinct full blocks map to one full block")
+
 
 class ReferencePair(_Pair):
-    """``_Pair`` with the conflict test it had before the table:
-    ``fully_filled`` and ``contradicted`` verbatim, the first cutting the
-    rotated lists of one shift and the second counting distinct names."""
+    """``_Pair`` with the conflict test and locator it had before the shape
+    masks: ``numbered`` and ``fully_filled`` verbatim, numbering each class
+    and cutting the rotated lists of one shift; ``contradicted`` counting
+    distinct names, and ``conflict`` the Counter search over those lists."""
+
+    def __init__(self, src, tgt, alphabet):
+        super().__init__(src, tgt, alphabet)
+        self._numbers = {}  # (p, class)
+
+    def numbered(self, p, c=None):
+        """Numbers (equal blocks share one) and fullness of the stage-``p``
+        blocks of the source, or of the target at offset class ``c``."""
+        key = (p, c)
+        if key not in self._numbers:
+            blocks = self.blocks(p, c)
+            self._numbers[key] = list(map({}.setdefault, blocks, count())), ["\0" not in b for b in blocks]
+        return self._numbers[key]
 
     def fully_filled(self, p, k):
         """Source and target block numbers where both blocks are full, and
@@ -29,6 +49,9 @@ class ReferencePair(_Pair):
     def contradicted(self, p, k):
         return _has_conflict(*self.fully_filled(p, k)[:2])
 
+    def conflict(self, p, k):
+        return _first_conflict(*self.fully_filled(p, k))
+
 
 def _has_conflict(src, tgt):
     """Not a bijection: distinct sources, targets and pairs differ in number."""
@@ -41,8 +64,10 @@ def divisors(n):
 
 def assert_same_conflicts(src, tgt, alphabet, seen, rng):
     """Every stage ``p | n`` and shift, queried in shuffled order and twice,
-    read alike from the table and from the reference; ``gamma`` too, and
-    ``seen`` counts the cases the table has to get right."""
+    read alike from the table and from the reference, and so does the first
+    conflict of each contradicted one; ``gamma`` too, whose reference locates
+    conflicts by the Counter search, and ``seen`` counts the cases the table
+    and the locator have to get right."""
     pair, ref = _Pair(src, tgt, alphabet), ReferencePair(src, tgt, alphabet)
     n = len(src)
     queries = [(p, k) for p in divisors(n) for k in range(-n, 2 * n)] * 2
@@ -51,6 +76,10 @@ def assert_same_conflicts(src, tgt, alphabet, seen, rng):
         expected = ref.contradicted(p, k)
         assert pair.contradicted(p, k) == expected, (p, k)
         seen["contradicted" if expected else "bijective"] += 1
+        if expected:
+            conflict = pair.conflict(p, k)
+            assert conflict == ref.conflict(p, k), (p, k)
+            seen[conflict.reason] += 1
     for p in divisors(n):
         for k in range(n):
             assert pair.gamma(p, k) == ref.gamma(p, k), (p, k)
@@ -59,10 +88,10 @@ def assert_same_conflicts(src, tgt, alphabet, seen, rng):
         seen["unshared shape"] += any(m == 1 for m in shapes.values())
         classes = {}
         for c in range(p):
-            ids, full = pair.numbered(p, c)
+            ids, full = ref.numbered(p, c)
             classes.setdefault(tuple(ids), set()).add(tuple(full))
         seen["numbers alike, fullness not"] += any(len(f) > 1 for f in classes.values())
-        sid, sfull = pair.numbered(p)
+        sid, sfull = ref.numbered(p)
         twice = {x for x, m in Counter(compress(sid, sfull)).items() if m == 2}
         for k in range(n):
             kept = Counter(ref.fully_filled(p, k)[0])
@@ -99,7 +128,7 @@ def test_random_tower_pairs_conflict_like_the_per_shift_test():
         assert_same_conflicts(src, tgt, alphabet, seen, rng)
         kinds[kind] += 1
     assert min(kinds.values()) >= 10, kinds
-    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+    assert min(seen.values()) >= 10 and len(seen) == 8, seen
 
 
 def test_edge_words_conflict_like_the_per_shift_test():
@@ -121,4 +150,4 @@ def test_edge_words_conflict_like_the_per_shift_test():
     for src, tgt, alphabet in words:
         assert_same_conflicts(src, tgt, alphabet, seen, rng)
         assert_same_conflicts(tgt, src, alphabet, seen, rng)
-    assert seen["contradicted"] and seen["bijective"], seen
+    assert seen["contradicted"] and seen["bijective"] and all(seen[r] for r in REASONS), seen
