@@ -272,17 +272,23 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
     constant skeleton, for example, is not separated at any stage > 1: there
     a blockwise pairing says nothing about the shift dynamics.
 
-    Cost: one p-bit mask per certified kind (Out, and In with each symbol);
-    each rotation d tried takes a few O(p)-bit operations per kind, and the
-    scan stops at the first unseparated d.
+    Cost: one p-bit mask per certified kind (Out, and In with each symbol),
+    all set in one pass over the residues: O(p) steps and p·K/8 bytes for K
+    kinds.  Each rotation d tried takes a few O(p)-bit operations per kind,
+    and the scan stops at the first unseparated d.
     """
     rss = period_status(tower, p)
     if rss.modulus < p:
         return False  # the statuses repeat at the rotation d = modulus
     kinds = [a if s is Status.IN else s for s, a in zip(rss.statuses, rss.symbols)]  # symbol, Out or Unknown
-    masks = [int("".join("01"[x == kind] for x in reversed(kinds)), 2) for kind in set(kinds) - {Status.UNKNOWN}]
+    bits = {kind: bytearray(p // 8 + 1) for kind in set(kinds)}
+    for r, kind in enumerate(kinds):
+        bits[kind][r >> 3] |= 1 << (r & 7)
+    bits.pop(Status.UNKNOWN, None)
+    masks = [int.from_bytes(b, "little") for b in bits.values()]
+    certified = sum(masks)
     # each kind's residues x against the other certified residues y; rotating y by d puts residue r + d at bit r
-    pairs = [(x, sum(masks) ^ x) for x in masks]
+    pairs = [(x, certified ^ x) for x in masks]
     return all(any(x & (y >> d | y << (p - d)) for x, y in pairs) for d in range(1, p))
 
 

@@ -14,14 +14,17 @@ period, so negative positions are always meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 from typing import Optional
 
 from .odometer import SupernaturalNumber, divides
 
 BLANK = "_"
 MAX_SYMBOLS = 0x10FFFF  # symbol i is code point i + 1 in SkeletonTower._text; 0 is the blank
+# _BIT_DIGITS[k] maps a byte to b"1" when its bit k is set, else to b"0"
+_BIT_DIGITS = tuple(bytes(48 + (c >> k & 1) for c in range(256)) for k in range(8))
 
 
 class TowerError(ValueError):
@@ -170,8 +173,8 @@ class SkeletonTower:
     alphabet: Alphabet
     levels: tuple[tuple[int, PartialCyclicWord], ...]
     declared_scale: Optional[SupernaturalNumber] = None
-    # periodic_part's status tables by period; the tower is immutable, so each
-    # table is built once and stays valid for the tower's lifetime
+    # periodic_part's status tables, with their residue bit masks, by period; the
+    # tower is immutable, so each table is built once and stays valid for its lifetime
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,8 +196,22 @@ class SkeletonTower:
     @cached_property
     def _text(self) -> str:
         """The deepest word, one code point per cell: 0 for a blank, the alphabet index + 1 for a symbol."""
-        code = {cell: chr(i) for i, cell in enumerate((None, *self.alphabet))}
+        code = {cell: chr(i) for i, cell in enumerate((None, *self.alphabet.symbols))}
         return "".join(map(code.__getitem__, self.deepest_word.cells))
+
+    @cached_property
+    def _planes(self) -> tuple[int, ...]:
+        """``_text`` as bit masks over the cells: the filled mask, then one mask
+        per bit of the cell codes (bit ``x`` of mask ``b + 1`` is bit ``b`` of
+        the code of cell ``x``).  A blank has code 0, so the filled mask is the
+        union of the others."""
+        # the cells last to first, four bytes each, most significant byte first
+        code = self._text[::-1].encode("utf-32-be", "surrogatepass")
+        planes = [
+            int(code[3 - b // 8 :: 4].translate(_BIT_DIGITS[b % 8]), 2)
+            for b in range(len(self.alphabet.symbols).bit_length())
+        ]
+        return (reduce(or_, planes), *planes)
 
 
 def validate_tower(tower: SkeletonTower) -> None:

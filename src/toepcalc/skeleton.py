@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
+from operator import is_
 from typing import Optional
 
 from .core import (
@@ -32,6 +34,7 @@ from .odometer import (
     EmptyScale,
     OdometerError,
     SupernaturalNumber,
+    factor_int,
     prime_index,
     supernatural_lcm,
 )
@@ -63,7 +66,50 @@ class ResidueStatusSet:
         return self.symbols[x % self.modulus]
 
     def residues(self, status: Status) -> tuple[int, ...]:
-        return tuple(r for r, s in enumerate(self.statuses) if s is status)
+        return tuple(compress(range(self.modulus), map(is_, self.statuses, repeat(status))))
+
+
+def _fold(mask: int, n: int, p: int) -> int:
+    """OR of the ``n // p`` consecutive ``p``-bit chunks of the ``n``-bit
+    ``mask``, for ``p`` dividing ``n``: bit ``r`` is set iff some bit
+    congruent to ``r`` mod ``p`` is.  Each step ORs the upper half of the
+    chunks onto the lower, so it takes O(log(n/p)) big-int operations."""
+    while n > p:
+        half = n // p // 2 * p
+        high = mask >> half
+        mask = high | (mask ^ high << half)  # the chunks above half, ORed onto those below
+        n -= half
+    return mask
+
+
+_STATUS_OF_DIGIT = {"0": Status.IN, "1": Status.OUT, "2": Status.UNKNOWN}
+_NONE_UNLESS_IN = {"1": None, "2": None}
+
+
+def _table(tower: SkeletonTower, p: int) -> tuple[ResidueStatusSet, int, int, int]:
+    """``periodic_part``'s table for a divisor ``p`` of the deepest period and
+    its In, Out and Unknown residues as bit masks, built once per tower from
+    the bit planes of its encoding."""
+    cached = tower._status.get(p)
+    if cached is not None:
+        return cached
+    n = tower.deepest_period
+    filled, *planes = tower._planes
+    blanks = _fold(filled ^ (1 << n) - 1, n, p)
+    conflicts = 0
+    for plane in planes:  # two filled cells of a class differ in some bit of their codes
+        conflicts |= _fold(plane, n, p) & _fold(filled ^ plane, n, p)
+    unknowns = 0 if p == n else blanks & ~conflicts
+    outs = (conflicts | blanks) ^ unknowns
+    # read as hex, the binary digits of a mask put bit r in hex digit r: residue r gets digit outs_r + 2·unknowns_r
+    digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
+    rss = ResidueStatusSet(
+        p,
+        tuple(map(_STATUS_OF_DIGIT.__getitem__, digits)),
+        tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells)),
+    )
+    table = tower._status[p] = (rss, (1 << p) - 1 ^ outs ^ unknowns, outs, unknowns)
+    return table
 
 
 def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
@@ -74,26 +120,17 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     hold different symbols, and otherwise (a blank) Out at the deepest
     period, where the class is the one literal cell, and Unknown below it.
     Each table is built once per tower and reused by every later query.
+
+    Cost: the deepest word is encoded once per tower as ``b + 1`` bit masks of
+    N bits, for a ``b``-bit cell code.  A table folds ``2b + 1`` N-bit masks
+    made from them to ``p`` bits, O(N·b) bit operations done a machine word
+    at a time, and reads its statuses and symbols off the folds in O(p)
+    C-level steps.
     """
     deep = tower.deepest_period
     if p < 1 or deep % p:
         raise NonDivisorError(f"{p} does not divide the deepest period {deep}")
-    cached = tower._status.get(p)
-    if cached is not None:
-        return cached
-    w = tower.deepest_word
-    statuses: list[Status] = []
-    symbols: list[Optional[str]] = []
-    for r in range(p):
-        cells = set(w.cells[r::p])
-        if len(cells) == 1 and None not in cells:
-            statuses.append(Status.IN)
-            symbols.append(*cells)
-        else:
-            statuses.append(Status.OUT if len(cells - {None}) > 1 or p == deep else Status.UNKNOWN)
-            symbols.append(None)
-    rss = tower._status[p] = ResidueStatusSet(p, tuple(statuses), tuple(symbols))
-    return rss
+    return _table(tower, p)[0]
 
 
 def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
@@ -113,11 +150,7 @@ def skeleton_word(tower: SkeletonTower, p: int) -> tuple[PartialCyclicWord, tupl
     """The certified ``p``-skeleton as a word (In cells filled) plus a mask
     marking which blanks are Unknown rather than certified holes."""
     rss = periodic_part(tower, p)
-    cells = tuple(
-        rss.symbols[r] if rss.statuses[r] is Status.IN else None for r in range(p)
-    )
-    mask = tuple(s is Status.UNKNOWN for s in rss.statuses)
-    return PartialCyclicWord(cells), mask
+    return PartialCyclicWord(rss.symbols), tuple(map(is_, rss.statuses, repeat(Status.UNKNOWN)))
 
 
 @dataclass(frozen=True)
@@ -183,32 +216,45 @@ class EssentialStatus:
     undetermined: tuple[int, ...] = ()
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of ``n >= 1`` in increasing order."""
+    divisors = [1]
+    for prime, e in factor_int(n):
+        divisors = [d * prime**k for d in divisors for k in range(e + 1)]
+    return sorted(divisors)
+
+
 def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
     """Certify whether ``p`` is an essential period: nonempty periodic part
     differing from the ``q``-periodic part for every ``q < p``.
 
     Separation from ``q`` needs a position certified In on one side and Out
-    on the other; comparisons run over one period of the two status
-    functions, whose moduli both divide the deepest period, and stop at the
-    first separating position.  Unseparated tables meet every residue of
-    each in that window, so they are certified equal iff neither has an
-    Unknown residue.  The ``q``-status depends only on
-    ``d = gcd(q, deepest)``, and ``d`` is the least ``q`` of its class, so
-    only the divisors ``d < p`` of the deepest period are compared;
-    ``undetermined`` lists those divisors.
+    on the other.  Residue ``r`` of one table and ``s`` of the other meet at
+    a common position iff ``r ≡ s`` modulo the gcd ``g`` of the two moduli
+    (Chinese remainder theorem), so the tables separate iff folding the In
+    residues of one and the Out residues of the other to ``g`` leaves a
+    common bit.  Unseparated tables meet every residue of each, so they are
+    certified equal iff neither has an Unknown residue.  The ``q``-status
+    depends only on ``d = gcd(q, deepest)``, and ``d`` is the least ``q`` of
+    its class, so only the divisors ``d < p`` of the deepest period are
+    compared; ``undetermined`` lists those divisors.
+
+    Cost: four folds per divisor ``q < p``, each linear in the bits of its
+    table, on top of the ``periodic_part`` tables.
     """
-    rp = period_status(tower, p)
-    if all(s is Status.OUT for s in rp.statuses):
+    m = period_status(tower, p).modulus
+    _, ins, outs, unknowns = _table(tower, m)
+    if not ins | unknowns:
         return EssentialStatus(p, EssentialOutcome.NOT_ESSENTIAL, "periodic part certified empty")
-    deep = tower.deepest_period
     undetermined: list[int] = []
-    for q in (d for d in range(1, min(p, deep + 1)) if deep % d == 0):
-        rq = periodic_part(tower, q)
-        window = math.lcm(rp.modulus, rq.modulus)
-        pairs = zip(rp.statuses * (window // rp.modulus), rq.statuses * (window // rq.modulus))
-        if any(a is not b and Status.UNKNOWN not in (a, b) for a, b in pairs):  # In against Out
+    for q in _divisors(tower.deepest_period):
+        if q >= p:
+            break
+        _, q_ins, q_outs, q_unknowns = _table(tower, q)
+        g = math.gcd(m, q)
+        if _fold(ins, m, g) & _fold(q_outs, q, g) or _fold(outs, m, g) & _fold(q_ins, q, g):
             continue
-        if Status.UNKNOWN not in (*rp.statuses, *rq.statuses):
+        if not unknowns | q_unknowns:
             return EssentialStatus(
                 p, EssentialOutcome.NOT_ESSENTIAL, f"certified equal to the {q}-periodic part"
             )
@@ -220,7 +266,7 @@ def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
             "separation undecided against " + ", ".join(map(str, undetermined)),
             tuple(undetermined),
         )
-    if Status.IN not in rp.statuses:
+    if not ins:
         return EssentialStatus(
             p, EssentialOutcome.UNKNOWN, "separated everywhere but nonemptiness uncertified"
         )
@@ -242,11 +288,13 @@ def scale_truncation(tower: SkeletonTower) -> ScaleTruncation:
     stage (anything else is indistinguishable from its gcd with it), so the
     scan is complete.  Each of them divides the deepest period, which
     ``validate_tower`` has checked to divide a declared scale.
+
+    Cost: one ``essential_period_status`` per divisor, so O(d(N)²) folds for
+    the d(N) divisors of the deepest period N, besides their tables.
     """
-    deep = tower.deepest_period
     essentials: list[int] = []
     pending: list[int] = []
-    for p in (d for d in range(1, deep + 1) if deep % d == 0):
+    for p in _divisors(tower.deepest_period):
         st = essential_period_status(tower, p)
         if st.outcome is EssentialOutcome.ESSENTIAL:
             essentials.append(p)

@@ -297,6 +297,29 @@ def test_compare_single_hole_tower_is_fast(tmp_path):
     assert code == 0 and "conjugate-certified" in text
 
 
+def test_compare_many_symbols_is_fast(tmp_path):
+    # 4000 cells of 4000 distinct symbols: one certified kind per residue in phase_separated
+    symbols = " ".join(f"s{i}" for i in range(4000))
+    a = write(tmp_path / "a.tw", f"alphabet = {symbols}\nperiod 4000 = {symbols}\n")
+    b = str(tmp_path / "b.tw")
+    assert run_command(["rotate", a, "-k", "7", "-o", b])[0] == 0
+    start = time.perf_counter()
+    code, text = run_command(["compare", a, b])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "conjugate-certified" in text
+
+
+def test_analyze_one_filled_cell_is_fast(tmp_path):
+    # every table below 55440 is all Unknown, so no pair of its 120 divisors separates
+    f = write(tmp_path / "one.tw", "alphabet = 0 1\nperiod 55440 = 0" + " _" * 55439 + "\n")
+    start = time.perf_counter()
+    code, text = run_command(["analyze", f])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "scale.certified = 1" in text.splitlines()
+    assert "scale.pending = 1 2 3 4 5 6 7 8 9 10 " in text
+
+
 def test_non_utf8_files_are_exit_3(tmp_path):
     f = gen_file(tmp_path, 1, "a.tw")
     binary = str(tmp_path / "bin.tw")

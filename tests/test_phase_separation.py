@@ -6,6 +6,8 @@ import random
 from toepcalc import SkeletonTower, Status, period_status, phase_separated, rotate_tower
 from toepcalc.randomgen import random_tower
 
+WIDE = tuple(f"s{i}" for i in range(300))  # a large alphabet: many residues of distinct certified kinds
+
 
 def _certified_distinct(rss, r: int, d: int) -> bool:
     s1, s2 = rss.status_at(r), rss.status_at(r + d)
@@ -25,7 +27,7 @@ def test_phase_separated_matches_pair_scan():
     rng = random.Random(4096)
     seen = set()
     for _ in range(1500):
-        symbols = rng.choice((("0", "1"), ("a", "b", "c")))
+        symbols = rng.choice((("0", "1"), ("a", "b", "c"), WIDE))
         fill = rng.choice((1.0, 0.9, 0.7, 0.4))
         t = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 5, 6), fill=fill)
         t = rotate_tower(t, rng.randrange(t.deepest_period))

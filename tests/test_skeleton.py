@@ -86,8 +86,10 @@ def test_status_table_cache_is_invisible():
     with pytest.raises(NonDivisorError):
         periodic_part(a, 3)  # cold
     first = periodic_part(a, 10)
-    assert a == b and hash(a) == hash(b)
+    assert "_planes" in vars(a) and "_planes" not in vars(b)  # the bit planes are cached on a alone
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert {a, b} == {b}
+    assert a._planes is a._planes and a._planes == b._planes
     assert periodic_part(a, 10) is first
     assert periodic_part(a, 10) == periodic_part(b, 10)
     with pytest.raises(NonDivisorError):
