@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Alphabet, ParseError, PartialCyclicWord, SkeletonTower
 from .skeleton import skeleton_word
 
 
 class CodeError(ValueError):
-    """Structural failure of a code or permutation family."""
+    """Structural failure of a code or permutation family; ``row`` indexes
+    the code-table entry at fault, when the failure is about one entry."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class AlphabetMismatch(CodeError):
@@ -47,20 +52,19 @@ class BlockCode:
 
     def __post_init__(self):
         if not isinstance(self.length, int) or self.length < 0:
-            raise CodeError(f"code length must be a non-negative integer, got {self.length!r}")
-        entries = self.table.items() if isinstance(self.table, Mapping) else self.table
+            raise CodeError("code length must be non-negative")
         order = {s: i for i, s in enumerate(self.alphabet.symbols)}
         width = 2 * self.length + 1
         mapping: dict[Window, str] = {}
-        for window, out in entries:
+        for row, (window, out) in enumerate(self.table):
             window = tuple(window)
             if len(window) != width:
-                raise CodeError(f"window {window!r} does not have width {width}")
+                raise CodeError(f"expected {width} window symbols, got {len(window)}", row)
             for s in (*window, out):
                 if s not in order:
-                    raise CodeError(f"symbol {s!r} is not in the alphabet")
+                    raise CodeError(f"symbol {s!r} is not in the alphabet", row)
             if window in mapping:
-                raise CodeError(f"window {window!r} listed twice")
+                raise CodeError(f"window {' '.join(window)!r} listed twice", row)
             mapping[window] = out
         # with two or more symbols, a width past the table size's bit length
         # already needs more windows; the count is built only when it has under
@@ -82,12 +86,16 @@ class BlockCode:
 def parse_block_code(text: str, alphabet: Optional[Alphabet] = None) -> BlockCode:
     """Parse the table format: header ``len = m``, then ``a b c -> d`` lines.
 
-    Windows may come in any order; every window over the alphabet must appear
-    exactly once.  Without an explicit alphabet the symbol set is inferred
-    from the tokens present.  Blank lines and ``#`` comments are skipped.
+    Windows may come in any order; the table rules are ``BlockCode``'s, and
+    an error about one row names that row's line, an error about the whole
+    table the header's.  Without an explicit alphabet the symbol set is
+    inferred from the tokens present.  Blank lines and ``#`` comments are
+    skipped.
     """
     length: Optional[int] = None
-    rows: list[tuple[int, Window, str]] = []
+    header = 0
+    rows: list[tuple[Window, str]] = []
+    row_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,42 +108,27 @@ def parse_block_code(text: str, alphabet: Optional[Alphabet] = None) -> BlockCod
                 length = int(right.strip())
             except ValueError:
                 raise ParseError(f"bad code length {right.strip()!r}", lineno) from None
-            if length < 0:
-                raise ParseError("code length must be non-negative", lineno)
+            header = lineno
             continue
         tokens = line.split()
         if "->" not in tokens:
             raise ParseError("expected 'window -> symbol'", lineno)
         arrow = tokens.index("->")
-        window, rhs = tokens[:arrow], tokens[arrow + 1 :]
-        if len(window) != 2 * length + 1 or len(rhs) != 1:
-            raise ParseError(
-                f"expected {2 * length + 1} window symbols and one output", lineno
-            )
-        rows.append((lineno, tuple(window), rhs[0]))
+        if len(tokens) != arrow + 2:
+            raise ParseError(f"expected one output symbol, got {len(tokens) - arrow - 1}", lineno)
+        rows.append((tuple(tokens[:arrow]), tokens[-1]))
+        row_lines.append(lineno)
     if length is None:
         raise ParseError("missing 'len = m' header")
     if alphabet is None:
-        seen: set[str] = set()
-        for _, window, out in rows:
-            seen.update(window)
-            seen.add(out)
         try:
-            alphabet = Alphabet(tuple(sorted(seen)))
+            alphabet = Alphabet(tuple(sorted({s for window, out in rows for s in (*window, out)})))
         except ValueError as exc:
             raise ParseError(f"cannot infer an alphabet: {exc}") from None
-    table: dict[Window, str] = {}
-    for lineno, window, out in rows:
-        for s in (*window, out):
-            if s not in alphabet:
-                raise ParseError(f"symbol {s!r} is not in the alphabet", lineno)
-        if window in table:
-            raise ParseError(f"window {' '.join(window)!r} listed twice", lineno)
-        table[window] = out
     try:
-        return BlockCode(alphabet, length, tuple(table.items()))
+        return BlockCode(alphabet, length, tuple(rows))
     except CodeError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), header if exc.row is None else row_lines[exc.row]) from None
 
 
 def serialize_block_code(code: BlockCode) -> str:

@@ -140,8 +140,8 @@ class PartialCyclicWord:
 
     def rotated(self, k: int) -> "PartialCyclicWord":
         """The word ``w'`` with ``w'(x) = w(x + k)``."""
-        p = len(self.cells)
-        return PartialCyclicWord(tuple(self.cells[(x + k) % p] for x in range(p)))
+        k %= len(self.cells)
+        return PartialCyclicWord(self.cells[k:] + self.cells[:k])
 
     def repeated(self, times: int) -> "PartialCyclicWord":
         if times < 1:

@@ -104,7 +104,7 @@ def _full_code(alphabet: Alphabet, m: int, table: dict[Window, str]) -> BlockCod
     entries = {
         w: table.get(w, filler) for w in product(alphabet.symbols, repeat=2 * m + 1)
     }
-    return BlockCode(alphabet, m, entries)
+    return BlockCode(alphabet, m, tuple(entries.items()))
 
 
 def exact_conjugacy_search(

@@ -100,4 +100,4 @@ def random_block_code(rng: random.Random, alphabet: Alphabet, radius: int) -> Bl
         w: rng.choice(alphabet.symbols)
         for w in product(alphabet.symbols, repeat=2 * radius + 1)
     }
-    return BlockCode(alphabet, radius, table)
+    return BlockCode(alphabet, radius, tuple(table.items()))

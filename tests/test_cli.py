@@ -200,6 +200,27 @@ def test_header_only_code_with_a_huge_length_is_exit_3(tmp_path):
     assert code == 3 and "table has 0 of 128 required windows" in text
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("0 x 0 -> 1", "symbol 'x' is not in the alphabet"), ("0 0 0 -> 1", "window '0 0 0' listed twice"),
+     ("0 1 -> 1", "expected 3 window symbols, got 2")],
+)
+def test_apply_code_names_the_line_of_a_bad_row(tmp_path, row, message):
+    f = gen_file(tmp_path, 2)
+    rows = [f"{a} {b} {c} -> {b}" for a in "01" for b in "01" for c in "01"]
+    code_file = write(tmp_path / "bad.code", "\n".join(("len = 1", *rows[:2], row, *rows[2:])))
+    code, text = run_command(["apply-code", f, "--code", code_file, "-o", str(tmp_path / "o.tw")])
+    assert code == 3 and text.startswith("error:") and "bad.code" in text, text
+    assert f"{message} (line 4)" in text
+
+
+def test_apply_code_names_the_header_line_of_a_short_table(tmp_path):
+    f = gen_file(tmp_path, 2)
+    code_file = write(tmp_path / "short.code", "len = 1\n0 0 0 -> 0\n")
+    code, text = run_command(["apply-code", f, "--code", code_file, "-o", str(tmp_path / "o.tw")])
+    assert code == 3 and "short.code" in text and "table has 1 of 8 required windows (line 1)" in text, text
+
+
 def test_permute_round_trip(tmp_path):
     f = gen_file(tmp_path, 2)
     swap = "1,0;1,0;1,0;1,0;1,0"
@@ -210,7 +231,7 @@ def test_permute_round_trip(tmp_path):
     assert Path(twice).read_text() == Path(f).read_text()
 
     code, text = run_command(["permute", f, "--period", "5", "--perms", "1,0", "-o", once])
-    assert code == 3
+    assert code == 3 and "5 permutations required, got 1" in text
 
 
 def test_corpus_matrix_and_determinism(tmp_path):

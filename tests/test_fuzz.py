@@ -56,15 +56,15 @@ def tower_texts(draw):
 @st.composite
 def code_texts(draw):
     """Code files: a total radius-``m`` table over 0 1 for small ``m``,
-    sometimes with a broken line or a header with a drawn length, or only
-    such a header (so the length reaches the window count, not a row)."""
+    sometimes with a broken or repeated line or a header with a drawn length,
+    or only such a header (so the length reaches the window count, not a row)."""
     if not draw(st.integers(0, 4)):
         return f"len = {draw(flags)}"
     m = draw(st.integers(0, 1))
     width = 2 * m + 1
     rows = [f"{' '.join(format(x, f'0{width}b'))} -> {draw(st.sampled_from('01'))}" for x in range(2**width)]
     if not draw(st.integers(0, 3)):
-        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(("0 -> 0", "0 0 0 -> 2", "", "x")))
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(("0 -> 0", "0 0 0 -> 2", "", "x", rows[0])))
     header = f"len = {m if draw(st.integers(0, 3)) else draw(flags)}"
     return "\n".join((header, *rows))
 
