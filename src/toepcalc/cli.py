@@ -130,26 +130,28 @@ def _block_text(block: tuple) -> str:
     return "".join(cells) if all(len(c) == 1 for c in cells) else " ".join(cells)
 
 
+_VERDICT_TAGS = {
+    ConjugateCertified: "conjugate-certified",
+    NotConjugateCertified: "not-conjugate",
+    RefutedUpTo: "refuted-up-to",
+    Unknown: "unknown",
+}
+
+
 def _verdict_report(verdict: Verdict) -> tuple[Report, int]:
+    tag = _VERDICT_TAGS[type(verdict)]
     if isinstance(verdict, ConjugateCertified):
         witness = {
             str(i): f"{_block_text(a)} -> {_block_text(b)}"
             for i, (a, b) in enumerate(verdict.witness, start=1)
         }
-        return (
-            {"verdict": "conjugate-certified", "stage": verdict.stage, "shift": verdict.shift, "witness": witness},
-            0,
-        )
+        return {"verdict": tag, "stage": verdict.stage, "shift": verdict.shift, "witness": witness}, 0
     if isinstance(verdict, NotConjugateCertified):
-        return {"verdict": "not-conjugate", "reason": "scale", "detail": verdict.reason}, 1
+        return {"verdict": tag, "reason": "scale", "detail": verdict.reason}, 1
     if isinstance(verdict, RefutedUpTo):
-        return (
-            {"verdict": "refuted-up-to", "radius": verdict.radius, "stages": list(verdict.stages)},
-            1,
-        )
-    assert isinstance(verdict, Unknown)
+        return {"verdict": tag, "radius": verdict.radius, "stages": list(verdict.stages)}, 1
     diagnostic = {str(i): d for i, d in enumerate(verdict.diagnostics, start=1)}
-    return {"verdict": "unknown", "diagnostic": diagnostic}, 2
+    return {"verdict": tag, "diagnostic": diagnostic}, 2
 
 
 def _cmd_validate(ns) -> tuple[Report, int]:
@@ -287,7 +289,9 @@ def _cmd_rotate(ns) -> tuple[Report, int]:
 
 def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     """Pairwise verdict tags over the given tower files, keyed by file name
-    in sorted order (independent of the discovery order)."""
+    in sorted order (independent of the discovery order).  Each tower is read
+    once, so its per-tower facts (status tables, phase separation) are built
+    once for all its pairs."""
     ordered = sorted(files, key=lambda f: f.name)
     towers = {f.name: _read_tower(f) for f in ordered}
     names = [f.name for f in ordered]
@@ -295,8 +299,7 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     for a in names:
         matrix[a] = {}
         for b in names:
-            report, _ = _verdict_report(conjugacy_verdict(towers[a], towers[b], max_radius))
-            matrix[a][b] = report["verdict"]
+            matrix[a][b] = _VERDICT_TAGS[type(conjugacy_verdict(towers[a], towers[b], max_radius))]
     return {"files": names, "matrix": matrix}
 
 

@@ -74,7 +74,7 @@ class BlockCode:
             required = a**width if width * math.log10(a) < 4000 else f"{a}^{width}"
             raise CodeError(f"table has {len(mapping)} of {required} required windows")
         canonical = tuple(
-            sorted(mapping.items(), key=lambda kv: tuple(order[s] for s in kv[0]))
+            sorted(mapping.items(), key=lambda kv: tuple(map(order.__getitem__, kv[0])))
         )
         object.__setattr__(self, "table", canonical)
         object.__setattr__(self, "_lookup", mapping)
@@ -84,7 +84,8 @@ class BlockCode:
 
 
 def parse_block_code(text: str, alphabet: Optional[Alphabet] = None) -> BlockCode:
-    """Parse the table format: header ``len = m``, then ``a b c -> d`` lines.
+    """Parse the table format: header ``len = m``, then ``a b c -> d`` lines,
+    whose second-to-last token is the ``->`` separator.
 
     Windows may come in any order; the table rules are ``BlockCode``'s, and
     an error about one row names that row's line, an error about the whole
@@ -111,12 +112,13 @@ def parse_block_code(text: str, alphabet: Optional[Alphabet] = None) -> BlockCod
             header = lineno
             continue
         tokens = line.split()
-        if "->" not in tokens:
-            raise ParseError("expected 'window -> symbol'", lineno)
-        arrow = tokens.index("->")
-        if len(tokens) != arrow + 2:
-            raise ParseError(f"expected one output symbol, got {len(tokens) - arrow - 1}", lineno)
-        rows.append((tuple(tokens[:arrow]), tokens[-1]))
+        # the separator is the second-to-last token, so '->' may also be a symbol
+        if tokens[-2:-1] != ["->"]:
+            if "->" not in tokens:
+                raise ParseError("expected 'window -> symbol'", lineno)
+            got = len(tokens) - tokens.index("->") - 1
+            raise ParseError(f"expected one output symbol, got {got}", lineno)
+        rows.append((tuple(tokens[:-2]), tokens[-1]))
         row_lines.append(lineno)
     if length is None:
         raise ParseError("missing 'len = m' header")

@@ -275,9 +275,16 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
     Cost: one p-bit mask per certified kind (Out, and In with each symbol),
     all set in one pass over the residues: O(p) steps and p·K/8 bytes for K
     kinds.  Each rotation d tried takes a few O(p)-bit operations per kind,
-    and the scan stops at the first unseparated d.
+    and the scan stops at the first unseparated d.  The answer is kept per
+    tower and stage beside its status tables.
     """
-    rss = period_status(tower, p)
+    separated = tower._status.get(("separated", p))
+    if separated is None:
+        separated = tower._status["separated", p] = _separated(period_status(tower, p), p)
+    return separated
+
+
+def _separated(rss, p: int) -> bool:
     if rss.modulus < p:
         return False  # the statuses repeat at the rotation d = modulus
     kinds = [a if s is Status.IN else s for s, a in zip(rss.statuses, rss.symbols)]  # symbol, Out or Unknown

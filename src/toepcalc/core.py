@@ -173,8 +173,9 @@ class SkeletonTower:
     alphabet: Alphabet
     levels: tuple[tuple[int, PartialCyclicWord], ...]
     declared_scale: Optional[SupernaturalNumber] = None
-    # periodic_part's status tables, with their residue bit masks, by period; the
-    # tower is immutable, so each table is built once and stays valid for its lifetime
+    # periodic_part's status tables, with their residue bit masks, by period, and
+    # phase_separated's answers by ("separated", stage); the tower is immutable, so
+    # each entry is built once and stays valid for its lifetime
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

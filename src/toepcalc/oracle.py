@@ -1,9 +1,11 @@
-"""Brute-force ground truth on fully periodic words.
+"""Exact ground truth on fully periodic words.
 
-Everything here is exact and exhaustive: residue sets by direct comparison,
-conjugacy by enumerating sliding block code tables.  Intended for small
-instances (tests cap the radius at 2 and the period at 16); the library
-itself imposes no limits.
+Everything here is exact and independent of the skeleton machinery: residue
+sets by direct comparison, conjugacy by solving for sliding block code
+tables.  An image word forces the one table that could produce it, so a
+search solves at most one table per rotation of its target and radius
+instead of trying every table; binary words of period 24 with 24 distinct
+radius-2 windows search in milliseconds.  The library imposes no limits.
 """
 
 from __future__ import annotations
@@ -92,11 +94,23 @@ class SearchWitness:
 def _window_index(word: PeriodicWord, m: int) -> tuple[list[Window], tuple[int, ...]]:
     """The sorted occurring radius-m windows of word, and for each position
     the index of its window in that list."""
-    n, cells = word.period, word.cells
-    at = [tuple(cells[(x + d) % n] for d in range(-m, m + 1)) for x in range(n)]
+    n, width = word.period, 2 * m + 1
+    start = -m % n  # position x's window is tiled[start + x : start + x + width]
+    tiled = word.cells * ((start + n + width) // n + 1)
+    at = [tiled[x : x + width] for x in range(start, start + n)]
     windows = sorted(set(at))
     number = {window: i for i, window in enumerate(windows)}
-    return windows, tuple(number[window] for window in at)
+    return windows, tuple(map(number.__getitem__, at))
+
+
+def _forced(index: tuple[int, ...], y: tuple[str, ...]) -> Optional[tuple[str, ...]]:
+    """The values, by window number, of the one table that maps the word
+    numbered by ``index`` onto ``y``, or None when two positions with one
+    window carry different symbols of ``y``."""
+    values = dict(zip(index, y))
+    if tuple(map(values.__getitem__, index)) != y:
+        return None
+    return tuple(map(values.__getitem__, range(len(values))))
 
 
 def _full_code(alphabet: Alphabet, m: int, table: dict[Window, str]) -> BlockCode:
@@ -110,35 +124,47 @@ def _full_code(alphabet: Alphabet, m: int, table: dict[Window, str]) -> BlockCod
 def exact_conjugacy_search(
     v: PeriodicWord, w: PeriodicWord, max_radius: int
 ) -> Optional[SearchWitness]:
-    """Exhaustive search for a conjugacy between the orbits of v and w.
+    """Exact search for a conjugacy between the orbits of v and w.
 
-    Enumeration order is fixed: radius ascending, forward table in
-    lexicographic order over the sorted occurring windows of v (values in
-    alphabet order), shift ascending, then the backward table the same way
-    over the image word.  The first tuple whose forward image is the shifted
-    w and whose backward image restores v exactly is returned, with both
-    tables completed to total codes (unused windows map to the first symbol).
-    Returns None when every radius up to max_radius is exhausted.
+    A radius-m table is a function on the occurring windows of its source,
+    so an image word y forces it, and it exists iff all positions with one
+    window carry one symbol of y.  The forward images are the period-n words
+    y (n = v.period) whose tiling is a rotation of w's; the shift is the
+    least one rotating w's tiling onto y's.  The order is fixed: radius
+    ascending, then forward tables in lexicographic order over the sorted
+    occurring windows of v (values ranked in alphabet order).  The first
+    forward table whose image has a backward table restoring v exactly is
+    returned with the backward table of least radius, both completed to
+    total codes (unused windows map to the first symbol).  Returns None when
+    every radius up to max_radius is exhausted.
 
-    Cost: O(n·(2m+1)) per radius m to number the windows of v (period n),
-    O(w.period·span) once for the dict from each rotation of w, tiled to
-    span = lcm of the periods, to its first shift, then O(n + span) per table.
+    Cost: O(w.period·span) once for the dict from each rotation of w, tiled
+    to span = lcm of the periods, to its first shift; then per radius m,
+    O(n·(2m+1)) to number the windows of v and O(n) to force the table of
+    each of the at most w.period images.  Each backward search numbers the
+    windows of y and forces one table per radius, O(n·max_radius²).
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatch("words use different alphabets")
-    span = lcm(v.period, w.period)
+    n, span = v.period, lcm(v.period, w.period)
     w_long = w.cells * (span // w.period)
     first_shift: dict[tuple[str, ...], int] = {}
     for shift in range(w.period):  # shift + w.period gives the same rotation
         first_shift.setdefault(w_long[shift:] + w_long[:shift], shift)
+    # the images: rotations of w's tiling that are themselves tilings of a period-n word
+    images = [(r[:n], k) for r, k in first_shift.items() if r == r[:n] * (span // n)]
+    if not images:
+        return None
+    rank = {s: i for i, s in enumerate(v.alphabet.symbols)}
     for m in range(max_radius + 1):
         windows, index = _window_index(v, m)
-        for values in product(v.alphabet.symbols, repeat=len(windows)):
-            y_cells = tuple(values[i] for i in index)
-            shift = first_shift.get(y_cells * (span // v.period))
-            if shift is None:
-                continue
-            # other shifts give the same orbit; the inverse cannot differ
+        tables = []
+        for y_cells, shift in images:
+            values = _forced(index, y_cells)
+            if values is not None:
+                tables.append((tuple(map(rank.__getitem__, values)), values, y_cells, shift))
+        tables.sort()  # distinct images force distinct tables: the ranks decide
+        for _, values, y_cells, shift in tables:
             back = _inverse_search(PeriodicWord(v.alphabet, y_cells), v, max_radius)
             if back is not None:
                 code = _full_code(v.alphabet, m, dict(zip(windows, values)))
@@ -147,9 +173,10 @@ def exact_conjugacy_search(
 
 
 def _inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
+    """The table of least radius mapping y onto v exactly, completed to a total code."""
     for m in range(max_radius + 1):
         windows, index = _window_index(y, m)
-        for values in product(y.alphabet.symbols, repeat=len(windows)):
-            if tuple(values[i] for i in index) == v.cells:
-                return _full_code(y.alphabet, m, dict(zip(windows, values)))
+        values = _forced(index, v.cells)
+        if values is not None:
+            return _full_code(y.alphabet, m, dict(zip(windows, values)))
     return None

@@ -10,7 +10,9 @@ import pytest
 
 import toepcalc
 from toepcalc import SupernaturalNumber, reference_example, parse_tower_text, serialize_tower
+from toepcalc import apply_block_code, apply_positionwise_permutation, rotate_tower
 from toepcalc.odometer import OdometerError
+from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
 from toepcalc.cli import corpus_matrix, run_command
 from helpers import tower
 
@@ -221,6 +223,15 @@ def test_apply_code_names_the_header_line_of_a_short_table(tmp_path):
     assert code == 3 and "short.code" in text and "table has 1 of 8 required windows (line 1)" in text, text
 
 
+def test_apply_code_over_the_arrow_symbol(tmp_path):
+    f = write(tmp_path / "arrow.tw", "alphabet = -> 0\nperiod 2 = -> 0\n")
+    code_file = write(tmp_path / "swap.code", "len = 0\n-> -> 0\n0 -> ->\n")
+    out = str(tmp_path / "o.tw")
+    code, text = run_command(["apply-code", f, "--code", code_file, "-o", out])
+    assert code == 0, text
+    assert Path(out).read_text() == "alphabet = -> 0\nperiod 2 = 0 ->\n"
+
+
 def test_permute_round_trip(tmp_path):
     f = gen_file(tmp_path, 2)
     swap = "1,0;1,0;1,0;1,0;1,0"
@@ -248,6 +259,34 @@ def test_corpus_matrix_and_determinism(tmp_path):
     files = [tmp_path / n for n in ("a.tw", "b.tw", "c.tw")]
     reports = [corpus_matrix(random.Random(i).sample(files, 3), 2) for i in range(4)]
     assert all(r == reports[0] for r in reports)
+
+
+def test_corpus_cells_are_the_compare_tags(tmp_path):
+    rng = random.Random(4)
+    g1, g2 = reference_example(1), reference_example(2)
+    t = random_tower(rng, depth=3, base_periods=(2,), multipliers=(2,), with_scale=True)
+    towers = {
+        "g1.tw": g1,
+        "g2.tw": g2,  # the same tower one level deeper
+        "g2r.tw": rotate_tower(g2, 7),
+        "g2c.tw": apply_block_code(g2, random_block_code(rng, g2.alphabet, 1)),
+        "t.tw": t,
+        "tp.tw": apply_positionwise_permutation(t, random_positionwise(rng, t.alphabet, 2)),
+        "tc.tw": apply_block_code(t, random_block_code(rng, t.alphabet, 1)),
+    }
+    for name, tw in towers.items():
+        write(tmp_path / name, serialize_tower(tw))
+    code, text = run_command(["--format", "json", "corpus", str(tmp_path)])
+    assert code == 0
+    matrix = json.loads(text)["matrix"]
+    tags = set()
+    for a in towers:
+        for b in towers:
+            _, compared = run_command(["--format", "json", "compare", str(tmp_path / a), str(tmp_path / b)])
+            tag = json.loads(compared)["verdict"]
+            assert matrix[a][b] == tag, (a, b)
+            tags.add(tag)
+    assert tags == {"conjugate-certified", "not-conjugate", "refuted-up-to", "unknown"}, tags
 
 
 def test_corpus_invalid_file_is_exit_3(tmp_path):

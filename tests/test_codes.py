@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toepcalc import (
+    Alphabet,
     BlockCode,
     CodeError,
+    ParseError,
     PositionwisePermutation,
     apply_block_code,
     apply_positionwise_permutation,
@@ -46,6 +48,20 @@ def test_code_serialization_round_trip():
     back = parse_block_code(text)
     assert back == code
     assert "len = 1" in text.splitlines()[0]
+
+
+def test_code_over_the_arrow_symbol_round_trips():
+    # the separator is the second-to-last token of a row, so '->' may be a symbol
+    arrow = Alphabet(("->", "0"))
+    for radius in (0, 1):
+        code = random_block_code(random.Random(radius), arrow, radius)
+        text = serialize_block_code(code)
+        assert parse_block_code(text, arrow) == code
+        assert parse_block_code(text) == code  # '->' sorts before '0'
+    assert dict(parse_block_code("len = 0\n-> -> 0\n0 -> ->\n", arrow).table) == {("->",): "0", ("0",): "->"}
+    for row, got in (("0 -> 0 0", 2), ("0 0 ->", 0), ("->", 0)):  # other rows keep their messages
+        with pytest.raises(ParseError, match=f"expected one output symbol, got {got} \\(line 2\\)"):
+            parse_block_code(f"len = 0\n{row}\n", BINARY)
 
 
 def test_parse_block_code_errors_carry_location():

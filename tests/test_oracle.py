@@ -7,6 +7,7 @@ Per_p is computed by scanning, conjugacy by enumerating block-code tables.
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from itertools import product
 from math import lcm
@@ -196,6 +197,25 @@ def test_search_matches_table_enumeration():
             w = v[r:] + v[:r]
         pair = (PeriodicWord.from_text(ternary, v), PeriodicWord.from_text(ternary, w))
         cases.append((*pair, rng.randint(0, 2)))
+    # alphabets not in string order: the forward tables are ranked by alphabet, not by text
+    for alphabet in (Alphabet(("1", "0")), Alphabet(("b", "a", "c"))):
+        symbols = "".join(alphabet.symbols)
+        for _ in range(150):
+            v, w = ("".join(rng.choice(symbols) for _ in range(rng.randint(1, 4))) for _ in "vw")
+            cases.append((PeriodicWord.from_text(alphabet, v), PeriodicWord.from_text(alphabet, w), 2))
+    # one period a proper multiple of the other, either way round
+    for n, d in ((2, 1), (4, 2), (6, 2), (6, 3), (8, 4)):
+        for _ in range(20):
+            short, long = ("".join(rng.choice("01") for _ in range(k)) for k in (d, n))
+            radius = rng.randint(1, 2)
+            cases += [(word(short), word(long), radius), (word(long), word(short), radius)]
+            cases.append((word(short), word(short * (n // d)), radius))
+    # binary periods 7 and 8 at radius 1: up to 8 windows, 256 tables for the reference
+    for _ in range(60):
+        v, w = ("".join(rng.choice("01") for _ in range(rng.randint(7, 8))) for _ in "vw")
+        cases.append((word(v), word(w), 1))
+        r = rng.randrange(len(v))
+        cases.append((word(v), word(v[r:] + v[:r]), 1))
     seen = Counter()
     for v, w, radius in cases:
         expected = reference_conjugacy_search(v, w, radius)
@@ -208,6 +228,44 @@ def test_search_matches_table_enumeration():
             seen["nonzero shift"] += got.shift != 0
     for kind in ("none", "radius 0", "radius 1", "radius 2", "nonzero shift"):
         assert seen[kind] > 0, (kind, seen)
+
+
+def _distinct_window_word(rng: random.Random, n: int, m: int) -> str:
+    """A binary word of period n whose n cyclic radius-m windows are all
+    distinct, by a depth-first search over random extensions."""
+    width = 2 * m + 1
+
+    def extend(prefix: str, seen: frozenset) -> Optional[str]:
+        if len(prefix) == n:
+            wrap = prefix + prefix[: width - 1]
+            tail = [wrap[i : i + width] for i in range(n - width + 1, n)]
+            return prefix if len(seen | set(tail)) == n else None
+        for bit in rng.sample("01", 2):
+            window = (prefix + bit)[-width:]
+            if len(prefix) + 1 < width or window not in seen:
+                found = extend(prefix + bit, seen | {window} if len(prefix) + 1 >= width else seen)
+                if found:
+                    return found
+        return None
+
+    return extend("", frozenset())
+
+
+def test_search_of_period_24_with_distinct_windows_is_fast():
+    # every table over 24 windows is one of 2^24: enumerating them took minutes
+    rng = random.Random(24)
+    text = _distinct_window_word(rng, 24, 2)
+    v = word(text)
+    assert len({tuple(v.cell(x + d) for d in range(-2, 3)) for x in range(24)}) == 24
+    for other in ("".join(rng.choice("01") for _ in range(24)), text[5:] + text[:5]):
+        start = time.perf_counter()
+        wit = exact_conjugacy_search(v, word(other), 2)
+        assert time.perf_counter() - start < 1.0, other
+        if wit is not None:
+            y = apply_cycle(wit.forward, v.cells)
+            assert all(other[(x + wit.shift) % 24] == y[x] for x in range(24))
+            assert apply_cycle(wit.backward, y) == v.cells
+    assert exact_conjugacy_search(v, word(text[5:] + text[:5]), 2).shift == 19
 
 
 def test_verdicts_are_sound_against_the_oracle():

@@ -24,6 +24,7 @@ from toepcalc import (
     growth_profile,
     period_status,
     periodic_part,
+    phase_separated,
     reference_example,
     scale_truncation,
     skeleton_word,
@@ -81,12 +82,19 @@ def test_non_divisor_rejected():
         periodic_part(tower("01"), 3)
 
 
-def test_status_table_cache_is_invisible():
+def test_status_table_cache_is_invisible(monkeypatch):
     a, b = reference_example(2), reference_example(2)
     with pytest.raises(NonDivisorError):
         periodic_part(a, 3)  # cold
     first = periodic_part(a, 10)
+    separated = {p: phase_separated(a, p) for p in (3, 5, 10, 20)}  # 3 divides no period: not separated
+    assert separated == {3: False, 5: True, 10: False, 20: True}
     assert "_planes" in vars(a) and "_planes" not in vars(b)  # the bit planes are cached on a alone
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    monkeypatch.setattr("toepcalc.conjugacy._separated", lambda rss, p: pytest.fail("recomputed"))
+    assert {p: phase_separated(a, p) for p in separated} == separated  # kept on a
+    monkeypatch.undo()
+    assert {p: phase_separated(b, p) for p in separated} == separated
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert {a, b} == {b}
     assert a._planes is a._planes and a._planes == b._planes
