@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count, product
 from typing import Iterable, Optional
 
 from .codes import AlphabetMismatch, PeriodMismatch
@@ -31,6 +31,7 @@ from .odometer import supernatural_equal
 from .skeleton import (
     NonDivisorError,
     Status,
+    _divisors,
     filled_blocks,
     natural_factorization,
     period_status,
@@ -104,10 +105,13 @@ class _Pair:
     @cached_property
     def mask_shifts(self) -> range:
         """Shifts in ``[0, n)`` with matching blank masks: the first match in
-        the doubled target mask, stepped by that mask's least rotation period."""
+        the doubled target mask (``str.find``, quadratic in CPython on some
+        mostly-``0`` masks of ``n`` in the low thousands), stepped by the mask's
+        least rotation period: the least divisor of ``n`` where it recurs, O(n) each."""
         smask, tmask2 = self.masks
-        first = tmask2.find(smask)
-        return range(first, self.n, tmask2.find(tmask2[: self.n], 1)) if first >= 0 else range(0)
+        if (first := tmask2.find(smask)) < 0:
+            return range(0)
+        return range(first, self.n, next(d for d in _divisors(self.n) if tmask2.startswith(tmask2[: self.n], d)))
 
     def blocks(self, p: int, o: Optional[int] = None) -> list[str]:
         """Consecutive ``p``-slices of the source, or of the target from offset ``o``."""
@@ -196,13 +200,10 @@ class _Pair:
                 return Undetermined(f"partial blocks {j} and {forward[s][1]} break well-definedness")
             if backward.setdefault(t, (s, j))[0] != s:
                 return Undetermined(f"partial blocks {j} and {backward[t][1]} break injectivity")
-        if "\0" in self.src:
-            # a witness exists when, per in-block offset, the observed symbol
-            # pairs form a bijection (masks agree: a blank only meets a blank)
-            tw = self.tgt2[o : o + n]
-            for u in range(p):
-                pairs = set(zip(self.src[u::p], tw[u::p]))
-                if len(pairs) != len({x for x, _ in pairs}) or len(pairs) != len({y for _, y in pairs}):
+        if "\0" in self.src and len(forward) > 1:  # one block pair is a witness
+            # per in-block offset, the distinct block pairs' symbols must pair off
+            for u, (xs, ys) in enumerate(zip(zip(*forward), zip(*(t for t, _ in forward.values())))):
+                if len(pairs := set(zip(xs, ys))) != len(set(xs)) or len(pairs) != len(set(ys)):
                     return Undetermined(f"no positionwise witness at offset {u}")
         return Consistent(tuple((self.block(s), self.block(t)) for s, (t, _) in forward.items()))
 
@@ -225,6 +226,7 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     once into their shapes; the conflict test takes a few operations on
     ``n/p``-bit masks per name of two or more full blocks, and a conflict is
     located with a few such operations per block full on both sides up to it.
+    The witness reads the ``D`` distinct block pairs per offset: O(D·p), none if D = 1.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -497,11 +499,12 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     matching blank masks can be Consistent, so ``gamma`` runs only there.
 
     Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
-    find the mask-compatible shifts and number the ``B = n/p`` blocks once
-    into a shape (every shift reads the target's offset class 0, rotated);
-    then O(n) per mask-compatible block-aligned shift, and, when none is
-    Consistent, one conflict-table entry (a few operations on ``B``-bit masks
-    per name) per block-aligned shift, already filled where ``gamma`` ran.
+    find the mask-compatible shifts (``_Pair.mask_shifts``) and number the
+    ``B = n/p`` blocks once into a shape (every shift reads the target's
+    offset class 0, rotated); then O(n) per mask-compatible block-aligned
+    shift, and, when none is Consistent, one conflict-table entry (a few
+    operations on ``B``-bit masks per name) per block-aligned shift, already
+    filled where ``gamma`` ran.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -534,6 +537,11 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
     do (they could only merge classes, which preserves the property).  A part
     whose comparisons against the entire other side are all Refuted certifies
     inequality.  Empty versus empty is equal; empty versus nonempty refuted.
+
+    Cost: at most one ``dp_equivalent`` per pair of distinct parts (all of
+    them when Undetermined), each run when first needed: pairs across the
+    sides, then on one side, skipping pairs in one class, until equality is
+    certain; then Refuted, stopping per part at its first pair not Refuted.
     """
     s_list = list(dict.fromkeys(s))
     t_list = list(dict.fromkeys(t))
@@ -541,7 +549,7 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
         if part.p != p:
             raise PeriodMismatch(f"part at period {part.p} in a comparison at {p}")
     index = {e: i for i, e in enumerate(dict.fromkeys((*s_list, *t_list)))}
-    parent = list(range(len(index)))
+    parts, parent = list(index), list(range(len(index)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -549,18 +557,28 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
             i = parent[i]
         return i
 
-    kinds: dict[tuple[int, int], DpKind] = {}  # both index orders; a part has none against itself
-    for (i, x), (j, y) in combinations(enumerate(index), 2):
-        kinds[i, j] = kinds[j, i] = kind = dp_equivalent(x, y).kind
-        if kind is DpKind.CONSISTENT_WITNESS:
-            parent[find(i)] = find(j)
+    kinds: dict[tuple[int, int], DpKind] = {}  # keyed in index order
 
-    s_index = [index[e] for e in s_list]
-    t_index = [index[e] for e in t_list]
-    if {find(i) for i in s_index} == {find(j) for j in t_index}:
+    def kind(i: int, j: int) -> Optional[DpKind]:  # a part has none against itself
+        i, j = sorted((i, j))
+        if i != j and (i, j) not in kinds:
+            kinds[i, j] = dp_equivalent(parts[i], parts[j]).kind
+        return kinds.get((i, j))
+
+    s_index, t_index = ([index[e] for e in side] for side in (s_list, t_list))
+
+    def certified() -> bool:
+        return {find(i) for i in s_index} == {find(j) for j in t_index}
+
+    if certified():
         return EfinResult.CERTIFIED_EQUAL
+    for i, j in chain(product(s_index, t_index), combinations(s_index, 2), combinations(t_index, 2)):
+        if find(i) != find(j) and kind(i, j) is DpKind.CONSISTENT_WITNESS:
+            parent[find(i)] = find(j)
+            if certified():
+                return EfinResult.CERTIFIED_EQUAL
     for side, other in ((s_index, t_index), (t_index, s_index)):
-        if any(all(kinds.get((i, j)) is DpKind.REFUTED for j in other) for i in side):
+        if any(all(kind(i, j) is DpKind.REFUTED for j in other) for i in side):
             return EfinResult.REFUTED
     return EfinResult.UNDETERMINED
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import compress, repeat
 from operator import is_
 from typing import Optional
@@ -216,12 +217,13 @@ class EssentialStatus:
     undetermined: tuple[int, ...] = ()
 
 
-def _divisors(n: int) -> list[int]:
+@cache
+def _divisors(n: int) -> tuple[int, ...]:
     """The divisors of ``n >= 1`` in increasing order."""
     divisors = [1]
     for prime, e in factor_int(n):
         divisors = [d * prime**k for d in divisors for k in range(e + 1)]
-    return sorted(divisors)
+    return tuple(sorted(divisors))
 
 
 def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:

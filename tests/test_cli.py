@@ -369,6 +369,22 @@ def test_compare_many_symbols_is_fast(tmp_path):
     assert code == 0 and "conjugate-certified" in text
 
 
+@pytest.mark.parametrize("k", [None, 7], ids=["itself", "rotated"])
+def test_invariant_hole_every_fourth_cell_is_fast(tmp_path, k):
+    # stage 512 has 128 chi parts a side, each a witness of every other; comparing
+    # all pairs took 9.5 s against itself (8128 pairs) and 39 s rotated (32640)
+    rng = random.Random(5)
+    cells = " ".join("_" if x % 4 == 3 else rng.choice("01") for x in range(512))
+    a = write(tmp_path / "a.tw", f"alphabet = 0 1\nscale = 2^inf\nperiod 512 = {cells}\n")
+    b = str(tmp_path / "b.tw")
+    assert run_command(["rotate", a, "-k", str(k or 0), "-o", b])[0] == 0
+    start = time.perf_counter()
+    code, text = run_command(["invariant", a, b if k else a, "--stages", "12"])
+    assert time.perf_counter() - start < 1.0
+    lines = text.splitlines()
+    assert code == 2 and "stage.512.result = CertifiedEqual" in lines and "stage.512.detail = 128 vs 128 parts" in lines
+
+
 def test_analyze_one_filled_cell_is_fast(tmp_path):
     # every table below 55440 is all Unknown, so no pair of its 120 divisors separates
     f = write(tmp_path / "one.tw", "alphabet = 0 1\nperiod 55440 = 0" + " _" * 55439 + "\n")

@@ -320,11 +320,16 @@ def test_encoding_cache_is_invisible(monkeypatch):
     assert {a, b} == {b}
     assert {Part(a, 5, k) for k in range(5)} | {Part(b, 5, k) for k in range(5)} == {Part(b, 5, k) for k in range(5)}
     calls = []
-    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", lambda w, z: calls.append(1) or dp_equivalent(w, z))
+    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", lambda w, z: calls.append((w, z)) or dp_equivalent(w, z))
     s = [Part(a, 5, k) for k in range(5)]
     t = [Part(b, 5, k) for k in range(5)]
     assert efin_equal(s, t, 5) is EfinResult.CERTIFIED_EQUAL
-    assert len(calls) == 10  # the 5 distinct parts pairwise, each of a's parts deduplicated with b's
+    assert calls == []  # each of a's parts deduplicated with b's: one family, equal before any comparison
+    # with a's part 4 on one side only, no witness joins any two parts here,
+    # so the 5 distinct parts are compared pairwise, b's parts read as a's
+    assert efin_equal(s, t[:4], 5) is EfinResult.UNDETERMINED
+    assert len(calls) == 10 and len({frozenset(c) for c in calls}) == 10
+    assert all(x.base is a for c in calls for x in c)
 
 
 # --- invariant_compare -------------------------------------------------------

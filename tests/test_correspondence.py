@@ -139,8 +139,9 @@ def random_pair(rng):
 def mask_shifts(a, b):
     """The shifts at which the blank masks of the tiled deepest words agree."""
     n = max(a.deepest_period, b.deepest_period)
-    wa, wb = (t.deepest_word.repeated(n // t.deepest_period).cells for t in (a, b))
-    return [k for k in range(n) if all((wa[x] is None) == (wb[(x + k) % n] is None) for x in range(n))]
+    words = (t.deepest_word.repeated(n // t.deepest_period).cells for t in (a, b))
+    ma, mb = ("".join("_" if c is None else "x" for c in w) for w in words)
+    return [k for k in range(n) if mb[k:] + mb[:k] == ma]  # x of a meets x + k of b
 
 
 def outcome(g):
@@ -162,7 +163,10 @@ def test_gamma_matches_quadratic_definition():
         want = reference_gamma(a, b, p, k)
         assert repr(gamma_map(a, b, p, k)) == repr(want), (a, b, p, k)
         seen.add(outcome(want))
+        if p == n and isinstance(want, Consistent) and None in want.correspondence[0][0]:
+            seen.add("one partial block")  # a single block pair is a witness without the offset scan
     assert seen == {  # every branch of the definition was exercised
+        "one partial block",
         "Consistent: ",
         "Contradicted: equal full blocks map to distinct full blocks",
         "Contradicted: distinct full blocks map to one full block",
@@ -171,6 +175,29 @@ def test_gamma_matches_quadratic_definition():
         "Undetermined: partial blocks  and  break injectivity",
         "Undetermined: no positionwise witness at offset",
     }
+
+
+def test_mask_shifts_match_definition():
+    rng = random.Random(20162)
+    pairs = [random_pair(rng) for _ in range(300)]
+    for n, blanks in ((1000, 1), (1280, 3), (1536, 1), (2000, 1), (2187, 3), (2300, 3)):
+        cells = [rng.choice("01") for _ in range(n)]
+        spread = [i * (n // blanks) for i in range(blanks)]  # a mask of period n / 3 when 3 divides n
+        for x in rng.sample(range(n), blanks) if rng.random() < 0.5 else spread:
+            cells[x] = None
+        a = single_level(reference_example(0).alphabet, cells)
+        pairs += [(a, rotate_tower(a, rng.randrange(n))), (a, a), (rotate_tower(a, 1), a)]
+        more = list(cells)
+        more[rng.choice([x for x in range(n) if cells[x]])] = None  # one blank more: no shift matches
+        pairs.append((a, single_level(a.alphabet, more)))
+    seen = set()
+    for a, b in pairs:
+        n = max(a.deepest_period, b.deepest_period)
+        pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+        want = mask_shifts(a, b)
+        assert list(pair.mask_shifts) == want, (a, b)
+        seen.add(min(len(want), 2))
+    assert seen == {0, 1, 2}
 
 
 def test_gamma_rejects_like_the_definition():

@@ -275,18 +275,22 @@ def test_status_tables_and_arcs_match_case_split_rules():
 
 
 def part_pool(rng):
-    """Parts at one stage of a tower and of a partner of the same depth: a
-    rotated positionwise image (so witnesses occur) or an unrelated tower."""
+    """Parts at one stage of a tower and of two partners of the same depth,
+    each a rotation, a rotated positionwise image (so witnesses occur) or an
+    unrelated tower."""
     symbols = rng.choice((("0", "1"), ("a", "b", "c")))
     a = random_tower(rng, symbols, depth=rng.randint(1, 2), base_periods=(2, 3, 4, 6), fill=rng.choice((1.0, 0.8)))
     n = a.deepest_period
-    if rng.random() < 0.5:
-        phi = random_positionwise(rng, a.alphabet, a.periods[0])
-        b = rotate_tower(apply_positionwise_permutation(a, phi), rng.randrange(n))
-    else:
-        b = random_tower(rng, symbols, depth=1, base_periods=(n,), fill=rng.choice((1.0, 0.8)))
+    towers = [a]
+    for kind in rng.choices(("rotated", "permuted", "unrelated"), k=2):
+        if kind == "unrelated":
+            b = random_tower(rng, symbols, depth=1, base_periods=(n,), fill=rng.choice((1.0, 0.8)))
+        else:
+            phi = random_positionwise(rng, a.alphabet, a.periods[0])
+            b = rotate_tower(a if kind == "rotated" else apply_positionwise_permutation(a, phi), rng.randrange(n))
+        towers.append(b)
     p = rng.choice([d for d in divisors(n) if d > 1] or [1])
-    return p, [Part(a, p, k) for k in range(p)] + [Part(b, p, k) for k in range(p)]
+    return p, [Part(t, p, k) for t in towers for k in range(p)]
 
 
 def test_efin_matches_sorted_pair_rule():
@@ -294,8 +298,8 @@ def test_efin_matches_sorted_pair_rule():
     seen = set()
     for _ in range(600):
         p, pool = part_pool(rng)
-        s = rng.sample(pool, rng.randint(0, min(3, len(pool))))
-        t = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        s = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        t = rng.sample(pool, rng.randint(0, min(4, len(pool))))
         if s and rng.random() < 0.3:
             t.append(rng.choice(s))  # a part on both sides
         want = reference_efin_equal(s, t, p)
@@ -305,7 +309,43 @@ def test_efin_matches_sorted_pair_rule():
             seen.add("empty side")
         if set(s) & set(t):
             seen.add("part on both sides")
-    assert seen == {*EfinResult, "empty side", "part on both sides"}
+        if len(set(s)) == 4 and len(set(t)) >= 4:
+            seen.add("four parts a side")
+    assert seen == {*EfinResult, "empty side", "part on both sides", "four parts a side"}
+
+
+def test_efin_matches_sorted_pair_rule_on_any_kinds(monkeypatch):
+    # A witness composes with a witness, so for towers an edge on one side is
+    # never needed once the cross edges are in, and a certified family is
+    # never refuted.  efin_equal must not rest on that: a stand-in
+    # dp_equivalent reads each pair's kind from a random table.
+    table: dict[frozenset, DpKind] = {}
+
+    def stand_in(w, z):
+        return DpResult(table[frozenset((w, z))])
+
+    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", stand_in)
+    monkeypatch.setitem(globals(), "dp_equivalent", stand_in)  # the reference's
+    t0 = tower("01_0_1")
+    x1, x2, y = (Part(t0, 3, k) for k in range(3))
+    table.update({frozenset((x1, x2)): DpKind.CONSISTENT_WITNESS, frozenset((x1, y)): DpKind.CONSISTENT_WITNESS})
+    table[frozenset((x2, y))] = DpKind.REFUTED  # certified only through x1 ~ x2, on one side
+    assert efin_equal([x1, x2], [y], 3) is reference_efin_equal([x1, x2], [y], 3) is EfinResult.CERTIFIED_EQUAL
+    assert efin_equal([y], [x1, x2], 3) is EfinResult.CERTIFIED_EQUAL
+
+    rng = random.Random(53)
+    pool = [Part(t0, 6, k) for k in range(6)]
+    seen = set()
+    for _ in range(3000):
+        weights = rng.choice(((1, 1, 1), (1, 3, 1), (3, 1, 1)))
+        for x, z in combinations(pool, 2):
+            table[frozenset((x, z))] = rng.choices(list(DpKind), weights)[0]
+        s = rng.sample(pool, rng.randint(1, 4))
+        t = rng.sample(pool, rng.randint(1, 4))
+        want = reference_efin_equal(s, t, 6)
+        assert efin_equal(s, t, 6) is want, (s, t, table)
+        seen.add(want)
+    assert seen == set(EfinResult)
 
 
 def test_efin_shared_part_is_never_refuted_against_itself():
