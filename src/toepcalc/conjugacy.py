@@ -19,11 +19,12 @@ permutation realizing the pairing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, compress, count, product
-from typing import Iterable, Optional
+from itertools import chain, combinations, compress, count, islice, product
+from typing import Iterable, Iterator, Optional
 
 from .codes import AlphabetMismatch, PeriodMismatch
 from .core import Alphabet, SkeletonTower
@@ -32,6 +33,8 @@ from .skeleton import (
     NonDivisorError,
     Status,
     _divisors,
+    _fold,
+    _table,
     filled_blocks,
     natural_factorization,
     period_status,
@@ -144,23 +147,27 @@ class _Pair:
         on the two sides (one-block names cover the rest): a source name differs
         from the target name at its first block, or the target has more."""
         j, c = divmod(k % self.n, p)
-        tids, tfull, tnames, table = self.shape(p, c)
-        if j not in table:
-            _, sfull, snames, _ = self.shape(p)
-            b = self.n // p
-            both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
-            matched = 0
-            for m in snames.values():
-                x = m & both
-                if x & (x - 1):
-                    first = (x & -x).bit_length() - 1
-                    if x != tnames.get(tids[(first + j) % b], 0) >> j & both:
-                        table[j] = True
-                        break
-                    matched += 1
-            else:  # no target name covers two or more blocks of source singletons
-                table[j] = matched != sum(1 for m in tnames.values() if (y := m >> j & both) & (y - 1))
-        return table[j]
+        return next(self.rotations_contradicted(p, c, j))
+
+    def rotations_contradicted(self, p: int, c: int, start: int = 0) -> Iterator[bool]:
+        """``contradicted`` of the shifts ``c + j·p`` for ``j`` from ``start`` to ``n/p - 1``."""
+        (_, sfull, snames, _), (tids, tfull, tnames, table) = self.shape(p), self.shape(p, c)
+        b = len(tids)
+        for j in range(start, b):
+            if j not in table:
+                both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
+                matched = 0
+                for m in snames.values():
+                    x = m & both
+                    if x & (x - 1):
+                        first = (x & -x).bit_length() - 1
+                        if x != tnames.get(tids[(first + j) % b], 0) >> j & both:
+                            table[j] = True
+                            break
+                        matched += 1
+                else:  # no target name covers two or more blocks of source singletons
+                    table[j] = matched != sum(1 for m in tnames.values() if (y := m >> j & both) & (y - 1))
+            yield table[j]
 
     def conflict(self, p: int, k: int) -> Contradicted:
         """The lexicographically first conflicting pair ``(i1, i2)`` of blocks
@@ -274,53 +281,69 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
     constant skeleton, for example, is not separated at any stage > 1: there
     a blockwise pairing says nothing about the shift dynamics.
 
-    Cost: one p-bit mask per certified kind (Out, and In with each symbol),
-    all set in one pass over the residues: O(p) steps and p·K/8 bytes for K
-    kinds.  Each rotation d tried takes a few O(p)-bit operations per kind,
-    and the scan stops at the first unseparated d.  The answer is kept per
-    tower and stage beside its status tables.
+    Cost: one p-bit mask per certified kind (Out, and In with each of K
+    symbols), split off the status table's In mask by the b folded bit planes
+    of the codes: O(b·(N + K·p)) bit operations, a machine word at a time.
+    A rotation d is unseparated only if it moves each certified residue r0
+    onto r0's kind or an Unknown one, so up to 64 anchors r0, rarest kind
+    first, each keep only such d with one p-bit AND, stopping when none is
+    left.  The survivors take the exact test in increasing d, a few p-bit
+    operations per kind, up to the first unseparated d.  A mostly-Unknown
+    stage keeps most d: there it costs the full scan plus the anchors.  The
+    answer is kept per tower and stage beside its status tables.
     """
     separated = tower._status.get(("separated", p))
     if separated is None:
-        separated = tower._status["separated", p] = _separated(period_status(tower, p), p)
+        separated = tower._status["separated", p] = _separated(tower, p)
     return separated
 
 
-def _separated(rss, p: int) -> bool:
-    if rss.modulus < p:
+def _separated(tower: SkeletonTower, p: int) -> bool:
+    if period_status(tower, p).modulus < p:
         return False  # the statuses repeat at the rotation d = modulus
-    kinds = [a if s is Status.IN else s for s, a in zip(rss.statuses, rss.symbols)]  # symbol, Out or Unknown
-    bits = {kind: bytearray(p // 8 + 1) for kind in set(kinds)}
-    for r, kind in enumerate(kinds):
-        bits[kind][r >> 3] |= 1 << (r & 7)
-    bits.pop(Status.UNKNOWN, None)
-    masks = [int.from_bytes(b, "little") for b in bits.values()]
+    _, ins, outs, unknown = _table(tower, p)
+    by_symbol = [ins]
+    for plane in tower._planes[1:]:  # the In residues of one symbol agree on each folded bit plane of its code
+        fold = _fold(plane, tower.deepest_period, p)
+        by_symbol = [y for x in by_symbol for y in (x & fold, x & ~fold) if y]
+    masks = sorted(filter(None, (outs, *by_symbol)), key=int.bit_count)  # one per certified kind
+    left = (1 << p) - 2  # d in 1..p-1
+    for m, r0 in islice(((x | unknown, r0) for x in masks for r0 in _set_bits(x)), 64):  # the anchors
+        if not left:
+            return True
+        left &= m >> r0 | m << (p - r0)  # the d with r0 + d of r0's kind or Unknown
     certified = sum(masks)
     # each kind's residues x against the other certified residues y; rotating y by d puts residue r + d at bit r
     pairs = [(x, certified ^ x) for x in masks]
-    return all(any(x & (y >> d | y << (p - d)) for x, y in pairs) for d in range(1, p))
+    return all(any(x & (y >> d | y << (p - d)) for x, y in pairs) for d in _set_bits(left))
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    return compress(count(), map("1".__eq__, bin(x)[:1:-1]))  # in increasing order
 
 
 def _margin(rss, max_radius: int) -> int:
     """Largest ``m' <= max_radius`` with the source certified In on
     ``[-2m', 2m']``, else -1: the window first meets a non-In residue ``r``
     when ``2m'`` reaches its cyclic distance ``min(r, g - r)`` from 0."""
-    g = rss.modulus
-    d = min((min(r, g - r) for r, s in enumerate(rss.statuses) if s is not Status.IN), default=None)
+    st = rss.statuses  # a status's residues nearest 0 are its first and its last
+    d = min((min(st.index(s), st[::-1].index(s) + 1) for s in (Status.OUT, Status.UNKNOWN) if s in st), default=None)
     return max_radius if d is None else min(max_radius, (d - 1) // 2)
 
 
-def _candidates(rss, radius: int, n: int) -> list[int]:
-    """Shifts ``k`` in ``[0, n)`` whose window ``[k - radius, k + radius]``
-    meets no Out residue of the target: those strictly inside a gap between
-    cyclically consecutive Out residues, by more than ``radius`` at each end."""
+def _candidates(rss, radius: int, p: int) -> list[int]:
+    """Classes ``c`` mod ``p`` of the shifts ``k`` whose window ``[k - radius,
+    k + radius]`` meets no Out residue of the target: those strictly inside a
+    gap between Out residues, by more than ``radius`` at each end.  The modulus
+    divides ``p``, so a class holds all its ``n/p`` shifts or none.  Cost: O(p)."""
     g, outs = rss.modulus, rss.residues(Status.OUT)
     if not outs:
-        return list(range(n))
+        return list(range(p))
     good = set()
-    for r1, r2 in zip(outs, (*outs[1:], outs[0] + g)):
-        good.update(x % g for x in range(r1 + radius + 1, r2 - radius))
-    return [k for k in range(n) if k % g in good]
+    for r1, r2 in zip(outs, (*outs[1:], outs[0] + g)):  # the last gap may run past g
+        good.update(range(r1 + radius + 1, min(g, r2 - radius)), range(max(g, r1 + radius + 1) - g, r2 - radius - g))
+    good = sorted(good)
+    return [q + c for q in range(0, p, g) for c in good]
 
 
 def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Verdict:
@@ -343,14 +366,15 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
 
     Cost: the cached encodings are tiled once; each stage's blocks are cut as
     slices and numbered into a shape once for the source and once per target
-    offset class its shifts meet; phase separation is checked only when
+    offset class reached, O(n) each; phase separation is checked only when
     reached; mask-compatible shifts come from one O(n) string search; a
-    correspondence is O(n) when not contradicted.
-    The refutation and the diagnostics share one conflict table per target
-    shape and rotation: ``s`` shapes (3-5 on ``reference_example``) give at
-    most ``s·n/p`` entries per stage, each a few operations on ``n/p``-bit
-    masks per name.  Margins and candidate shifts take O(stages · n),
-    independent of ``max_radius``: one refutation per stage.
+    correspondence is O(n) when not contradicted.  Candidates are whole offset
+    classes.  The refutation reads each target shape's ``n/p`` rotations once,
+    up to the first uncontradicted one; the count sums each shape's once,
+    times its classes.  So ``s`` shapes (3-5 on ``reference_example``) fill at
+    most ``s·n/p`` conflict-table entries per stage, each a few operations on
+    ``n/p``-bit masks per name, besides O(p) steps over the classes.  Margins
+    take O(p) C-level steps per stage, independent of ``max_radius``.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -382,12 +406,17 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     # radius grows, so it refutes at some radius iff it refutes at its margin:
     # the largest refuted radius is the largest margin of a refuting stage.
     margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
-    candidates = {p: _candidates(period_status(b, p), t, n) for p, t in margins.items() if t >= 0}
+    candidates = {p: _candidates(period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
+
+    def shape_firsts(p: int) -> Iterator[int]:  # per candidate class, the first candidate class of its shape
+        first: dict[int, int] = {}
+        return (first.setdefault(id(pair.shape(p, c)), c) for c in candidates[p])
+
+    def refutes(p: int) -> bool:  # each target shape's rotations once, up to the first uncontradicted one
+        return all(all(pair.rotations_contradicted(p, c)) for c, f in zip(candidates[p], shape_firsts(p)) if c == f)
+
     for m in sorted(set(margins.values()) - {-1}, reverse=True):
-        # `all` stops at the first uncontradicted shift: counting all took refute-ladder top_rung_s 0.028 -> 0.045 s
-        refuting = tuple(
-            p for p in stages if margins[p] == m and all(pair.contradicted(p, k) for k in candidates[p])
-        )
+        refuting = tuple(p for p in stages if margins[p] == m and refutes(p))
         if refuting:
             return RefutedUpTo(m, refuting)
 
@@ -398,11 +427,12 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
             continue
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
         if t >= 0:
-            ks = candidates[p]
-            contradicted = sum(pair.contradicted(p, k) for k in ks)
+            total = len(candidates[p]) * (n // p)
+            shapes = Counter(shape_firsts(p))  # a shape's first candidate class: its number of classes
+            contradicted = sum(sum(pair.rotations_contradicted(p, c)) * k for c, k in shapes.items())
             line += (
-                f"; {len(ks)} candidate shifts at radius {t}:"
-                f" {contradicted} contradicted, {len(ks) - contradicted} not"
+                f"; {total} candidate shifts at radius {t}:"
+                f" {contradicted} contradicted, {total - contradicted} not"
             )
         diagnostics.append(line)
     return Unknown(tuple(diagnostics))
@@ -519,7 +549,7 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
             g = pair.gamma(p, k)
             if isinstance(g, Consistent):
                 return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, k // p)
-    refuted = all(pair.contradicted(p, k) for k in range(0, pair.n, p))  # gamma read the same table
+    refuted = all(pair.rotations_contradicted(p, 0))  # the block-aligned shifts; gamma read the same table
     return DpResult(DpKind.REFUTED if refuted else DpKind.UNDETERMINED)
 
 

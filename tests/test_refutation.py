@@ -10,6 +10,7 @@ from toepcalc import (
     Consistent,
     NotConjugateCertified,
     RefutedUpTo,
+    SkeletonTower,
     Status,
     Unknown,
     apply_block_code,
@@ -159,17 +160,86 @@ def test_closed_form_margin_matches_window_definition():
             assert (m <= t) == window_in, (rss, max_radius, m)
 
 
+def reference_candidates(rss, radius: int, n: int) -> list[int]:
+    """Shifts ``k`` in ``[0, n)`` whose window ``[k - radius, k + radius]``
+    meets no Out residue of the target: those strictly inside a gap between
+    cyclically consecutive Out residues, by more than ``radius`` at each end."""
+    g, outs = rss.modulus, rss.residues(Status.OUT)
+    if not outs:
+        return list(range(n))
+    good = set()
+    for r1, r2 in zip(outs, (*outs[1:], outs[0] + g)):
+        good.update(x % g for x in range(r1 + radius + 1, r2 - radius))
+    return [k for k in range(n) if k % g in good]
+
+
 def test_candidates_match_window_scan():
+    """The candidate offset classes mod p, expanded to their shifts in
+    ``[0, n)``, are the shifts of the window scan and of the shift list the
+    classes replaced."""
     rng = random.Random(2017)
     for _ in range(3000):
         rss = random_status_table(rng)
-        n = rss.modulus * rng.randint(1, 3)
+        p = rss.modulus * rng.randint(1, 3)
+        n = p * rng.randint(1, 3)
         radius = rng.randint(0, 30)
         want = [
             k for k in range(n)
             if all(rss.status_at(k + x) is not Status.OUT for x in range(-radius, radius + 1))
         ]
-        assert conjugacy._candidates(rss, radius, n) == want, (rss, radius, n)
+        assert reference_candidates(rss, radius, n) == want, (rss, radius, n)
+        classes = conjugacy._candidates(rss, radius, p)
+        assert classes == sorted(set(classes)) and all(0 <= c < p for c in classes)
+        assert sorted(c + j * p for c in classes for j in range(n // p)) == want, (rss, radius, p, n)
+
+
+def code_image_pairs(rng):
+    """``reference_example(k)``, k = 4..8, against its rotated image under a
+    drawn radius-1 or radius-2 code, whose stages meet several target shapes;
+    and against the image of a shallower ``reference_example(j)``, whose
+    status tables at the deeper stages have a modulus below the stage."""
+    for k in range(4, 9):
+        a = reference_example(k)
+        for radius in (1, 1, 2, 2):
+            image = apply_block_code(a, random_block_code(rng, a.alphabet, radius))
+            yield a, rotate_tower(image, rng.randrange(a.deepest_period))
+        j = rng.randrange(k)
+        image = apply_block_code(reference_example(j), random_block_code(rng, a.alphabet, rng.choice((0, 1, 2))))
+        yield a, rotate_tower(image, rng.randrange(image.deepest_period))
+
+
+def shallower_pairs(rng):
+    """A random tower against an image of itself with its deepest level cut."""
+    for _ in range(300):
+        fill = rng.choice((1.0, 0.9, 0.8))
+        a = random_tower(rng, ("0", "1"), depth=rng.randint(2, 4), base_periods=(2, 3, 4, 5, 6), fill=fill)
+        image = apply_block_code(a, random_block_code(rng, a.alphabet, rng.choice((0, 1, 1, 2))))
+        b = SkeletonTower(image.alphabet, image.levels[: rng.randint(1, len(image.levels) - 1)])
+        yield a, rotate_tower(b, rng.randrange(b.deepest_period))
+
+
+def test_verdict_matches_descending_radius_search_on_code_images():
+    rng = random.Random(4162)
+    seen = set()
+    for a, b in (*code_image_pairs(rng), *shallower_pairs(rng)):
+        max_radius = rng.choice((0, 1, 2, 3))
+        want = reference_verdict(a, b, max_radius)
+        assert conjugacy_verdict(a, b, max_radius) == want, (a, b, max_radius)
+        n = conjugacy._common_length(a, b)
+        pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+        for p in a.periods if isinstance(want, (RefutedUpTo, Unknown)) else ():
+            t = conjugacy._margin(period_status(a, p), max_radius)
+            classes = conjugacy._candidates(period_status(b, p), t, p) if t >= 0 else []
+            if len({id(pair.shape(p, c)) for c in classes}) > 1:
+                seen.add((type(want), "several shapes"))
+            if classes and period_status(b, p).modulus < p:
+                seen.add((type(want), "modulus below the stage"))
+    assert seen >= {
+        (RefutedUpTo, "several shapes"),
+        (Unknown, "several shapes"),
+        (RefutedUpTo, "modulus below the stage"),
+        (Unknown, "modulus below the stage"),
+    }
 
 
 def test_huge_radius_costs_no_more_than_the_period():
