@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 from typing import Optional
 
 from .odometer import SupernaturalNumber, divides
@@ -88,7 +87,7 @@ class Alphabet:
             raise AlphabetError("an alphabet needs at least two symbols")
         if len(self.symbols) > MAX_SYMBOLS:
             raise AlphabetError(f"an alphabet has at most {MAX_SYMBOLS} symbols")
-        seen = set()
+        code = {None: chr(0)}  # the code points of SkeletonTower._text: 0 for a blank, i + 1 for symbol i
         for s in self.symbols:
             if not isinstance(s, str) or not s:
                 raise AlphabetError(f"bad symbol {s!r}")
@@ -96,9 +95,10 @@ class Alphabet:
                 raise AlphabetError("'_' is reserved for blank cells")
             if any(c.isspace() for c in s) or "#" in s:
                 raise AlphabetError(f"symbol {s!r} contains whitespace or '#'")
-            if s in seen:
+            if s in code:
                 raise AlphabetError(f"duplicate symbol {s!r}")
-            seen.add(s)
+            code[s] = chr(len(code))
+        object.__setattr__(self, "_code", code)
 
     def __contains__(self, s: object) -> bool:
         return s in self.symbols
@@ -194,25 +194,28 @@ class SkeletonTower:
     def deepest_word(self) -> PartialCyclicWord:
         return self.levels[-1][1]
 
+    def __hash__(self) -> int:  # the dataclass hash, computed once per tower
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.alphabet, self.levels, self.declared_scale)))
+
     @cached_property
     def _text(self) -> str:
-        """The deepest word, one code point per cell: 0 for a blank, the alphabet index + 1 for a symbol."""
-        code = {cell: chr(i) for i, cell in enumerate((None, *self.alphabet.symbols))}
-        return "".join(map(code.__getitem__, self.deepest_word.cells))
+        """The deepest word, one code point per cell by ``Alphabet._code``; ``validate_tower`` sets it."""
+        return "".join(itemgetter(*self.deepest_word.cells)(self.alphabet._code))
 
     @cached_property
     def _planes(self) -> tuple[int, ...]:
-        """``_text`` as bit masks over the cells: the filled mask, then one mask
-        per bit of the cell codes (bit ``x`` of mask ``b + 1`` is bit ``b`` of
-        the code of cell ``x``).  A blank has code 0, so the filled mask is the
-        union of the others."""
-        # the cells last to first, four bytes each, most significant byte first
-        code = self._text[::-1].encode("utf-32-be", "surrogatepass")
-        planes = [
-            int(code[3 - b // 8 :: 4].translate(_BIT_DIGITS[b % 8]), 2)
-            for b in range(len(self.alphabet.symbols).bit_length())
-        ]
+        """The filled mask, then ``_bit_planes`` of ``_text``: a blank has code 0, so it is their union."""
+        planes = _bit_planes(self._text, len(self.alphabet.symbols).bit_length())
         return (reduce(or_, planes), *planes)
+
+
+def _bit_planes(text: str, bits: int) -> list[int]:
+    """One mask per bit of the code points: bit ``x`` of mask ``b`` is bit ``b`` of code point ``x``."""
+    width = 1 if bits <= 8 else 4  # bytes per code point: Latin-1 when one byte holds them, else UTF-32
+    code = text[::-1].encode("latin-1" if width == 1 else "utf-32-be", "surrogatepass")  # last to first
+    return [int(code[width - 1 - b // 8 :: width].translate(_BIT_DIGITS[b % 8]), 2) for b in range(bits)]
 
 
 def validate_tower(tower: SkeletonTower) -> None:
@@ -223,11 +226,14 @@ def validate_tower(tower: SkeletonTower) -> None:
     cell per period, symbols of the alphabet; then adjacent-level consistency (a
     filled cell at period ``p`` must reappear verbatim at every congruent
     position of the next level, which is at fault) and declared-scale divisibility.
+
+    Cost: C-level passes only: each level's cells to code points by the alphabet's code table, the
+    ``b`` bit planes of all of them, then per level and plane a shift, a mask and a tile by doubling
+    shifts, O(N·b) bit operations for N cells.  The deepest level's share becomes ``_text`` and ``_planes``.
     """
     if not tower.levels:
         raise TowerError("a tower needs at least one level")
-    cell_values = {None, *tower.alphabet}
-    prev = 0
+    pieces, prev = [], 0  # the code points of each level
     for level, (p, w) in enumerate(tower.levels):
         if not isinstance(p, int) or p < 1:
             raise DivisibilityError(f"period must be a positive integer, got {p!r}", level)
@@ -237,22 +243,31 @@ def validate_tower(tower: SkeletonTower) -> None:
             raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
         if w.period != p:
             raise DivisibilityError(f"expected {p} cells, got {w.period}", level)
-        if not cell_values.issuperset(w.cells):
-            i = next(i for i, c in enumerate(w.cells) if c not in cell_values)
-            raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i)
+        try:  # itemgetter of one cell gives its code point rather than a tuple; both join alike
+            pieces.append("".join(itemgetter(*w.cells)(tower.alphabet._code)))
+        except KeyError:
+            i = next(i for i, c in enumerate(w.cells) if c not in tower.alphabet._code)
+            raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i) from None
         prev = p
-    for level, ((p, shallow), (q, deep)) in enumerate(zip(tower.levels, tower.levels[1:]), start=1):
-        above = shallow.cells * (q // p)
-        filled = [s is not None for s in shallow.cells] * (q // p)
-        if list(compress(above, filled)) != list(compress(deep.cells, filled)):
-            x = next(x for x, s in enumerate(above) if s is not None and deep.cells[x] != s)
-            raise ConsistencyError(p, q, x, f"{above[x]!r} above, {deep.cells[x]!r} below", level)
-    if tower.declared_scale is not None:
-        for level, (p, _) in enumerate(tower.levels):
-            if not divides(p, tower.declared_scale):
-                raise ScaleError(
-                    f"declared period {p} does not divide scale {tower.declared_scale}", level
-                )
+    planes, end, above = _bit_planes("".join(pieces), len(tower.alphabet.symbols).bit_length()), 0, []
+    for level, (q, deep) in enumerate(tower.levels):
+        masks, filled, differ = [plane >> end & (1 << q) - 1 for plane in planes], 0, 0
+        end += q
+        for mask, tiled in zip(masks, above):  # each plane of the level above, tiled by doubling shifts
+            r = p
+            while r < q:
+                tiled, r = tiled | tiled << r, 2 * r
+            filled, differ = filled | tiled, differ | mask ^ tiled
+        if filled & differ & (1 << q) - 1:  # a cell filled above and different below
+            cells = shallow.cells * (q // p)
+            x = next(x for x, s in enumerate(cells) if s is not None and deep.cells[x] != s)
+            raise ConsistencyError(p, q, x, f"{cells[x]!r} above, {deep.cells[x]!r} below", level)
+        p, shallow, above = q, deep, masks
+    scale = tower.declared_scale
+    if scale is not None and not divides(prev, scale):  # the deepest period is a multiple of the others
+        level, p = next((level, p) for level, (p, _) in enumerate(tower.levels) if not divides(p, scale))
+        raise ScaleError(f"declared period {p} does not divide scale {scale}", level)
+    vars(tower)["_text"], vars(tower)["_planes"] = pieces[-1], (reduce(or_, above), *above)
 
 
 def rotate_tower(tower: SkeletonTower, k: int) -> SkeletonTower:

@@ -1,10 +1,24 @@
 """Shared builders for the test suite."""
 
 from collections import Counter
-from itertools import product
+from functools import reduce
+from itertools import compress, product
+from operator import or_
 
-from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower, SupernaturalNumber
+from toepcalc import (
+    Alphabet,
+    AlphabetError,
+    ConsistencyError,
+    DivisibilityError,
+    PartialCyclicWord,
+    ScaleError,
+    SkeletonTower,
+    SupernaturalNumber,
+    TowerError,
+)
 from toepcalc.conjugacy import Contradicted
+from toepcalc.core import _BIT_DIGITS
+from toepcalc.odometer import divides
 
 BINARY = Alphabet(("0", "1"))
 
@@ -55,3 +69,66 @@ def _first_conflict(src: list[int], tgt: list[int], index: list[int]) -> Contrad
         n_tgt[t] -= 1
         n_pair[s, t] -= 1
     raise AssertionError("no conflict among the fully filled blocks")
+
+
+# ``validate_tower`` before it read the tower from one encoding, verbatim: a
+# set of cell values per level, then the consistency check on cell lists.
+def old_validate_tower(tower: SkeletonTower) -> None:
+    """Raise a ``TowerError`` subclass describing the first defect found.
+
+    The only checks of a tower's structure, also for parsed files.  Level by
+    level: a positive period, greater than and a multiple of the one above, one
+    cell per period, symbols of the alphabet; then adjacent-level consistency (a
+    filled cell at period ``p`` must reappear verbatim at every congruent
+    position of the next level, which is at fault) and declared-scale divisibility.
+    """
+    if not tower.levels:
+        raise TowerError("a tower needs at least one level")
+    cell_values = {None, *tower.alphabet}
+    prev = 0
+    for level, (p, w) in enumerate(tower.levels):
+        if not isinstance(p, int) or p < 1:
+            raise DivisibilityError(f"period must be a positive integer, got {p!r}", level)
+        if prev and p <= prev:
+            raise DivisibilityError(f"periods must increase, got {p} after {prev}", level)
+        if prev and p % prev:
+            raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
+        if w.period != p:
+            raise DivisibilityError(f"expected {p} cells, got {w.period}", level)
+        if not cell_values.issuperset(w.cells):
+            i = next(i for i, c in enumerate(w.cells) if c not in cell_values)
+            raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i)
+        prev = p
+    for level, ((p, shallow), (q, deep)) in enumerate(zip(tower.levels, tower.levels[1:]), start=1):
+        above = shallow.cells * (q // p)
+        filled = [s is not None for s in shallow.cells] * (q // p)
+        if list(compress(above, filled)) != list(compress(deep.cells, filled)):
+            x = next(x for x, s in enumerate(above) if s is not None and deep.cells[x] != s)
+            raise ConsistencyError(p, q, x, f"{above[x]!r} above, {deep.cells[x]!r} below", level)
+    if tower.declared_scale is not None:
+        for level, (p, _) in enumerate(tower.levels):
+            if not divides(p, tower.declared_scale):
+                raise ScaleError(
+                    f"declared period {p} does not divide scale {tower.declared_scale}", level
+                )
+
+
+# ``SkeletonTower._text`` and ``_planes`` before ``validate_tower`` set them, verbatim.
+def old_text(tower: SkeletonTower) -> str:
+    """The deepest word, one code point per cell: 0 for a blank, the alphabet index + 1 for a symbol."""
+    code = {cell: chr(i) for i, cell in enumerate((None, *tower.alphabet.symbols))}
+    return "".join(map(code.__getitem__, tower.deepest_word.cells))
+
+
+def old_planes(tower: SkeletonTower) -> tuple[int, ...]:
+    """``_text`` as bit masks over the cells: the filled mask, then one mask
+    per bit of the cell codes (bit ``x`` of mask ``b + 1`` is bit ``b`` of
+    the code of cell ``x``).  A blank has code 0, so the filled mask is the
+    union of the others."""
+    # the cells last to first, four bytes each, most significant byte first
+    code = old_text(tower)[::-1].encode("utf-32-be", "surrogatepass")
+    planes = [
+        int(code[3 - b // 8 :: 4].translate(_BIT_DIGITS[b % 8]), 2)
+        for b in range(len(tower.alphabet.symbols).bit_length())
+    ]
+    return (reduce(or_, planes), *planes)

@@ -11,13 +11,15 @@ from toepcalc import (
     ConsistencyError,
     DivisibilityError,
     PartialCyclicWord,
+    ScaleError,
     SkeletonTower,
+    SupernaturalNumber,
     TowerError,
     rotate_tower,
     symbol_at,
     validate_tower,
 )
-from helpers import BINARY, tower
+from helpers import BINARY, old_planes, old_text, old_validate_tower, tower
 
 
 def test_alphabet_rejects_degenerate():
@@ -100,6 +102,41 @@ def old_consistency_check(tower):
                 )
 
 
+def _refined_levels(rng: random.Random, symbols) -> list:
+    """A seeded chain of 2 to 4 levels whose deeper levels refine, blank or
+    overwrite cells of the level above."""
+    p = rng.randint(1, 6)
+    cells = [rng.choice((None, *symbols)) for _ in range(p)]
+    levels = [(p, PartialCyclicWord(cells))]
+    for _ in range(rng.randint(1, 3)):
+        mult = rng.randint(2, 3)
+        p *= mult
+        cells = [c if c is not None and rng.random() < 0.97 else rng.choice((None, *symbols)) for c in cells * mult]
+        levels.append((p, PartialCyclicWord(cells)))
+    return levels
+
+
+def _first_error(check, *args):
+    """What ``check`` raises, as the fields a caller can read, or None."""
+    try:
+        check(*args)
+    except TowerError as exc:
+        detail = getattr(exc, "shallow_period", None), getattr(exc, "index", None)
+        return type(exc), str(exc), exc.level, exc.position, *detail
+    return None
+
+
+def _assert_validates_as_before(alphabet, levels, scale=None):
+    """The same first error as the old ``validate_tower``, or none and the
+    old encoding of the deepest word in ``_text`` and ``_planes``."""
+    expected = _first_error(old_validate_tower, SimpleNamespace(alphabet=alphabet, levels=levels, declared_scale=scale))
+    built = []
+    assert _first_error(lambda: built.append(SkeletonTower(alphabet, tuple(levels), scale))) == expected
+    for t in built:
+        assert t._text == old_text(t) and t._planes == old_planes(t)
+    return expected
+
+
 def test_consistency_check_matches_the_cell_by_cell_loop():
     """Seeded towers with valid geometry whose deeper levels refine, blank or
     overwrite cells of the level above: the same first error, or none."""
@@ -107,16 +144,7 @@ def test_consistency_check_matches_the_cell_by_cell_loop():
     alphabet = Alphabet(("0", "1", "01"))
     outcomes = set()
     for _ in range(400):
-        p = rng.randint(1, 6)
-        cells = [rng.choice((None, *alphabet)) for _ in range(p)]
-        levels = [(p, PartialCyclicWord(cells))]
-        for _ in range(rng.randint(1, 3)):
-            mult = rng.randint(2, 3)
-            p *= mult
-            cells = [
-                c if c is not None and rng.random() < 0.97 else rng.choice((None, *alphabet)) for c in cells * mult
-            ]
-            levels.append((p, PartialCyclicWord(cells)))
+        levels = _refined_levels(rng, alphabet)
         try:
             old_consistency_check(SimpleNamespace(levels=levels))
             expected = None
@@ -128,8 +156,82 @@ def test_consistency_check_matches_the_cell_by_cell_loop():
         except ConsistencyError as exc:
             got = (str(exc), exc.level, exc.position, exc.shallow_period, exc.deep_period, exc.index)
         assert got == expected
+        _assert_validates_as_before(alphabet, levels)
         outcomes.add(None if got is None else (got[1] > 1, "None" in got[0]))  # a deeper level, a blank below
     assert len(outcomes) == 5, outcomes
+    # 300 symbols take 9 bit planes; 70000 reach past the BMP, drawn here near
+    # the surrogate code points, the BMP's end and the last symbol
+    big = Alphabet(tuple(f"s{i}" for i in range(70000)))
+    small = Alphabet(tuple(f"s{i}" for i in range(300)))
+    pools = {
+        small: ([small.symbols[i] for i in (0, 1, 254, 255, 256, 299)], 200),
+        big: ([big.symbols[i] for i in (0, 1, 0xD7FE, 0xD7FF, 0xDBFF, 0xDFFE, 0xDFFF, 0xFFFE, 0xFFFF, 69999)], 80),
+    }
+    for alphabet, (pool, count) in pools.items():
+        outcomes = set()
+        for _ in range(count):
+            got = _assert_validates_as_before(alphabet, _refined_levels(rng, pool))
+            outcomes.add(None if got is None else (got[2] > 1, "None" in got[1]))
+        assert len(outcomes) == 5, outcomes
+
+
+def test_two_defects_give_the_old_first_error():
+    """Two defects on different levels of a seeded valid tower, with or
+    without a declared scale that stops short: the old first error."""
+    rng = random.Random(20261019)
+    alphabet = Alphabet(("0", "1", "01"))
+
+    def defect(levels, kind, level, valid):
+        p, w = levels[level]
+        cells = list(w.cells)
+        x = rng.randrange(p)
+        if kind == "symbol":
+            cells[x] = "2"
+        elif kind == "period":
+            p += 1
+        elif kind == "count":
+            cells.append(cells[x])
+        elif kind == "period first":
+            p = rng.choice((0, -p, float(p)))
+        else:  # a filled cell above overwritten or blanked below
+            q, above = valid[level - 1]
+            filled = [y for y in range(p) if above.cells[y % q] is not None]
+            if not filled:
+                return
+            x = rng.choice(filled)
+            cells[x] = None if kind == "blank" else next(s for s in alphabet if s != cells[x])
+        levels[level] = (p, PartialCyclicWord(cells))
+
+    kinds = set()
+    for _ in range(600):
+        levels = _refined_levels(rng, alphabet)
+        for level in range(1, len(levels)):  # undo the overwrites: a valid tower
+            (q, above), (p, w) = levels[level - 1], levels[level]
+            levels[level] = (p, PartialCyclicWord(tuple(above.cells[x % q] or w.cells[x] for x in range(p))))
+        valid = list(levels)
+        for level in rng.sample(range(len(levels)), 2) if len(levels) > 2 else range(len(levels)):
+            kind = rng.choice(("symbol", "period", "count", "period first") + ("overwrite", "blank") * (level > 0))
+            defect(levels, kind, level, valid)
+        scale = None
+        if rng.random() < 0.3:
+            periods = [p for p, _ in levels if isinstance(p, int) and p > 0]
+            scale = SupernaturalNumber.from_int(rng.choice(periods or [1]))
+        got = _assert_validates_as_before(alphabet, levels, scale)
+        kinds.add(None if got is None else (got[0].__name__, got[2]))
+    assert len(kinds) == 10, kinds  # the 3 kinds of per-level error on any level, consistency on levels 1 and 2
+    # per-level rules first, level by level; then consistency, shallowest first; then the scale
+    w = PartialCyclicWord.from_text
+    cases = {
+        ((2, w("02")), (3, w("010"))): (AlphabetError, 0),  # a bad symbol above a bad period
+        ((1, w("0")), (2, w("01")), (4, w("0120"))): (AlphabetError, 2),  # above an inconsistent level
+        ((1, w("0")), (2, w("01")), (4, w("1011"))): (ConsistencyError, 1),  # two inconsistent levels
+        ((1, w("_")), (2, w("0_")), (6, w("001010"))): (ConsistencyError, 2),  # ... before a scale of 2
+        ((1, w("_")), (2, w("0_")), (6, w("000000"))): (ScaleError, 2),
+        ((3, w("0__")), (6, w("01_0__"))): (ScaleError, 0),  # the first level whose period does not divide 2
+    }
+    for levels, first in cases.items():
+        got = _assert_validates_as_before(alphabet, list(levels), SupernaturalNumber.from_int(2))
+        assert (got[0], got[2]) == first
 
 
 def test_tower_accessors():

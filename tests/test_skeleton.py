@@ -29,6 +29,7 @@ from toepcalc import (
     scale_truncation,
     skeleton_word,
 )
+from toepcalc.conjugacy import Part
 from toepcalc.randomgen import deepen, random_tower
 from helpers import completions, per_residues, tower
 
@@ -84,6 +85,8 @@ def test_non_divisor_rejected():
 
 def test_status_table_cache_is_invisible(monkeypatch):
     a, b = reference_example(2), reference_example(2)
+    for t in (a, b):  # cold: without the encoding that validation leaves
+        del vars(t)["_text"], vars(t)["_planes"]
     with pytest.raises(NonDivisorError):
         periodic_part(a, 3)  # cold
     first = periodic_part(a, 10)
@@ -104,6 +107,20 @@ def test_status_table_cache_is_invisible(monkeypatch):
         periodic_part(a, 3)  # warm
     with pytest.raises(NonDivisorError):
         periodic_part(a, 0)
+
+
+def test_hash_is_the_field_hash_kept_per_tower():
+    t = reference_example(3)
+    fields = hash((t.alphabet, t.levels, t.declared_scale))  # the dataclass hash
+    del vars(t)["_text"], vars(t)["_planes"]
+    assert "_hash" not in vars(t) and hash(t) == fields  # caches empty
+    for p in (5, 10, 20):
+        periodic_part(t, p), phase_separated(t, p)
+    assert set(vars(t)) >= {"_text", "_planes", "_hash"} and t._status
+    assert hash(t) == fields == hash(reference_example(3))  # caches full, and a fresh tower
+    assert hash(Part(t, 5, 1)) == hash((t, 5, 1))
+    vars(t)["_hash"] = 7  # read from the cache, not recomputed
+    assert hash(t) == 7 and hash(Part(t, 5, 1)) == hash((t, 5, 1)) != hash(Part(reference_example(3), 5, 1))
 
 
 def test_period_status_reduces_by_gcd():
