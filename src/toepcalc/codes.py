@@ -150,17 +150,12 @@ def apply_block_code(tower: SkeletonTower, code: BlockCode) -> SkeletonTower:
     """
     if code.alphabet != tower.alphabet:
         raise AlphabetMismatch("code and tower alphabets differ")
-    deep = tower.deepest_period
-    w = tower.deepest_word
-    m = code.length
-    out_cells: list[Optional[str]] = []
-    for k in range(deep):
-        window = [w.cell(k + d) for d in range(-m, m + 1)]
-        if any(c is None for c in window):
-            out_cells.append(None)
-        else:
-            out_cells.append(code.apply(window))
-    out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(tuple(out_cells))),), None)
+    deep, m, width = tower.deepest_period, code.length, 2 * code.length + 1
+    image = {"".join(map(tower.alphabet._code.__getitem__, w)): out for w, out in code.table}  # by code points
+    # the text from position -m, extended cyclically, so that the window of position x starts at x
+    ring = (tower._text * (3 + 2 * m // deep))[-m % deep :][: deep + 2 * m]
+    windows = map(ring.__getitem__, map(slice, range(deep), range(width, deep + width)))
+    out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(map(image.get, windows))),), None)  # blank: no key
     levels = tuple((p, skeleton_word(out, p)[0]) for p, _ in tower.levels[:-1])
     return SkeletonTower(tower.alphabet, (*levels, *out.levels), None)
 

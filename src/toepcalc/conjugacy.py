@@ -23,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, compress, count, islice, product
-from typing import Iterable, Iterator, Optional
+from itertools import chain, combinations, compress, count, islice, product, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import AlphabetMismatch, PeriodMismatch
 from .core import Alphabet, SkeletonTower
@@ -91,7 +91,8 @@ class _Pair:
     ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.  Each class is cut and
     numbered once per stage into its shape (block numbers and fullness), and
     classes of one shape share it: its bitmasks of the ``B = n/p`` blocks
-    decide and locate conflicts, and its table holds each rotation's verdict."""
+    decide and locate conflicts, and its table holds each rotation's verdict.
+    ``class_shapes`` derives the shapes of many classes from a dividing stage."""
 
     def __init__(self, src: str, tgt: str, alphabet: Alphabet):
         self.n = len(src)
@@ -100,6 +101,7 @@ class _Pair:
         self.cells = (None, *alphabet)  # the cell of each code point
         self._shapes: dict[tuple, tuple] = {}  # (p, numbers, fullness)
         self._shape_of: dict[tuple[int, Optional[int]], tuple] = {}  # (p, class)
+        self._tables: dict[int, list[tuple]] = {}  # p: the target's derived shape per class
 
     @cached_property
     def masks(self) -> tuple[str, str]:
@@ -121,25 +123,54 @@ class _Pair:
         word, o = (self.src, 0) if o is None else (self.tgt2, o)
         return [word[i : i + p] for i in range(o, o + self.n, p)]
 
-    def shape(self, p: int, c: Optional[int] = None) -> tuple[tuple[int, ...], int, dict[int, int], dict[int, bool]]:
+    def shape(self, p: int, c: Optional[int] = None) -> tuple:
         """The stage-``p`` shape of the source, or of the target at offset
         class ``c``: its block numbers (equal blocks share one); bitmasks,
         doubled to ``2B`` bits, of its full blocks and of each name of two or
-        more full blocks; and the target's conflict flag per block rotation."""
+        more full blocks; the target's conflict flag per block rotation; and
+        each block's fullness."""
         if (p, c) not in self._shape_of:
             blocks = self.blocks(p, c)
-            ids = tuple(map({}.setdefault, blocks, count()))
-            full = tuple("\0" not in x for x in blocks)
-            key = (p, ids, full)
-            if key not in self._shapes:
-                at: dict[int, int] = {}
-                for i in compress(count(), full):
-                    at[ids[i]] = at.get(ids[i], 0) | 1 << i
-                b, fullness = len(ids), sum(at.values())
-                names = {x: m | m << b for x, m in at.items() if m & (m - 1)}
-                self._shapes[key] = ids, fullness | fullness << b, names, {}
-            self._shape_of[p, c] = self._shapes[key]
+            ids, full = tuple(map({}.setdefault, blocks, count())), tuple("\0" not in x for x in blocks)
+            self._shape_of[p, c] = self._shaped(p, ids, full)
         return self._shape_of[p, c]
+
+    def _shaped(self, *key) -> tuple:  # the one shape of a key (p, numbers, fullness)
+        if key not in self._shapes:
+            _, ids, full = key
+            at: dict[int, int] = {}
+            for i in compress(count(), full):
+                at[ids[i]] = at.get(ids[i], 0) | 1 << i
+            b, fullness = len(ids), sum(at.values())
+            names = {x: m | m << b for x, m in at.items() if m & (m - 1)}
+            self._shapes[key] = ids, fullness | fullness << b, names, {}, full
+        return self._shapes[key]
+
+    def class_shapes(self, p: int, stages: list[int], classes: Sequence[int]) -> list[tuple]:
+        """The target's shapes of offset ``classes`` at stage ``p``.  Class
+        ``c``'s blocks are the ``q = p/d`` consecutive blocks of class ``c mod
+        d`` at the largest stage ``d`` of ``stages`` dividing ``p``, from block
+        ``c // d`` on: its numbers are those ``q``-tuples of stage-``d`` numbers
+        renumbered, and a block is full iff its ``q`` blocks are.  So a shape
+        per distinct (stage-``d`` shape, ``c // d``) is derived in O(n/d) tuple
+        steps (64 string steps each), and ``map`` gives each class its shape.
+        Where no ``d`` exists or that costs more, each class is cut: O(n)
+        string steps and a Python step (256 string steps) per block."""
+        d, n = max((d for d in stages if d < p and p % d == 0), default=0), self.n
+        if d and p not in self._tables:
+            below, q = self.class_shapes(d, stages, range(d)), p // d
+            distinct = dict(zip(map(id, below), below))
+            if 64 * len(distinct) * q * (n // d) < len(classes) * (n + 256 * (n // p)):
+                self._tables[p] = []
+                for a in range(q):  # the classes a·d + r
+                    derived = {}
+                    for i, (ids, *_, full) in distinct.items():
+                        ids, full = zip(*[iter(ids[a:] + ids[:a])] * q), zip(*[iter(full[a:] + full[:a])] * q)
+                        derived[i] = self._shaped(p, tuple(map({}.setdefault, ids, count())), tuple(map(all, full)))
+                    self._tables[p] += map(derived.__getitem__, map(id, below))
+        if p in self._tables:
+            return list(map(self._tables[p].__getitem__, classes))
+        return list(map(self.shape, repeat(p), classes))
 
     def contradicted(self, p: int, k: int) -> bool:
         """Whether the names of the blocks full on both sides fail to pair off,
@@ -147,11 +178,12 @@ class _Pair:
         on the two sides (one-block names cover the rest): a source name differs
         from the target name at its first block, or the target has more."""
         j, c = divmod(k % self.n, p)
-        return next(self.rotations_contradicted(p, c, j))
+        return next(self.rotations_contradicted(p, self.shape(p, c), j))
 
-    def rotations_contradicted(self, p: int, c: int, start: int = 0) -> Iterator[bool]:
-        """``contradicted`` of the shifts ``c + j·p`` for ``j`` from ``start`` to ``n/p - 1``."""
-        (_, sfull, snames, _), (tids, tfull, tnames, table) = self.shape(p), self.shape(p, c)
+    def rotations_contradicted(self, p: int, target: tuple, start: int = 0) -> Iterator[bool]:
+        """``contradicted`` of the shifts ``c + j·p`` for ``j`` from ``start``
+        to ``n/p - 1``, where ``target`` is the shape of offset class ``c``."""
+        (_, sfull, snames, *_), (tids, tfull, tnames, table, _) = self.shape(p), target
         b = len(tids)
         for j in range(start, b):
             if j not in table:
@@ -175,8 +207,8 @@ class _Pair:
         source name and target name cover unequal sets of the later such
         blocks, and ``i2`` the first block covered by only one of them."""
         j, c = divmod(k % self.n, p)
-        sids, sfull, snames, _ = self.shape(p)
-        tids, tfull, tnames, _ = self.shape(p, c)
+        sids, sfull, snames, *_ = self.shape(p)
+        tids, tfull, tnames, *_ = self.shape(p, c)
         b = self.n // p
         both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
         later = both
@@ -369,12 +401,14 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     offset class reached, O(n) each; phase separation is checked only when
     reached; mask-compatible shifts come from one O(n) string search; a
     correspondence is O(n) when not contradicted.  Candidates are whole offset
-    classes.  The refutation reads each target shape's ``n/p`` rotations once,
-    up to the first uncontradicted one; the count sums each shape's once,
-    times its classes.  So ``s`` shapes (3-5 on ``reference_example``) fill at
-    most ``s·n/p`` conflict-table entries per stage, each a few operations on
-    ``n/p``-bit masks per name, besides O(p) steps over the classes.  Margins
-    take O(p) C-level steps per stage, independent of ``max_radius``.
+    classes.  The refutation cuts them one at a time and reads each target
+    shape's ``n/p`` rotations once, up to the first uncontradicted one; the
+    count sums each shape's once, times its classes, and takes the shapes from
+    ``_Pair.class_shapes``: O(n/d) per (stage-``d`` shape, ``c // d``) derived
+    from a stage ``d | p`` and O(p) more, or O(n) per class cut.  So ``s``
+    shapes (3-5 on ``reference_example``) fill at most ``s·n/p`` conflict-table
+    entries per stage, each a few operations on ``n/p``-bit masks per name.
+    Margins take O(p) C-level steps per stage, independent of ``max_radius``.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -408,12 +442,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
     candidates = {p: _candidates(period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
 
-    def shape_firsts(p: int) -> Iterator[int]:  # per candidate class, the first candidate class of its shape
-        first: dict[int, int] = {}
-        return (first.setdefault(id(pair.shape(p, c)), c) for c in candidates[p])
-
     def refutes(p: int) -> bool:  # each target shape's rotations once, up to the first uncontradicted one
-        return all(all(pair.rotations_contradicted(p, c)) for c, f in zip(candidates[p], shape_firsts(p)) if c == f)
+        read: set[int] = set()  # the classes are cut one at a time, up to the first uncontradicted shape
+        shapes = map(pair.shape, repeat(p), candidates[p])
+        return all(all(pair.rotations_contradicted(p, s)) for s in shapes if not (id(s) in read or read.add(id(s))))
 
     for m in sorted(set(margins.values()) - {-1}, reverse=True):
         refuting = tuple(p for p in stages if margins[p] == m and refutes(p))
@@ -428,8 +460,9 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
         if t >= 0:
             total = len(candidates[p]) * (n // p)
-            shapes = Counter(shape_firsts(p))  # a shape's first candidate class: its number of classes
-            contradicted = sum(sum(pair.rotations_contradicted(p, c)) * k for c, k in shapes.items())
+            of = pair.class_shapes(p, stages, candidates[p])
+            shapes, classes = dict(zip(map(id, of), of)), Counter(map(id, of))  # each shape's number of classes
+            contradicted = sum(sum(pair.rotations_contradicted(p, s)) * classes[i] for i, s in shapes.items())
             line += (
                 f"; {total} candidate shifts at radius {t}:"
                 f" {contradicted} contradicted, {total - contradicted} not"
@@ -549,7 +582,7 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
             g = pair.gamma(p, k)
             if isinstance(g, Consistent):
                 return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, k // p)
-    refuted = all(pair.rotations_contradicted(p, 0))  # the block-aligned shifts; gamma read the same table
+    refuted = all(pair.rotations_contradicted(p, pair.shape(p, 0)))  # the block-aligned shifts, as gamma read them
     return DpResult(DpKind.REFUTED if refuted else DpKind.UNDETERMINED)
 
 

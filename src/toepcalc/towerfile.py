@@ -97,5 +97,5 @@ def serialize_tower(tower: SkeletonTower) -> str:
     if tower.declared_scale is not None:
         lines.append(f"scale = {tower.declared_scale}")
     for period, word in tower.levels:
-        lines.append(f"period {period} = " + " ".join(c if c is not None else BLANK for c in word.cells))
+        lines.append(f"period {period} = " + " ".join(map({None: BLANK}.get, word.cells, word.cells)))
     return "\n".join(lines) + "\n"

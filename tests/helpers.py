@@ -4,6 +4,7 @@ from collections import Counter
 from functools import reduce
 from itertools import compress, product
 from operator import or_
+from typing import Iterator, Optional
 
 from toepcalc import (
     Alphabet,
@@ -16,8 +17,10 @@ from toepcalc import (
     SupernaturalNumber,
     TowerError,
 )
-from toepcalc.conjugacy import Contradicted
-from toepcalc.core import _BIT_DIGITS
+from toepcalc.codes import AlphabetMismatch, BlockCode
+from toepcalc.conjugacy import Contradicted, _candidates, _common_length, _margin, _Pair, _tiled, phase_separated
+from toepcalc.core import _BIT_DIGITS, BLANK
+from toepcalc.skeleton import period_status, skeleton_word
 from toepcalc.odometer import divides
 
 BINARY = Alphabet(("0", "1"))
@@ -132,3 +135,87 @@ def old_planes(tower: SkeletonTower) -> tuple[int, ...]:
         for b in range(len(tower.alphabet.symbols).bit_length())
     ]
     return (reduce(or_, planes), *planes)
+
+
+# ``apply_block_code`` before it slid the code over ``_text``, verbatim: one
+# ``cell`` call per window cell.
+def old_apply_block_code(tower: SkeletonTower, code: BlockCode) -> SkeletonTower:
+    """Slide the code over the deepest level; recertify everything above.
+
+    Output cell ``k`` is filled with the coded value exactly when the whole
+    window ``k-m .. k+m`` is filled; shallower levels become the certified
+    skeletons of the result.  The declared scale does not survive: a factor
+    map certifies nothing about the limit scale.
+    """
+    if code.alphabet != tower.alphabet:
+        raise AlphabetMismatch("code and tower alphabets differ")
+    deep = tower.deepest_period
+    w = tower.deepest_word
+    m = code.length
+    out_cells: list[Optional[str]] = []
+    for k in range(deep):
+        window = [w.cell(k + d) for d in range(-m, m + 1)]
+        if any(c is None for c in window):
+            out_cells.append(None)
+        else:
+            out_cells.append(code.apply(window))
+    out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(tuple(out_cells))),), None)
+    levels = tuple((p, skeleton_word(out, p)[0]) for p, _ in tower.levels[:-1])
+    return SkeletonTower(tower.alphabet, (*levels, *out.levels), None)
+
+
+# ``serialize_tower`` before it wrote a period line in one ``map``, verbatim.
+def old_serialize_tower(tower: SkeletonTower) -> str:
+    lines = [f"alphabet = {' '.join(tower.alphabet.symbols)}"]
+    if tower.declared_scale is not None:
+        lines.append(f"scale = {tower.declared_scale}")
+    for period, word in tower.levels:
+        lines.append(f"period {period} = " + " ".join(c if c is not None else BLANK for c in word.cells))
+    return "\n".join(lines) + "\n"
+
+
+class _ClassReads:
+    """A ``_Pair`` read as the count below read it: ``rotations_contradicted``
+    of an offset class, whose shape is cut on first use."""
+
+    def __init__(self, pair: _Pair):
+        self.pair = pair
+
+    def shape(self, p, c=None):
+        return self.pair.shape(p, c)
+
+    def rotations_contradicted(self, p, c):
+        return self.pair.rotations_contradicted(p, self.pair.shape(p, c))
+
+
+def old_unknown_diagnostics(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> tuple[str, ...]:
+    """The diagnostics of an ``Unknown`` verdict on ``(a, b)`` as
+    ``conjugacy_verdict`` wrote them before ``_Pair.class_shapes``: the
+    margins, candidates and lines as there, and the count verbatim, each
+    candidate class cut into its shape."""
+    n = _common_length(a, b)
+    stages = sorted(set(a.periods) | set(b.periods))
+    pair = _ClassReads(_Pair(_tiled(a, n), _tiled(b, n), a.alphabet))
+    margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
+    candidates = {p: _candidates(period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
+
+    def shape_firsts(p: int) -> Iterator[int]:  # per candidate class, the first candidate class of its shape
+        first: dict[int, int] = {}
+        return (first.setdefault(id(pair.shape(p, c)), c) for c in candidates[p])
+
+    diagnostics = []
+    for p, t in margins.items():
+        if not (phase_separated(a, p) and phase_separated(b, p)):
+            diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
+            continue
+        line = f"stage {p}: no consistent shift; usable source margin radius {t}"
+        if t >= 0:
+            total = len(candidates[p]) * (n // p)
+            shapes = Counter(shape_firsts(p))  # a shape's first candidate class: its number of classes
+            contradicted = sum(sum(pair.rotations_contradicted(p, c)) * k for c, k in shapes.items())
+            line += (
+                f"; {total} candidate shifts at radius {t}:"
+                f" {contradicted} contradicted, {total - contradicted} not"
+            )
+        diagnostics.append(line)
+    return tuple(diagnostics)

@@ -1,7 +1,8 @@
 """Differential test: block numbering on ``str`` slices of each tower's cached
 encoding, kept in each class's shape, against the tuple-cut numbering it
-replaced; and the conflict located on the shape masks against the Counter
-search over that numbering."""
+replaced; the shapes of ``_Pair.class_shapes``, derived down a set of stages,
+against the same cut; and the conflict located on the shape masks against the
+Counter search over that numbering."""
 
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from operator import and_
 
 from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower
 from toepcalc.conjugacy import _Pair, _tiled
+from toepcalc.skeleton import skeleton_word
 
 from helpers import _first_conflict
 
@@ -83,26 +85,67 @@ def random_cells(rng, n):
     return tuple(None if rng.random() < blank_rate else rng.choice(used) for _ in range(n))
 
 
-def assert_same_numbering(a, b):
+def assert_same_shape(shape, ref, p, c):
+    """A shape's numbers, doubled full-block mask and fullness tuple read
+    like the reference's tuple cut of class ``c`` at stage ``p``."""
+    ids, full, _, _, fullness = shape
+    ref_ids, ref_full = ref.numbered(p, c)
+    assert relabelled(ids) == relabelled(ref_ids), (p, c)
+    m = sum(f << i for i, f in enumerate(ref_full))
+    assert full == m | m << ref.n // p, (p, c)
+    assert fullness == tuple(ref_full), (p, c)
+
+
+def assert_same_tables(a, b, stages, ref):
+    """Every class's shape from ``class_shapes`` at each of ``stages``, read
+    deepest first so each table is derived down the rest where that is
+    cheaper, numbers like the reference's tuple cut and is the shape the
+    class is cut into; returns the number of stages derived."""
+    n = max(a.deepest_period, b.deepest_period)
+    pair = _Pair(_tiled(a, n), _tiled(b, n), ALPHABET)
+    for p in sorted(stages, reverse=True):
+        shapes = pair.class_shapes(p, stages, range(p))
+        assert len(shapes) == p
+        for c, shape in enumerate(shapes):
+            assert_same_shape(shape, ref, p, c)
+            assert shape is pair.shape(p, c), (p, c)  # one shape per (p, numbers, fullness)
+    return len(pair._tables)
+
+
+def divisor_sets(n):
+    """Stage sets of a common length ``n``, each holding ``n``: every
+    divisor (not a chain when ``n`` has two prime factors), ``n`` alone,
+    ``{1, n}``, and the chains through ``n`` by factors of 2 and of 3."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    sets = [divisors, [n], sorted({1, n})]
+    for q in (2, 3):
+        chain = [n]
+        while chain[0] % q == 0:
+            chain.insert(0, chain[0] // q)
+        sets.append(chain)
+    return sets
+
+
+def assert_same_numbering(a, b, stage_sets=()):
     """Every stage ``p | n``, class and shift of the pair ``(a, b)`` read alike
     from the encoded text and from the reference's tuple cut: the shape's
-    numbers and doubled full-block mask, and each shift's conflict."""
+    numbers and doubled full-block mask, and each shift's conflict; and so do
+    the ``class_shapes`` tables over each stage set, by default ``divisor_sets``;
+    returns the number of stages derived."""
     n = max(a.deepest_period, b.deepest_period)
     pair = _Pair(_tiled(a, n), _tiled(b, n), ALPHABET)
     ref = ReferencePair(*(t.deepest_word.repeated(n // t.deepest_period).cells for t in (a, b)))
+    derived = sum(assert_same_tables(a, b, stages, ref) for stages in stage_sets or divisor_sets(n))
     for p in (d for d in range(1, n + 1) if n % d == 0):
         for c in (None, *range(p)):
-            ids, full, _, _ = pair.shape(p, c)
-            ref_ids, ref_full = ref.numbered(p, c)
-            assert relabelled(ids) == relabelled(ref_ids), (p, c)
-            m = sum(f << i for i, f in enumerate(ref_full))
-            assert full == m | m << n // p, (p, c)
+            assert_same_shape(pair.shape(p, c), ref, p, c)
             assert list(map(pair.block, pair.blocks(p, c))) == ref.blocks(p, c), (p, c)
         for k in range(n):
             contradicted = ref.contradicted(p, k)
             assert pair.contradicted(p, k) == contradicted, (p, k)
             if contradicted:
                 assert pair.conflict(p, k) == ref.conflict(p, k), (p, k)
+    return derived
 
 
 def test_edge_words_number_like_the_tuple_cut():
@@ -127,8 +170,34 @@ def test_random_words_number_like_the_tuple_cut():
         a, b = random_cells(rng, n), random_cells(rng, m)
         if rng.random() < 0.5:
             a, b = b, a
-        assert_same_numbering(word_tower(a), word_tower(b))
+        kinds["derived"] += assert_same_numbering(word_tower(a), word_tower(b)) > 0
         kinds["blank"] += None in a + b
         kinds["complete"] += None not in a + b
         kinds["tokens"] += any(c in ("01", "10") for c in a + b)
     assert min(kinds.values()) > 50, kinds
+
+
+def test_class_shapes_derive_like_the_tuple_cut_on_stage_sets():
+    rng = random.Random(20261019)
+    for periods_a, periods_b in [
+        ((4, 12), (6, 12)),  # the stages {4, 6, 12}: 6 has no dividing stage, 12 derives from 6
+        ((2, 4, 8, 16), (16,)),  # a chain with q = 2
+        ((3, 9, 27), (27,)),  # a chain with q = 3
+        ((2, 6, 12), (3, 12)),  # the stages {2, 3, 6, 12}, q = 3 and q = 2
+        ((5,), (10, 20)),  # a shallower source, tiled
+    ]:
+        derived = 0
+        for fill in (1.0, 0.7, 0.0):  # 0.0: all blank
+            a, b = (chain_tower(rng, periods, fill) for periods in (periods_a, periods_b))
+            stages = sorted(set(periods_a) | set(periods_b))
+            derived += assert_same_numbering(a, b, [stages]) + assert_same_numbering(b, a, [stages])
+        assert derived > 0, (periods_a, periods_b)
+
+
+def chain_tower(rng, periods, fill):
+    """A tower at ``periods``, each level its deepest word's certified
+    skeleton, over ``SYMBOLS`` with blanks at rate ``1 - fill``."""
+    cells = tuple(rng.choice(SYMBOLS) if rng.random() < fill else None for _ in range(periods[-1]))
+    deepest = word_tower(cells)
+    levels = [(p, skeleton_word(deepest, p)[0]) for p in periods[:-1]]
+    return SkeletonTower(ALPHABET, (*levels, (periods[-1], PartialCyclicWord(cells))))

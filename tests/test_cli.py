@@ -363,6 +363,24 @@ def test_compare_refuted_code_image_is_fast(tmp_path):
     assert code == 1 and "verdict = refuted-up-to" in text.splitlines()
 
 
+UNKNOWN_CODE = (  # radius 1: the refute-ladder code whose images of the reference towers compare Unknown
+    "len = 1\n0 0 0 -> 0\n0 0 1 -> 0\n0 1 0 -> 0\n0 1 1 -> 1\n"
+    "1 0 0 -> 0\n1 0 1 -> 1\n1 1 0 -> 0\n1 1 1 -> 1\n"
+)
+
+
+def test_compare_unknown_code_image_is_fast(tmp_path):
+    # N = 81920: cutting every candidate offset class for the Unknown count took about 4 s; the count derives
+    # each stage's class shapes from the stage below
+    a = gen_file(tmp_path, 14, "a.tw")
+    b = str(tmp_path / "b.tw")
+    assert run_command(["apply-code", a, "--code", write(tmp_path / "c.txt", UNKNOWN_CODE), "-o", b])[0] == 0
+    start = time.perf_counter()
+    code, text = run_command(["compare", a, b])
+    assert time.perf_counter() - start < 1.5
+    assert code == 2 and "verdict = unknown" in text.splitlines()
+
+
 def test_compare_single_hole_tower_is_fast(tmp_path):
     # a rotation d is told apart only by the residue pairs that meet the hole, which a scan from r = 0 reaches late
     a = write(tmp_path / "a.tw", "alphabet = 0 1\nperiod 8000 = " + "0 " * 7999 + "_\n")

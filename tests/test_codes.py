@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from toepcalc import (
     Alphabet,
+    AlphabetMismatch,
     BlockCode,
     CodeError,
     ParseError,
@@ -20,7 +22,7 @@ from toepcalc import (
     validate_tower,
 )
 from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
-from helpers import BINARY, tower
+from helpers import BINARY, old_apply_block_code, tower
 
 
 def center_code(radius=1):
@@ -178,3 +180,31 @@ def test_block_code_on_full_tower_matches_pointwise(seed, radius):
     for x in range(n):
         window = tuple(w.cell(x + d) for d in range(-radius, radius + 1))
         assert out.deepest_word.cell(x) == code.apply(window)
+
+
+def test_apply_block_code_matches_the_per_cell_slide():
+    """The code slid over the tower's encoding against the per-cell slide it
+    replaced: random towers with blanks, codes of radius 0-3, windows wider
+    than the deepest period, multi-character symbols, reference images."""
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(400):
+        symbols = rng.choice((("0", "1"), ("0", "1"), ("a", "bb", "ccc"), ("01", "1", "0")))
+        radius = rng.choice((0, 1, 2, 3) if len(symbols) == 2 else (0, 1, 2))
+        fill = rng.choice((1.0, 0.8, 0.5, 0.0))
+        t = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 5), fill=fill)
+        code = random_block_code(rng, t.alphabet, radius)
+        assert apply_block_code(t, code) == old_apply_block_code(t, code), (t, code)
+        seen["wider than the deepest period"] += 2 * radius + 1 > t.deepest_period
+        seen["blank"] += None in t.deepest_word.cells
+        seen["multi-character symbols"] += len(symbols) == 3
+    for k in range(7):
+        image = reference_example(k)
+        for radius in (1, 2, 1):  # an image of an image
+            code = random_block_code(rng, BINARY, radius)
+            image, want = apply_block_code(image, code), old_apply_block_code(image, code)
+            assert image == want, (k, code)
+    assert min(seen.values()) >= 40, seen
+    other = random_tower(rng, ("a", "b"))
+    with pytest.raises(AlphabetMismatch):
+        apply_block_code(other, center_code())

@@ -3,12 +3,15 @@ against the descending-radius search it replaced, and the closed-form margin
 against its window definition."""
 
 import random
+import time
+from collections import Counter
 
 import toepcalc.conjugacy as conjugacy
 from toepcalc import (
     ConjugateCertified,
     Consistent,
     NotConjugateCertified,
+    PartialCyclicWord,
     RefutedUpTo,
     SkeletonTower,
     Status,
@@ -24,6 +27,8 @@ from toepcalc import (
 from toepcalc.odometer import supernatural_equal
 from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
 from toepcalc.skeleton import ResidueStatusSet
+
+from helpers import BINARY, old_unknown_diagnostics
 
 
 def reference_verdict(a, b, max_radius):
@@ -240,6 +245,50 @@ def test_verdict_matches_descending_radius_search_on_code_images():
         (RefutedUpTo, "modulus below the stage"),
         (Unknown, "modulus below the stage"),
     }
+
+
+def test_unknown_diagnostics_match_the_per_class_count():
+    """The ``Unknown`` diagnostics, counted from the ``class_shapes`` tables,
+    against the count that cut every candidate class, on random pairs, code
+    images and shallower images; ``seen`` holds stages counted from a table
+    derived from a dividing stage, by whether some are contradicted and some
+    not, and stages whose classes are cut."""
+    rng = random.Random(4163)
+    seen = Counter()
+    pairs = [random_verdict_pair(rng) for _ in range(800)]
+    for a, b in (*pairs, *code_image_pairs(rng), *shallower_pairs(rng)):
+        max_radius = rng.choice((0, 1, 2, 3, 5))
+        verdict = conjugacy_verdict(a, b, max_radius)
+        if not isinstance(verdict, Unknown) or "do not divide" in verdict.diagnostics[0]:
+            continue
+        assert verdict.diagnostics == old_unknown_diagnostics(a, b, max_radius), (a, b, max_radius)
+        n, stages = conjugacy._common_length(a, b), sorted(set(a.periods) | set(b.periods))
+        pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+        for p, line in zip(stages, verdict.diagnostics):
+            if "candidate shifts" not in line:
+                continue
+            t = conjugacy._margin(period_status(a, p), max_radius)
+            pair.class_shapes(p, stages, conjugacy._candidates(period_status(b, p), t, p))
+            seen["cut"] += p not in pair._tables
+            if p in pair._tables and not line.endswith(" 0 not"):
+                seen["derived, some not contradicted"] += 1
+            if p in pair._tables and " 0 contradicted" not in line:
+                seen["derived, some contradicted"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
+
+
+def test_unknown_count_cuts_classes_above_a_long_jump():
+    """At stages {1, 3000}, deriving each of the 3000 stage-3000 classes from
+    stage 1 takes 3000 tuple steps (0.7 s in all), so they are cut (0.02 s)."""
+    rng = random.Random(4164)
+    cells = tuple(rng.choice("01") if rng.random() < 0.97 else None for _ in range(3000))
+    a = SkeletonTower(BINARY, ((1, PartialCyclicWord((None,))), (3000, PartialCyclicWord(cells))))
+    b = rotate_tower(apply_block_code(a, random_block_code(rng, BINARY, 1)), 17)
+    start = time.perf_counter()
+    verdict = conjugacy_verdict(a, b, 3)
+    assert time.perf_counter() - start < 0.3
+    assert isinstance(verdict, Unknown) and "stage 3000: no consistent shift" in verdict.diagnostics[-1]
+    assert "candidate shifts" in verdict.diagnostics[-1]
 
 
 def test_huge_radius_costs_no_more_than_the_period():

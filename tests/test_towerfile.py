@@ -23,7 +23,7 @@ from toepcalc import (
 from toepcalc.core import BLANK
 from toepcalc.odometer import INF, OdometerError, divides
 from toepcalc.randomgen import random_tower
-from helpers import tower
+from helpers import old_serialize_tower, tower
 
 
 GOOD = """\
@@ -55,6 +55,17 @@ def test_serialize_shape():
     assert lines[2] == "period 2 = 0 _"
     assert lines[3] == "period 4 = 0 1 0 0"
     assert text.endswith("\n")
+
+
+def test_serialize_matches_the_per_token_writer():
+    rng = random.Random(2028)
+    for _ in range(200):
+        symbols = rng.choice((("0", "1"), ("a", "bb", "ccc")))
+        fill = rng.choice((1.0, 0.6, 0.0))  # 0.0: every cell blank
+        t = random_tower(rng, symbols, depth=rng.randint(1, 3), fill=fill, with_scale=rng.random() < 0.5)
+        assert serialize_tower(t) == old_serialize_tower(t)
+    t = reference_example(8)
+    assert serialize_tower(t) == old_serialize_tower(t)
 
 
 def test_parse_errors_are_located():
