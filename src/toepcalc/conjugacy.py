@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations, compress, count, islice, product, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import AlphabetMismatch, PeriodMismatch
-from .core import Alphabet, SkeletonTower
+from .core import _BIT_DIGITS, Alphabet, SkeletonTower
 from .odometer import supernatural_equal
 from .skeleton import (
     NonDivisorError,
@@ -85,14 +86,13 @@ def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
 
 
 class _Pair:
-    """Two deepest words encoded as in ``SkeletonTower._text``, prepared once
-    per verdict: blocks are ``str`` slices of the source at offset 0 and of the
-    doubled target at each offset class ``c`` mod ``p``; shift ``k`` sees class
-    ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.  Each class is cut and
-    numbered once per stage into its shape (block numbers and fullness), and
-    classes of one shape share it: its bitmasks of the ``B = n/p`` blocks
-    decide and locate conflicts, and its table holds each rotation's verdict.
-    ``class_shapes`` derives the shapes of many classes from a dividing stage."""
+    """Two deepest words encoded as in ``SkeletonTower._text``, prepared once per
+    verdict: blocks are ``str`` slices of the source at offset 0 and of the doubled
+    target at each offset class ``c`` mod ``p``; shift ``k`` sees class ``k mod p``
+    rotated by ``j = (k mod n) // p`` blocks.  Each class is cut once per stage into
+    its shape (block numbers, each its block's first index, and fullness), shared by
+    classes of one shape: its ``B = n/p``-bit masks decide and locate conflicts, its
+    table holds each rotation's verdict, and ``gamma`` reads its numbers."""
 
     def __init__(self, src: str, tgt: str, alphabet: Alphabet):
         self.n = len(src)
@@ -130,21 +130,33 @@ class _Pair:
         more full blocks; the target's conflict flag per block rotation; and
         each block's fullness."""
         if (p, c) not in self._shape_of:
-            blocks = self.blocks(p, c)
-            ids, full = tuple(map({}.setdefault, blocks, count())), tuple("\0" not in x for x in blocks)
+            ids = tuple(map((first := {}).setdefault, self.blocks(p, c), count()))  # first indices
+            full = (True,) * len(ids)
+            if "\0" in (self.src if c is None else self.tgt2):  # a blank: fullness per distinct block
+                full = tuple(map({x: "\0" not in s for s, x in first.items()}.__getitem__, ids))
             self._shape_of[p, c] = self._shaped(p, ids, full)
         return self._shape_of[p, c]
 
     def _shaped(self, *key) -> tuple:  # the one shape of a key (p, numbers, fullness)
-        if key not in self._shapes:
+        if (shape := self._shapes.get(key)) is None:
             _, ids, full = key
-            at: dict[int, int] = {}
-            for i in compress(count(), full):
-                at[ids[i]] = at.get(ids[i], 0) | 1 << i
-            b, fullness = len(ids), sum(at.values())
-            names = {x: m | m << b for x, m in at.items() if m & (m - 1)}
-            self._shapes[key] = ids, fullness | fullness << b, names, {}, full
-        return self._shapes[key]
+            # in ~4 ns steps: the OR loop f(32 + b/128) for f full blocks; count, code, K translates (8 + K)(b + 128)
+            b, at, steps = len(ids), {}, (f := sum(full)) * (32 + len(ids) // 128)
+            names = [x for x, m in Counter(compress(ids, full)).items() if m > 1] if steps > 8 * (b + 128) else ()
+            if len(names) < 256 and (8 + len(names)) * (b + 128) < steps:
+                rank = bytearray(b)  # of each block's name, 0 if none
+                for r, x in enumerate(names, 1):
+                    rank[x] = r
+                code = bytes(itemgetter(*ids[::-1])(rank))  # a tuple, as b > 1 here
+                at = {x: int(code.translate(b"0" * r + b"1" + b"0" * (255 - r)), 2) for r, x in enumerate(names, 1)}
+                fullness = int(bytes(full[::-1]).translate(_BIT_DIGITS[0]), 2)
+            else:
+                for i in compress(count(), full):
+                    at[ids[i]] = at.get(ids[i], 0) | 1 << i
+                fullness = sum(at.values())
+            names = {x: m | m << b for x, m in at.items() if m & (m - 1)} if len(at) < f else {}
+            shape = self._shapes[key] = ids, fullness | fullness << b, names, {}, full
+        return shape
 
     def class_shapes(self, p: int, stages: list[int], classes: Sequence[int]) -> list[tuple]:
         """The target's shapes of offset ``classes`` at stage ``p``.  Class
@@ -225,26 +237,29 @@ class _Pair:
         raise AssertionError("no conflict among the fully filled blocks")
 
     def gamma(self, p: int, k: int) -> GammaResult:
-        if self.contradicted(p, k):
-            return self.conflict(p, k)
         n, o = self.n, k % self.n
+        (j, c), sids = divmod(o, p), self.shape(p)[0]  # a block's number is its first index
+        if next(self.rotations_contradicted(p, target := self.shape(p, c), j)):  # as self.contradicted(p, k)
+            return self.conflict(p, k)
         smask, tmask = self.masks[0], self.masks[1][o : o + n]
         if smask != tmask:
-            j = next(j for j, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
-            return Undetermined(f"blank masks differ at block {j}")
-        forward: dict[str, tuple[str, int]] = {}  # first target and index per source
-        backward: dict[str, tuple[str, int]] = {}
-        for j, (s, t) in enumerate(zip(self.blocks(p), self.blocks(p, o))):
-            if forward.setdefault(s, (t, j))[0] != t:
-                return Undetermined(f"partial blocks {j} and {forward[s][1]} break well-definedness")
-            if backward.setdefault(t, (s, j))[0] != s:
-                return Undetermined(f"partial blocks {j} and {backward[t][1]} break injectivity")
-        if "\0" in self.src and len(forward) > 1:  # one block pair is a witness
+            b = next(b for b, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
+            return Undetermined(f"blank masks differ at block {b}")
+        pairs = dict.fromkeys(zip(sids, tids := target[0][j:] + target[0][:j]))  # distinct block pairs, in order
+        if not len(pairs) == len(set(sids)) == len(set(tids)):  # not well-defined or not injective
+            forward, backward = {}, {}  # the first target per source; the first source and index per target
+            for i, (x, y) in enumerate(zip(sids, tids)):
+                if forward.setdefault(x, y) != y:  # x is the index of the source's first block
+                    return Undetermined(f"partial blocks {i} and {x} break well-definedness")
+                if backward.setdefault(y, (x, i))[0] != x:
+                    return Undetermined(f"partial blocks {i} and {backward[y][1]} break injectivity")
+        ss, ts = zip(*((self.src[x * p : x * p + p], self.tgt2[c + y * p : c + y * p + p]) for x, y in pairs))
+        if "\0" in self.src and len(pairs) > 1:  # one block pair is a witness
             # per in-block offset, the distinct block pairs' symbols must pair off
-            for u, (xs, ys) in enumerate(zip(zip(*forward), zip(*(t for t, _ in forward.values())))):
-                if len(pairs := set(zip(xs, ys))) != len(set(xs)) or len(pairs) != len(set(ys)):
+            for u, (xs, ys) in enumerate(zip(zip(*ss), zip(*ts))):
+                if len(both := set(zip(xs, ys))) != len(set(xs)) or len(both) != len(set(ys)):
                     return Undetermined(f"no positionwise witness at offset {u}")
-        return Consistent(tuple((self.block(s), self.block(t)) for s, (t, _) in forward.items()))
+        return Consistent(tuple(zip(map(self.block, ss), map(self.block, ts))))
 
     def block(self, text: str) -> Block:
         return tuple(map(self.cells.__getitem__, map(ord, text)))
@@ -261,11 +276,11 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     positionwise witness.  Everything else is Undetermined.
 
     Cost: O(n) for the common length ``n``: the source and the target's offset
-    class ``k mod p`` are cut from the towers' cached encodings and numbered
-    once into their shapes; the conflict test takes a few operations on
-    ``n/p``-bit masks per name of two or more full blocks, and a conflict is
-    located with a few such operations per block full on both sides up to it.
-    The witness reads the ``D`` distinct block pairs per offset: O(D·p), none if D = 1.
+    class ``k mod p`` are cut from the towers' cached encodings once, into the
+    shapes the rest reads.  The conflict test takes a few operations on ``n/p``-bit
+    masks per name of two or more full blocks, its location a few per block full
+    on both sides up to it; the map O(n/p) C-level steps on the block numbers, and
+    the ``D`` distinct block pairs are sliced for it and the witness: O(D·p).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -398,16 +413,16 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
 
     Cost: the cached encodings are tiled once; each stage's blocks are cut as
     slices and numbered into a shape once for the source and once per target
-    offset class reached, O(n) each; phase separation is checked only when
-    reached; mask-compatible shifts come from one O(n) string search; a
-    correspondence is O(n) when not contradicted.  Candidates are whole offset
-    classes.  The refutation cuts them one at a time and reads each target
-    shape's ``n/p`` rotations once, up to the first uncontradicted one; the
-    count sums each shape's once, times its classes, and takes the shapes from
-    ``_Pair.class_shapes``: O(n/d) per (stage-``d`` shape, ``c // d``) derived
-    from a stage ``d | p`` and O(p) more, or O(n) per class cut.  So ``s``
-    shapes (3-5 on ``reference_example``) fill at most ``s·n/p`` conflict-table
-    entries per stage, each a few operations on ``n/p``-bit masks per name.
+    offset class reached, O(n) each, which a correspondence reads after an O(n)
+    mask comparison; phase separation is checked only when reached; shifts
+    with matching masks come from one O(n) string search.  Candidates are whole
+    offset classes.  The refutation cuts them one at a time and reads each
+    target shape's ``n/p`` rotations once, up to the first uncontradicted one;
+    the count sums each shape's once, times its classes, and takes the shapes
+    from ``_Pair.class_shapes``: O(n/d) per (stage-``d`` shape, ``c // d``)
+    derived from a stage ``d | p`` and O(p) more, or O(n) per class cut.  So
+    ``s`` shapes (3-5 on ``reference_example``) fill at most ``s·n/p``
+    conflict-table entries per stage, each a few operations on ``n/p``-bit masks per name.
     Margins take O(p) C-level steps per stage, independent of ``max_radius``.
     """
     if a.alphabet != b.alphabet:
@@ -564,10 +579,10 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
     find the mask-compatible shifts (``_Pair.mask_shifts``) and number the
     ``B = n/p`` blocks once into a shape (every shift reads the target's
-    offset class 0, rotated); then O(n) per mask-compatible block-aligned
-    shift, and, when none is Consistent, one conflict-table entry (a few
-    operations on ``B``-bit masks per name) per block-aligned shift, already
-    filled where ``gamma`` ran.
+    offset class 0, rotated); then an O(n) mask comparison and O(B) C-level
+    steps per mask-compatible block-aligned shift, and, when none is Consistent,
+    one conflict-table entry (a few operations on ``B``-bit masks per name) per
+    block-aligned shift, already filled where ``gamma`` ran.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")

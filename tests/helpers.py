@@ -2,7 +2,7 @@
 
 from collections import Counter
 from functools import reduce
-from itertools import compress, product
+from itertools import compress, count, product
 from operator import or_
 from typing import Iterator, Optional
 
@@ -18,7 +18,18 @@ from toepcalc import (
     TowerError,
 )
 from toepcalc.codes import AlphabetMismatch, BlockCode
-from toepcalc.conjugacy import Contradicted, _candidates, _common_length, _margin, _Pair, _tiled, phase_separated
+from toepcalc.conjugacy import (
+    Consistent,
+    Contradicted,
+    GammaResult,
+    Undetermined,
+    _candidates,
+    _common_length,
+    _margin,
+    _Pair,
+    _tiled,
+    phase_separated,
+)
 from toepcalc.core import _BIT_DIGITS, BLANK
 from toepcalc.skeleton import period_status, skeleton_word
 from toepcalc.odometer import divides
@@ -219,3 +230,49 @@ def old_unknown_diagnostics(a: SkeletonTower, b: SkeletonTower, max_radius: int)
             )
         diagnostics.append(line)
     return tuple(diagnostics)
+
+
+# ``_Pair.blocks``, ``gamma`` and ``_shaped`` before ``gamma`` read the
+# shapes' block numbers and ``_shaped`` built name masks by translates,
+# verbatim; methods for a ``_Pair`` subclass.  ``gamma`` cuts both sides'
+# blocks once more and scans them in a Python loop; ``_shaped`` ORs each full
+# block's bit into its name's mask.
+def old_blocks(self, p: int, o: Optional[int] = None) -> list[str]:
+    """Consecutive ``p``-slices of the source, or of the target from offset ``o``."""
+    word, o = (self.src, 0) if o is None else (self.tgt2, o)
+    return [word[i : i + p] for i in range(o, o + self.n, p)]
+
+
+def old_gamma(self, p: int, k: int) -> GammaResult:
+    if self.contradicted(p, k):
+        return self.conflict(p, k)
+    n, o = self.n, k % self.n
+    smask, tmask = self.masks[0], self.masks[1][o : o + n]
+    if smask != tmask:
+        j = next(j for j, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
+        return Undetermined(f"blank masks differ at block {j}")
+    forward: dict[str, tuple[str, int]] = {}  # first target and index per source
+    backward: dict[str, tuple[str, int]] = {}
+    for j, (s, t) in enumerate(zip(self.blocks(p), self.blocks(p, o))):
+        if forward.setdefault(s, (t, j))[0] != t:
+            return Undetermined(f"partial blocks {j} and {forward[s][1]} break well-definedness")
+        if backward.setdefault(t, (s, j))[0] != s:
+            return Undetermined(f"partial blocks {j} and {backward[t][1]} break injectivity")
+    if "\0" in self.src and len(forward) > 1:  # one block pair is a witness
+        # per in-block offset, the distinct block pairs' symbols must pair off
+        for u, (xs, ys) in enumerate(zip(zip(*forward), zip(*(t for t, _ in forward.values())))):
+            if len(pairs := set(zip(xs, ys))) != len(set(xs)) or len(pairs) != len(set(ys)):
+                return Undetermined(f"no positionwise witness at offset {u}")
+    return Consistent(tuple((self.block(s), self.block(t)) for s, (t, _) in forward.items()))
+
+
+def old_shaped(self, *key) -> tuple:  # the one shape of a key (p, numbers, fullness)
+    if key not in self._shapes:
+        _, ids, full = key
+        at: dict[int, int] = {}
+        for i in compress(count(), full):
+            at[ids[i]] = at.get(ids[i], 0) | 1 << i
+        b, fullness = len(ids), sum(at.values())
+        names = {x: m | m << b for x, m in at.items() if m & (m - 1)}
+        self._shapes[key] = ids, fullness | fullness << b, names, {}, full
+    return self._shapes[key]

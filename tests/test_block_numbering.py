@@ -2,18 +2,20 @@
 encoding, kept in each class's shape, against the tuple-cut numbering it
 replaced; the shapes of ``_Pair.class_shapes``, derived down a set of stages,
 against the same cut; and the conflict located on the shape masks against the
-Counter search over that numbering."""
+Counter search over that numbering; and the name masks of ``_Pair._shaped``
+against the OR loop they replaced."""
 
 import random
 from collections import Counter
 from itertools import compress, count
-from operator import and_
+from operator import and_, itemgetter
 
-from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower
+from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower, reference_example, rotate_tower
+from toepcalc import conjugacy
 from toepcalc.conjugacy import _Pair, _tiled
 from toepcalc.skeleton import skeleton_word
 
-from helpers import _first_conflict
+from helpers import _first_conflict, old_shaped
 
 # multi-character tokens beside their characters: concatenating the tokens of
 # ("0", "1") and of ("01",) gives the same text, so an encoding that did so
@@ -201,3 +203,46 @@ def chain_tower(rng, periods, fill):
     deepest = word_tower(cells)
     levels = [(p, skeleton_word(deepest, p)[0]) for p in periods[:-1]]
     return SkeletonTower(ALPHABET, (*levels, (periods[-1], PartialCyclicWord(cells))))
+
+
+def shaped_key(p, labels, full_labels):
+    """A shape key of blocks named by ``labels``: first-index numbers and
+    each block's fullness, full iff its label is in ``full_labels``."""
+    return p, tuple(map({}.setdefault, labels, count())), tuple(x in full_labels for x in labels)
+
+
+def test_shaped_masks_match_the_or_loop(monkeypatch):
+    """All five fields of ``_shaped`` (numbers, doubled full-block mask,
+    names with their doubled masks in order, the empty table, fullness)
+    alike with the OR loop, on edge shapes and on every stage's source and
+    target shapes of ``reference_example(1..12)`` against a rotation; the
+    translates and the OR loop each run."""
+    translated = []
+    monkeypatch.setattr(conjugacy, "itemgetter", lambda *a: translated.append(len(a)) or itemgetter(*a))
+    rng = random.Random(20261020)
+    keys = [
+        shaped_key(1, "a", "a"),  # B = 1
+        shaped_key(1, "a", ""),
+        shaped_key(2, "a" * 64, ""),  # all blank
+        shaped_key(3, [rng.randrange(9) for _ in range(200)], ()),  # no full block
+        shaped_key(5, "a" * 4096, "a"),  # one name
+        shaped_key(5, "a" * 7, "a"),
+        shaped_key(4, "ab" + "c" * 300, "a"),  # a name of one full block; a name of partial blocks
+        shaped_key(4, [rng.choice("abcc") for _ in range(3000)], "ab"),
+        shaped_key(2, [rng.randrange(300) for _ in range(1200)], range(300)),  # > 255 names
+        shaped_key(2, [i % 256 for i in range(32768)], range(256)),
+        shaped_key(2, [i % 255 for i in range(32768)], range(255)),  # rank 255
+        shaped_key(2, [rng.randrange(40) if rng.random() < 0.5 else -i for i in range(5000)], range(40)),
+    ]
+    for k in range(1, 13):
+        g = reference_example(k)
+        pair = _Pair(g._text, rotate_tower(g, 7 * k)._text, g.alphabet)
+        for p in g.periods:
+            for c in (None, 0, p // 2):
+                shape = pair.shape(p, c)
+                keys.append((p, shape[0], shape[4]))
+    for key in keys:
+        new, ref = _Pair("", "", ALPHABET), _Pair("", "", ALPHABET)
+        got, want = new._shaped(*key), old_shaped(ref, *key)
+        assert got == want and list(got[2].items()) == list(want[2].items()), key[0]
+    assert 0 < len(translated) < len(keys), translated

@@ -1,19 +1,22 @@
 """Differential test: the conflict table per stage shape, read through
-``_Pair.contradicted``, against the per-shift bijection test it replaced; and
-the first conflict located on the shape masks by ``_Pair.conflict`` against
-the Counter search over per-class block numbers."""
+``_Pair.contradicted``, against the per-shift bijection test it replaced; the
+first conflict located on the shape masks by ``_Pair.conflict`` against the
+Counter search over per-class block numbers; and ``gamma`` and
+``dp_equivalent`` on the shapes' block numbers against the block scan."""
 
 import random
+import re
 from collections import Counter
-from itertools import compress, count
+from itertools import compress, count, product
 from operator import and_
 
-from toepcalc import Alphabet, rotate_tower
+from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower, rotate_tower
+from toepcalc import conjugacy
 from toepcalc.codes import apply_block_code
-from toepcalc.conjugacy import _Pair, _tiled
+from toepcalc.conjugacy import Part, _Pair, _tiled, dp_equivalent, with_common_depth
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
-from helpers import _first_conflict
+from helpers import _first_conflict, old_blocks, old_gamma, old_shaped
 
 REASONS = ("equal full blocks map to distinct full blocks", "distinct full blocks map to one full block")
 
@@ -22,7 +25,11 @@ class ReferencePair(_Pair):
     """``_Pair`` with the conflict test and locator it had before the shape
     masks: ``numbered`` and ``fully_filled`` verbatim, numbering each class
     and cutting the rotated lists of one shift; ``contradicted`` counting
-    distinct names, and ``conflict`` the Counter search over those lists."""
+    distinct names, and ``conflict`` the Counter search over those lists.
+    ``blocks``, ``gamma`` (the block scan) and ``_shaped`` (name masks by OR)
+    are as they were before ``gamma`` read the shapes' block numbers."""
+
+    blocks, gamma, _shaped = old_blocks, old_gamma, old_shaped
 
     def __init__(self, src, tgt, alphabet):
         super().__init__(src, tgt, alphabet)
@@ -151,3 +158,51 @@ def test_edge_words_conflict_like_the_per_shift_test():
         assert_same_conflicts(src, tgt, alphabet, seen, rng)
         assert_same_conflicts(tgt, src, alphabet, seen, rng)
     assert seen["contradicted"] and seen["bijective"] and all(seen[r] for r in REASONS), seen
+
+
+def test_gamma_and_dp_equivalent_match_the_block_scan(monkeypatch):
+    """``gamma`` at every stage ``p | n`` and shift, and ``dp_equivalent``
+    over all pairs of parts at each stage of the towers, read alike from the
+    shapes' block numbers and from the block scan: result type, reason,
+    positions and correspondence order.  The towers use multi-character
+    symbols and blanks, against a rotation, a code image or a tiled
+    shallower tower."""
+    rng = random.Random(20261020)
+    symbols = ("0", "1", "01", "10")
+    seen, kinds = Counter(), Counter()
+    for _ in range(80):
+        a = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4), fill=rng.choice((1.0, 0.7)))
+        kind = rng.choice(("rotation", "code image", "shallower", "redrawn"))
+        if kind == "rotation":
+            b = rotate_tower(a, rng.randrange(a.deepest_period))
+        elif kind == "redrawn":  # a word of 4 equal blocks with blanks in about a third of their cells,
+            # and the word with its symbols next to a blank redrawn at rate 1/2, so equal partial blocks differ
+            w = [rng.choice(symbols[:2]) if rng.random() < 2 / 3 else None for _ in range(rng.choice((2, 3)))] * 4
+            near = [None in (w[i - 1], w[(i + 1) % len(w)]) and rng.random() < 0.5 for i in range(len(w))]
+            redrawn = [c and (rng.choice(symbols) if x else c) for c, x in zip(w, near)]
+            a, b = (SkeletonTower(a.alphabet, ((len(w), PartialCyclicWord(tuple(x))),)) for x in (w, redrawn))
+        elif kind == "code image":
+            b = apply_block_code(a, random_block_code(rng, a.alphabet, 1))
+        else:
+            period = rng.choice(divisors(a.deepest_period))
+            b = random_tower(rng, symbols, depth=1, base_periods=(period,), fill=rng.choice((1.0, 0.7)))
+        if rng.random() < 0.5:
+            a, b = b, a
+        kinds[kind] += 1
+        n = max(a.deepest_period, b.deepest_period)
+        pair, ref = (cls(_tiled(a, n), _tiled(b, n), a.alphabet) for cls in (_Pair, ReferencePair))
+        for p in divisors(n):
+            for k in range(n):
+                g = pair.gamma(p, k)
+                assert g == ref.gamma(p, k), (p, k)
+                seen[re.sub(r"\d+", "#", getattr(g, "reason", "consistent"))] += 1
+        a, b = with_common_depth(a, b)
+        for p in sorted(set(a.periods) | set(b.periods)):
+            parts = [Part(t, p, r) for t in (a, b) for r in range(p)]
+            got = [dp_equivalent(w, z) for w, z in product(parts, repeat=2)]
+            with monkeypatch.context() as m:
+                m.setattr(conjugacy, "_Pair", ReferencePair)
+                assert got == [dp_equivalent(w, z) for w, z in product(parts, repeat=2)], p
+            seen.update(r.kind.value for r in got)
+    assert min(kinds.values()) >= 10, kinds
+    assert min(seen.values()) >= 10 and len(seen) == 10, seen

@@ -39,6 +39,7 @@ from toepcalc import (
     with_common_depth,
 )
 from toepcalc.codes import PeriodMismatch
+from toepcalc.conjugacy import _Pair
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
 from helpers import BINARY, tower
 
@@ -332,6 +333,18 @@ def test_encoding_cache_is_invisible(monkeypatch):
     assert efin_equal(s, t[:4], 5) is EfinResult.UNDETERMINED
     assert len(calls) == 10 and len({frozenset(c) for c in calls}) == 10
     assert all(x.base is a for c in calls for x in c)
+
+
+def test_certified_verdict_cuts_each_shape_once(monkeypatch):
+    """The certificate path cuts blocks only into the shapes ``gamma`` reads:
+    one cut for the source and one for the certifying target class."""
+    cuts = []
+    cut = _Pair.blocks
+    monkeypatch.setattr(_Pair, "blocks", lambda self, *a: cuts.append(a) or cut(self, *a))
+    g = reference_example(12)
+    v = conjugacy_verdict(g, rotate_tower(g, 1234), 3)
+    assert isinstance(v, ConjugateCertified), v
+    assert sorted(cuts, key=str) == [(v.stage, v.shift % v.stage), (v.stage, None)]  # 4 with a block scan
 
 
 # --- invariant_compare -------------------------------------------------------
