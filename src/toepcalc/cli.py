@@ -109,10 +109,10 @@ def build_parser() -> _Parser:
 
 
 def _parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
-    """``parse`` applied to the UTF-8 text of the file; an error in decoding
-    or parsing it is raised as a ParseError that names the file."""
+    """``parse`` applied to the UTF-8 text of the file, less a byte-order mark; an
+    error in decoding or parsing it is raised as a ParseError that names the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, ParseError, TowerError, CodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -91,8 +91,8 @@ class _Pair:
     target at each offset class ``c`` mod ``p``; shift ``k`` sees class ``k mod p``
     rotated by ``j = (k mod n) // p`` blocks.  Each class is cut once per stage into
     its shape (block numbers, each its block's first index, and fullness), shared by
-    classes of one shape: its ``B = n/p``-bit masks decide and locate conflicts, its
-    table holds each rotation's verdict, and ``gamma`` reads its numbers."""
+    classes of one shape: its ``B = n/p``-bit masks decide conflicts (and locate one
+    for ``gamma_map``), its table holds rotations' verdicts, ``gamma`` reads its numbers."""
 
     def __init__(self, src: str, tgt: str, alphabet: Alphabet):
         self.n = len(src)
@@ -184,17 +184,12 @@ class _Pair:
             return list(map(self._tables[p].__getitem__, classes))
         return list(map(self.shape, repeat(p), classes))
 
-    def contradicted(self, p: int, k: int) -> bool:
-        """Whether the names of the blocks full on both sides fail to pair off,
-        that is, the names covering two or more of them cover unequal block sets
-        on the two sides (one-block names cover the rest): a source name differs
-        from the target name at its first block, or the target has more."""
-        j, c = divmod(k % self.n, p)
-        return next(self.rotations_contradicted(p, self.shape(p, c), j))
-
     def rotations_contradicted(self, p: int, target: tuple, start: int = 0) -> Iterator[bool]:
-        """``contradicted`` of the shifts ``c + j·p`` for ``j`` from ``start``
-        to ``n/p - 1``, where ``target`` is the shape of offset class ``c``."""
+        """Per shift ``c + j·p`` (``j`` from ``start`` to ``n/p - 1``, ``target`` the
+        shape of offset class ``c``): whether the names of the blocks full on both
+        sides fail to pair off, that is, the names covering two or more of them cover
+        unequal block sets on the two sides (one-block names cover the rest): a source
+        name differs from the target name at its first block, or the target has more."""
         (_, sfull, snames, *_), (tids, tfull, tnames, table, _) = self.shape(p), target
         b = len(tids)
         for j in range(start, b):
@@ -236,11 +231,11 @@ class _Pair:
                 return Contradicted("distinct full blocks map to one full block", (i1, i2))
         raise AssertionError("no conflict among the fully filled blocks")
 
-    def gamma(self, p: int, k: int) -> GammaResult:
+    def gamma(self, p: int, k: int) -> Optional[GammaResult]:  # None where contradicted: see gamma_map
         n, o = self.n, k % self.n
         (j, c), sids = divmod(o, p), self.shape(p)[0]  # a block's number is its first index
-        if next(self.rotations_contradicted(p, target := self.shape(p, c), j)):  # as self.contradicted(p, k)
-            return self.conflict(p, k)
+        if next(self.rotations_contradicted(p, target := self.shape(p, c), j)):
+            return None
         smask, tmask = self.masks[0], self.masks[1][o : o + n]
         if smask != tmask:
             b = next(b for b, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
@@ -278,16 +273,17 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     Cost: O(n) for the common length ``n``: the source and the target's offset
     class ``k mod p`` are cut from the towers' cached encodings once, into the
     shapes the rest reads.  The conflict test takes a few operations on ``n/p``-bit
-    masks per name of two or more full blocks, its location a few per block full
-    on both sides up to it; the map O(n/p) C-level steps on the block numbers, and
-    the ``D`` distinct block pairs are sliced for it and the witness: O(D·p).
+    masks per name of two or more full blocks, its location (found here alone, as
+    verdicts keep only a Consistent) a few per block full on both sides up to it;
+    the map O(n/p) C-level steps on the block numbers, and the ``D`` distinct
+    block pairs are sliced for it and the witness: O(D·p).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
     n = _common_length(a, b)
     if p < 1 or n % p:
         raise IncompatiblePeriods(f"stage {p} does not divide the common period {n}")
-    return _Pair(_tiled(a, n), _tiled(b, n), a.alphabet).gamma(p, k)
+    return (pair := _Pair(_tiled(a, n), _tiled(b, n), a.alphabet)).gamma(p, k) or pair.conflict(p, k)
 
 
 class Verdict:

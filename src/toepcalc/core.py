@@ -177,6 +177,8 @@ class SkeletonTower:
     # phase_separated's answers by ("separated", stage); the tower is immutable, so
     # each entry is built once and stays valid for its lifetime
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _text, the deepest word one code point per cell by Alphabet._code, and _planes, its filled mask
+    # then its _bit_planes (a blank has code 0, so the first is their union): only validate_tower sets them
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))
@@ -199,16 +201,8 @@ class SkeletonTower:
 
     _hash = cached_property(lambda self: hash((self.alphabet, self.levels, self.declared_scale)))
 
-    @cached_property
-    def _text(self) -> str:
-        """The deepest word, one code point per cell by ``Alphabet._code``; ``validate_tower`` sets it."""
-        return "".join(itemgetter(*self.deepest_word.cells)(self.alphabet._code))
-
-    @cached_property
-    def _planes(self) -> tuple[int, ...]:
-        """The filled mask, then ``_bit_planes`` of ``_text``: a blank has code 0, so it is their union."""
-        planes = _bit_planes(self._text, len(self.alphabet.symbols).bit_length())
-        return (reduce(or_, planes), *planes)
+    def __reduce__(self):  # rebuilt on load: the hash is this process's, and validate_tower sets the caches
+        return SkeletonTower, (self.alphabet, self.levels, self.declared_scale)
 
 
 def _bit_planes(text: str, bits: int) -> list[int]:

@@ -66,6 +66,12 @@ def per_residues(cells: tuple[str, ...], p: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def shift_contradicted(pair: _Pair, p: int, k: int) -> bool:
+    """``rotations_contradicted`` of the one shift ``k`` at stage ``p``."""
+    j, c = divmod(k % pair.n, p)
+    return next(pair.rotations_contradicted(p, pair.shape(p, c), j))
+
+
 # The conflict locator of ``_Pair`` before it searched the shape masks,
 # verbatim: a Counter search over the lists ``fully_filled`` cuts per shift.
 def _first_conflict(src: list[int], tgt: list[int], index: list[int]) -> Contradicted:

@@ -15,7 +15,7 @@ from toepcalc import conjugacy
 from toepcalc.conjugacy import _Pair, _tiled
 from toepcalc.skeleton import skeleton_word
 
-from helpers import _first_conflict, old_shaped
+from helpers import _first_conflict, old_shaped, shift_contradicted
 
 # multi-character tokens beside their characters: concatenating the tokens of
 # ("0", "1") and of ("01",) gives the same text, so an encoding that did so
@@ -144,7 +144,7 @@ def assert_same_numbering(a, b, stage_sets=()):
             assert list(map(pair.block, pair.blocks(p, c))) == ref.blocks(p, c), (p, c)
         for k in range(n):
             contradicted = ref.contradicted(p, k)
-            assert pair.contradicted(p, k) == contradicted, (p, k)
+            assert shift_contradicted(pair, p, k) == contradicted, (p, k)
             if contradicted:
                 assert pair.conflict(p, k) == ref.conflict(p, k), (p, k)
     return derived

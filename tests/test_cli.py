@@ -471,6 +471,24 @@ def test_read_errors_name_the_file(tmp_path):
     assert code == 3 and text.startswith("error:") and "bad.code" in text
 
 
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path):
+    f = gen_file(tmp_path, 2)
+    swap = "len = 0\n0 -> 1\n1 -> 0\n"
+    code_file = write(tmp_path / "swap.code", swap)
+    bom_tower, bom_code = tmp_path / "bom.tw", tmp_path / "bom.code"
+    bom_tower.write_bytes(b"\xef\xbb\xbf" + Path(f).read_bytes())
+    bom_code.write_bytes(b"\xef\xbb\xbf" + swap.encode("utf-8"))
+    for argv in (["validate", "{}"], ["analyze", "{}"], ["compare", "{}", f]):
+        assert run_command([a.format(bom_tower) for a in argv]) == run_command([a.format(f) for a in argv]), argv
+    outputs = []
+    for tw, code in ((f, code_file), (bom_tower, code_file), (f, bom_code), (bom_tower, bom_code)):
+        out = tmp_path / f"out{len(outputs)}.tw"
+        status, _ = run_command(["apply-code", str(tw), "--code", str(code), "-o", str(out)])
+        assert status == 0, (tw, code)
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert len(set(outputs)) == 1 and not outputs[0].startswith("\ufeff")
+
+
 def test_module_runs_the_readme_example(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(toepcalc.__file__).parents[1])}
 

@@ -312,12 +312,8 @@ def test_efin_refuted_and_equal_cases():
 
 def test_encoding_cache_is_invisible(monkeypatch):
     a, b = reference_example(2), reference_example(2)
-    for t in (a, b):  # cold: without the encoding that validation leaves
-        del vars(t)["_text"], vars(t)["_planes"]
     cold_repr, cold_hash = repr(a), hash(a)
-    assert "_text" not in vars(a)
     assert isinstance(conjugacy_verdict(a, rotate_tower(a, 7), 2), ConjugateCertified)
-    assert "_text" in vars(a) and "_text" not in vars(b)  # a warm, b cold
     assert a == b and hash(a) == hash(b) == cold_hash
     assert repr(a) == repr(b) == cold_repr
     assert {a, b} == {b}
@@ -345,6 +341,37 @@ def test_certified_verdict_cuts_each_shape_once(monkeypatch):
     v = conjugacy_verdict(g, rotate_tower(g, 1234), 3)
     assert isinstance(v, ConjugateCertified), v
     assert sorted(cuts, key=str) == [(v.stage, v.shift % v.stage), (v.stage, None)]  # 4 with a block scan
+
+
+def test_conflicts_are_located_only_for_gamma_map(monkeypatch):
+    """Only ``gamma_map`` reports where a conflict is, so only it calls
+    ``_Pair.conflict``: never over the verdicts of all pairs of the 62
+    complete binary words of length 1-5, nor over ``dp_equivalent`` of all
+    pairs of parts of ``reference_example(4)`` at stages 5 and 10 and of a
+    complete word at stage 2 (some mask-compatible shifts contradicted there),
+    and once per Contradicted ``gamma_map`` over every stage and shift of a pair."""
+    calls = []
+    locate = _Pair.conflict
+    monkeypatch.setattr(_Pair, "conflict", lambda self, p, k: calls.append((p, k)) or locate(self, p, k))
+    words = [tower("".join(bits)) for n in range(1, 6) for bits in product("01", repeat=n)]
+    verdicts = [conjugacy_verdict(v, w, 2) for v in words for w in words]
+    assert len(verdicts) == 3844 and any(isinstance(v, RefutedUpTo) for v in verdicts)
+    assert calls == []
+    for g, p in ((reference_example(4), 5), (reference_example(4), 10), (tower("00010111"), 2)):
+        parts = [Part(g, p, k) for k in range(p)]
+        kinds = {dp_equivalent(w, z).kind for w, z in product(parts, repeat=2)}
+        assert DpKind.REFUTED in kinds and DpKind.CONSISTENT_WITNESS in kinds, p
+    assert calls == []
+    a = reference_example(2)
+    b = rotate_tower(a, 7)
+    kinds = set()
+    for p in (1, 2, 4, 5, 10, 20):
+        for k in range(20):
+            before = len(calls)
+            r = gamma_map(a, b, p, k)
+            assert len(calls) - before == isinstance(r, Contradicted), (p, k)
+            kinds.add(type(r))
+    assert kinds == {Consistent, Contradicted, Undetermined}
 
 
 # --- invariant_compare -------------------------------------------------------

@@ -28,7 +28,7 @@ from toepcalc.odometer import supernatural_equal
 from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
 from toepcalc.skeleton import ResidueStatusSet
 
-from helpers import BINARY, old_unknown_diagnostics
+from helpers import BINARY, old_unknown_diagnostics, shift_contradicted
 
 
 def reference_verdict(a, b, max_radius):
@@ -81,7 +81,7 @@ def reference_verdict(a, b, max_radius):
             ):
                 continue
             ks = candidates(period_status(b, p), m_prime)
-            if all(pair.contradicted(p, k) for k in ks):
+            if all(shift_contradicted(pair, p, k) for k in ks):
                 refuting.append(p)
         if refuting:
             return RefutedUpTo(m_prime, tuple(refuting))
@@ -95,7 +95,7 @@ def reference_verdict(a, b, max_radius):
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
         if t >= 0:
             ks = candidates(period_status(b, p), t)
-            contradicted = sum(pair.contradicted(p, k) for k in ks)
+            contradicted = sum(shift_contradicted(pair, p, k) for k in ks)
             line += (
                 f"; {len(ks)} candidate shifts at radius {t}:"
                 f" {contradicted} contradicted, {len(ks) - contradicted} not"

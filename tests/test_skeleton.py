@@ -7,12 +7,18 @@ they certify Out by fiat and are not re-checked against fillings).
 """
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toepcalc
 from toepcalc import (
     EssentialOutcome,
     EssentialStatus,
@@ -85,14 +91,11 @@ def test_non_divisor_rejected():
 
 def test_status_table_cache_is_invisible(monkeypatch):
     a, b = reference_example(2), reference_example(2)
-    for t in (a, b):  # cold: without the encoding that validation leaves
-        del vars(t)["_text"], vars(t)["_planes"]
     with pytest.raises(NonDivisorError):
         periodic_part(a, 3)  # cold
     first = periodic_part(a, 10)
     separated = {p: phase_separated(a, p) for p in (3, 5, 10, 20)}  # 3 divides no period: not separated
     assert separated == {3: False, 5: True, 10: False, 20: True}
-    assert "_planes" in vars(a) and "_planes" not in vars(b)  # the bit planes are cached on a alone
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     monkeypatch.setattr("toepcalc.conjugacy._separated", lambda rss, p: pytest.fail("recomputed"))
     assert {p: phase_separated(a, p) for p in separated} == separated  # kept on a
@@ -112,8 +115,7 @@ def test_status_table_cache_is_invisible(monkeypatch):
 def test_hash_is_the_field_hash_kept_per_tower():
     t = reference_example(3)
     fields = hash((t.alphabet, t.levels, t.declared_scale))  # the dataclass hash
-    del vars(t)["_text"], vars(t)["_planes"]
-    assert "_hash" not in vars(t) and hash(t) == fields  # caches empty
+    assert "_hash" not in vars(t) and hash(t) == fields  # hash and status caches empty
     for p in (5, 10, 20):
         periodic_part(t, p), phase_separated(t, p)
     assert set(vars(t)) >= {"_text", "_planes", "_hash"} and t._status
@@ -121,6 +123,26 @@ def test_hash_is_the_field_hash_kept_per_tower():
     assert hash(Part(t, 5, 1)) == hash((t, 5, 1))
     vars(t)["_hash"] = 7  # read from the cache, not recomputed
     assert hash(t) == 7 and hash(Part(t, 5, 1)) == hash((t, 5, 1)) != hash(Part(reference_example(3), 5, 1))
+
+
+def test_unpickled_tower_is_rebuilt_under_this_hash_seed():
+    """A tower pickled, with its hash and caches full, by a process with
+    another hash seed loads as a fresh tower: equal, of equal hash, one in a
+    set, and so are its parts."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(toepcalc.__file__).parents[1])}
+    script = (
+        "import pickle, sys; from toepcalc import Part, periodic_part, reference_example; t = reference_example(3); "
+        "periodic_part(t, 10); sys.stdout.buffer.write(pickle.dumps((t, Part(t, 5, 1), {t}, hash(t))))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
+    u, part, family, their_hash = pickle.loads(out)
+    t = reference_example(3)
+    assert not u._status and u._text == t._text and u._planes == t._planes  # every cache rebuilt on load
+    assert their_hash != hash(t)  # the other seed's hash
+    assert u == t and hash(u) == hash(t) and repr(u) == repr(t) and len({t, u}) == 1
+    assert part == Part(t, 5, 1) and hash(part) == hash(Part(t, 5, 1)) and len({part, Part(t, 5, 1)}) == 1
+    assert family == {t} and t in family
 
 
 def test_period_status_reduces_by_gcd():

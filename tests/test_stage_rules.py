@@ -48,7 +48,7 @@ from toepcalc.codes import AlphabetMismatch
 from toepcalc.conjugacy import Consistent, _Pair
 from toepcalc.odometer import INF, OdometerError, prime_index, supernatural_equal
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
-from helpers import tower
+from helpers import shift_contradicted, tower
 
 
 def reference_periodic_part(tower, p):
@@ -458,7 +458,7 @@ def reference_dp_equivalent(w, z):
     pair = _Pair(*(x.base._text[x.k :] + x.base._text[: x.k] for x in (w, z)), w.base.alphabet)
     all_contradicted = True
     for j in range(w.base.deepest_period // w.p):
-        if not pair.contradicted(w.p, j * w.p):  # gamma is not Contradicted there
+        if not shift_contradicted(pair, w.p, j * w.p):  # gamma is not Contradicted there
             g = pair.gamma(w.p, j * w.p)
             if isinstance(g, Consistent):
                 return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, j)
