@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, compress, count, islice, product, repeat
+from itertools import compress, count, islice, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -606,55 +606,44 @@ class EfinResult(Enum):
 def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
     """Compare the two finite families of equivalence classes.
 
-    Witness edges are closed under union-find; if every resulting class meets
-    both sides, equality is certified no matter what the undetermined edges
-    do (they could only merge classes, which preserves the property).  A part
-    whose comparisons against the entire other side are all Refuted certifies
+    Equality is certified iff every part lies on both sides or has a
+    Consistent ``dp_equivalent`` witness on the other side.  Witnesses
+    compose: if ``dp_equivalent(w, z)`` is Consistent at block rotation ``j1``
+    (block-type map ``f``) and ``dp_equivalent(w, y)`` at ``j2`` (map ``g``),
+    then at the block-aligned shift ``(j2 - j1)·p`` the blank masks of ``z``
+    and ``y`` match; ``g∘f⁻¹`` is well-defined and injective, since ``f`` and
+    ``g`` are bijections on the block types they pair; the per-offset symbol
+    relations compose to partial bijections; and no full-block conflict
+    exists.  ``dp_equivalent(z, y)`` scans every mask-compatible block-aligned
+    shift, so it finds a Consistent one; with symmetry, witnesses form an
+    equivalence relation, and the rule certifies exactly when every class
+    they generate meets both sides.  A part without a witness whose
+    comparisons against the entire other side are all Refuted certifies
     inequality.  Empty versus empty is equal; empty versus nonempty refuted.
 
-    Cost: at most one ``dp_equivalent`` per pair of distinct parts (all of
-    them when Undetermined), each run when first needed: pairs across the
-    sides, then on one side, skipping pairs in one class, until equality is
-    certain; then Refuted, stopping per part at its first pair not Refuted.
+    Cost: at most one ``dp_equivalent`` per pair across the sides, each run
+    when first needed and only while one of its parts has no witness, until
+    every part has one; the Refuted rule reads only the pairs run.
     """
     s_list = list(dict.fromkeys(s))
-    t_list = list(dict.fromkeys(t))
+    same = dict(zip(s_list, s_list))
+    t_list = [same.get(y, y) for y in dict.fromkeys(t)]  # a part on both sides as s gives it
     for part in (*s_list, *t_list):
         if part.p != p:
             raise PeriodMismatch(f"part at period {part.p} in a comparison at {p}")
-    index = {e: i for i, e in enumerate(dict.fromkeys((*s_list, *t_list)))}
-    parts, parent = list(index), list(range(len(index)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    kinds: dict[tuple[int, int], DpKind] = {}  # keyed in index order
-
-    def kind(i: int, j: int) -> Optional[DpKind]:  # a part has none against itself
-        i, j = sorted((i, j))
-        if i != j and (i, j) not in kinds:
-            kinds[i, j] = dp_equivalent(parts[i], parts[j]).kind
-        return kinds.get((i, j))
-
-    s_index, t_index = ([index[e] for e in side] for side in (s_list, t_list))
-
-    def certified() -> bool:
-        return {find(i) for i in s_index} == {find(j) for j in t_index}
-
-    if certified():
+    bare = set(s_list).symmetric_difference(t_list)  # the parts without a witness yet
+    kinds: dict[tuple[Part, Part], DpKind] = {}
+    for x, y in product(s_list, t_list):
+        if not bare:
+            break
+        if not bare.isdisjoint((x, y)):
+            kinds[x, y] = dp_equivalent(x, y).kind
+            if kinds[x, y] is DpKind.CONSISTENT_WITNESS:
+                bare -= {x, y}
+    if not bare:
         return EfinResult.CERTIFIED_EQUAL
-    for i, j in chain(product(s_index, t_index), combinations(s_index, 2), combinations(t_index, 2)):
-        if find(i) != find(j) and kind(i, j) is DpKind.CONSISTENT_WITNESS:
-            parent[find(i)] = find(j)
-            if certified():
-                return EfinResult.CERTIFIED_EQUAL
-    for side, other in ((s_index, t_index), (t_index, s_index)):
-        if any(all(kind(i, j) is DpKind.REFUTED for j in other) for i in side):
-            return EfinResult.REFUTED
-    return EfinResult.UNDETERMINED
+    spared = {u for pair, kind in kinds.items() if kind is not DpKind.REFUTED for u in pair}
+    return EfinResult.REFUTED if bare - spared else EfinResult.UNDETERMINED  # a bare part's pairs all ran
 
 
 def with_common_depth(a: SkeletonTower, b: SkeletonTower) -> tuple[SkeletonTower, SkeletonTower]:

@@ -324,11 +324,32 @@ def test_encoding_cache_is_invisible(monkeypatch):
     t = [Part(b, 5, k) for k in range(5)]
     assert efin_equal(s, t, 5) is EfinResult.CERTIFIED_EQUAL
     assert calls == []  # each of a's parts deduplicated with b's: one family, equal before any comparison
-    # with a's part 4 on one side only, no witness joins any two parts here,
-    # so the 5 distinct parts are compared pairwise, b's parts read as a's
+    # with a's part 4 on one side only, it alone lacks a witness: it is compared
+    # with each of the four shared parts once, and none is a witness; b's parts read as a's
     assert efin_equal(s, t[:4], 5) is EfinResult.UNDETERMINED
-    assert len(calls) == 10 and len({frozenset(c) for c in calls}) == 10
+    assert len(calls) == 4 and len({frozenset(c) for c in calls}) == 4
     assert all(x.base is a for c in calls for x in c)
+
+
+def test_efin_compares_only_across_the_sides(monkeypatch):
+    """The tower with a hole at every 4th cell (N = 512) against a copy with
+    cell 1 blanked: stage 512 has 128 chi parts against 129, so at most the
+    128 × 129 cross pairs are compared (24895 calls when same-side pairs ran)."""
+    rng = random.Random(5)
+    cells = ["_" if x % 4 == 3 else rng.choice("01") for x in range(512)]
+    a = tower("".join(cells), scale="2^inf")
+    cells[1] = "_"
+    b = tower("".join(cells), scale="2^inf")
+    calls = []
+    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", lambda w, z: calls.append(1) or dp_equivalent(w, z))
+    rows = [(r.period, r.evaluated, r.result, r.detail) for r in invariant_compare(a, b, 12).stages]
+    assert rows == [
+        (2, True, EfinResult.CERTIFIED_EQUAL, "0 vs 0 parts"),
+        *((2**i, True, EfinResult.UNDETERMINED, "incomplete chi stage") for i in range(2, 9)),
+        (512, True, EfinResult.UNDETERMINED, "128 vs 129 parts"),
+        *((2**i, False, None, "stage does not divide the deepest periods") for i in range(10, 13)),
+    ]
+    assert len(calls) <= 128 * 129
 
 
 def test_certified_verdict_cuts_each_shape_once(monkeypatch):

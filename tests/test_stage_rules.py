@@ -315,10 +315,20 @@ def test_efin_matches_sorted_pair_rule():
 
 
 def test_efin_matches_sorted_pair_rule_on_any_kinds(monkeypatch):
-    # A witness composes with a witness, so for towers an edge on one side is
-    # never needed once the cross edges are in, and a certified family is
-    # never refuted.  efin_equal must not rest on that: a stand-in
-    # dp_equivalent reads each pair's kind from a random table.
+    # efin_equal certifies iff every part lies on both sides or has a witness
+    # on the other side; the reference iff every class that witnesses join
+    # meets both sides.  They agree because witnesses compose: if
+    # dp_equivalent(w, z) is Consistent at block rotation j1 and
+    # dp_equivalent(w, y) at j2, then at the block-aligned shift (j2 - j1)·p
+    # the blank masks of z and y match; the block-type map g∘f⁻¹ is
+    # well-defined and injective, since f and g are bijections on the block
+    # types they pair; the per-offset symbol relations compose to partial
+    # bijections; and no full-block conflict exists.  dp_equivalent(z, y)
+    # scans every mask-compatible block-aligned shift, so it finds a
+    # Consistent one; with symmetry, witnesses form an equivalence relation
+    # (test_dp_witnesses_compose checks both on towers).  So a stand-in
+    # dp_equivalent reads each pair's kind from a random partition: a witness
+    # iff both parts lie in one class, else Refuted or Undetermined at random.
     table: dict[frozenset, DpKind] = {}
 
     def stand_in(w, z):
@@ -326,26 +336,47 @@ def test_efin_matches_sorted_pair_rule_on_any_kinds(monkeypatch):
 
     monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", stand_in)
     monkeypatch.setitem(globals(), "dp_equivalent", stand_in)  # the reference's
-    t0 = tower("01_0_1")
-    x1, x2, y = (Part(t0, 3, k) for k in range(3))
-    table.update({frozenset((x1, x2)): DpKind.CONSISTENT_WITNESS, frozenset((x1, y)): DpKind.CONSISTENT_WITNESS})
-    table[frozenset((x2, y))] = DpKind.REFUTED  # certified only through x1 ~ x2, on one side
-    assert efin_equal([x1, x2], [y], 3) is reference_efin_equal([x1, x2], [y], 3) is EfinResult.CERTIFIED_EQUAL
-    assert efin_equal([y], [x1, x2], 3) is EfinResult.CERTIFIED_EQUAL
-
     rng = random.Random(53)
-    pool = [Part(t0, 6, k) for k in range(6)]
+    pool = [Part(tower("01_0_1"), 6, k) for k in range(6)]
     seen = set()
     for _ in range(3000):
-        weights = rng.choice(((1, 1, 1), (1, 3, 1), (3, 1, 1)))
+        classes = rng.randint(1, 6)
+        label = {x: rng.randrange(classes) for x in pool}
+        weights = rng.choice(((1, 1), (3, 1), (1, 3)))
         for x, z in combinations(pool, 2):
-            table[frozenset((x, z))] = rng.choices(list(DpKind), weights)[0]
+            apart = rng.choices((DpKind.REFUTED, DpKind.UNDETERMINED), weights)[0]
+            table[frozenset((x, z))] = DpKind.CONSISTENT_WITNESS if label[x] == label[z] else apart
         s = rng.sample(pool, rng.randint(1, 4))
         t = rng.sample(pool, rng.randint(1, 4))
         want = reference_efin_equal(s, t, 6)
         assert efin_equal(s, t, 6) is want, (s, t, table)
         seen.add(want)
-    assert seen == set(EfinResult)
+        if want is EfinResult.CERTIFIED_EQUAL and any(sum(label[x] == label[y] for y in s) > 1 for x in t):
+            seen.add("certified with a class of two parts on one side")
+    assert seen == {*EfinResult, "certified with a class of two parts on one side"}
+
+
+def test_dp_witnesses_compose():
+    """The property efin_equal's cross rule rests on, over parts of towers with
+    blanks, their rotations and rotated positionwise images: every pair has one
+    kind in both orders, and two witnesses of one part witness each other."""
+    rng = random.Random(58)
+    seen = set()
+    for _ in range(120):
+        _, pool = part_pool(rng)
+        kinds = {(w, z): dp_equivalent(w, z).kind for w in pool for z in pool}
+        for (w, z), kind in kinds.items():
+            assert kind is kinds[z, w], (w, z)
+            seen.add(kind)
+        for w in pool:
+            witnesses = [z for z in pool if kinds[w, z] is DpKind.CONSISTENT_WITNESS]
+            for z, y in combinations(witnesses, 2):
+                assert kinds[z, y] is DpKind.CONSISTENT_WITNESS, (w, z, y)
+                if len({w.base, z.base, y.base}) == 3:
+                    seen.add("three towers")
+                    if any(x.base.deepest_word.blank_positions() for x in (w, z, y)):
+                        seen.add("three towers with blanks")
+    assert seen == {*DpKind, "three towers", "three towers with blanks"}
 
 
 def test_efin_shared_part_is_never_refuted_against_itself():
