@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress, count, islice, product, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import AlphabetMismatch, PeriodMismatch
@@ -98,25 +98,28 @@ class _Pair:
         self.n = len(src)
         self.src = src
         self.tgt2 = tgt + tgt
-        self.cells = (None, *alphabet)  # the cell of each code point
+        self.decode = alphabet._decode  # the cell of each code point
         self._shapes: dict[tuple, tuple] = {}  # (p, numbers, fullness)
         self._shape_of: dict[tuple[int, Optional[int]], tuple] = {}  # (p, class)
         self._tables: dict[int, list[tuple]] = {}  # p: the target's derived shape per class
 
     @cached_property
     def masks(self) -> tuple[str, str]:
-        return tuple(w.translate("1".ljust(len(self.cells), "0")) for w in (self.src, self.tgt2))  # blank: 1
+        return tuple(w.translate("1".ljust(len(self.decode), "0")) for w in (self.src, self.tgt2))  # blank: 1
 
     @cached_property
     def mask_shifts(self) -> range:
-        """Shifts in ``[0, n)`` with matching blank masks: the first match in
-        the doubled target mask (``str.find``, quadratic in CPython on some
-        mostly-``0`` masks of ``n`` in the low thousands), stepped by the mask's
-        least rotation period: the least divisor of ``n`` where it recurs, O(n) each."""
+        """Shifts in ``[0, n)`` with matching blank masks, none unless the blanks
+        are equally many: the first by ``str.find`` of the source mask, rotated to
+        end with its rarer character so a match is tried only where that is, in the
+        doubled target mask, then every least rotation period (the least divisor of
+        ``n`` where it recurs).  O(n) C-level steps per match or period tried."""
         smask, tmask2 = self.masks
-        if (first := tmask2.find(smask)) < 0:
+        r = smask.find("1" if 2 * (blanks := smask.count("1")) <= self.n else "0") + 1  # 0 if the mask is constant
+        if 2 * blanks != tmask2.count("1") or (q := tmask2.find(smask[r:] + smask[:r])) < 0:
             return range(0)
-        return range(first, self.n, next(d for d in _divisors(self.n) if tmask2.startswith(tmask2[: self.n], d)))
+        d = next(d for d in _divisors(self.n) if tmask2.startswith(tmask2[: self.n], d))
+        return range((q - r) % d, self.n, d)
 
     def blocks(self, p: int, o: Optional[int] = None) -> list[str]:
         """Consecutive ``p``-slices of the source, or of the target from offset ``o``."""
@@ -250,14 +253,14 @@ class _Pair:
                     return Undetermined(f"partial blocks {i} and {backward[y][1]} break injectivity")
         ss, ts = zip(*((self.src[x * p : x * p + p], self.tgt2[c + y * p : c + y * p + p]) for x, y in pairs))
         if "\0" in self.src and len(pairs) > 1:  # one block pair is a witness
-            # per in-block offset, the distinct block pairs' symbols must pair off
-            for u, (xs, ys) in enumerate(zip(zip(*ss), zip(*ts))):
+            # per distinct in-block column of the distinct block pairs, named by its first offset: symbols pair off
+            for xs, ys in dict.fromkeys(cols := list(zip(zip(*ss), zip(*ts)))):
                 if len(both := set(zip(xs, ys))) != len(set(xs)) or len(both) != len(set(ys)):
-                    return Undetermined(f"no positionwise witness at offset {u}")
+                    return Undetermined(f"no positionwise witness at offset {cols.index((xs, ys))}")
         return Consistent(tuple(zip(map(self.block, ss), map(self.block, ts))))
 
     def block(self, text: str) -> Block:
-        return tuple(map(self.cells.__getitem__, map(ord, text)))
+        return tuple(map(self.decode.__getitem__, text))
 
 
 def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult:
@@ -275,8 +278,9 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     shapes the rest reads.  The conflict test takes a few operations on ``n/p``-bit
     masks per name of two or more full blocks, its location (found here alone, as
     verdicts keep only a Consistent) a few per block full on both sides up to it;
-    the map O(n/p) C-level steps on the block numbers, and the ``D`` distinct
-    block pairs are sliced for it and the witness: O(D·p).
+    the map O(n/p) C-level steps on the block numbers, and the ``D`` distinct block
+    pairs' slices and columns O(D·p), with a Python step per distinct column for
+    the witness and one ``map`` over ``Alphabet._decode`` per block decoded.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -547,10 +551,14 @@ def chi_stage(tower: SkeletonTower, p: int) -> ChiStage:
     iff it is In, and each span of certified length ``j`` starting at ``k``
     contributes the part at ``(k + j//2) mod p``.  The stage is complete iff
     no residue is Unknown: an Unknown residue lies in an uncertified span or,
-    with no hole at all, leaves the star status of the next residue Unknown."""
-    fb = filled_blocks(tower, p)
-    parts = {Part(tower, p, (s.start + s.length // 2) % p) for s in fb.spans if s.length is not None}
-    return ChiStage(p, frozenset(parts), not fb.unknown_residues)
+    with no hole at all, leaves the star status of the next residue Unknown.
+    Cost: one ``filled_blocks`` and a Python step per span."""
+    return _chi(tower, filled_blocks(tower, p))
+
+
+def _chi(tower: SkeletonTower, fb) -> ChiStage:  # chi_stage from the tower's filled blocks
+    parts = {Part(tower, fb.period, (s.start + s.length // 2) % fb.period) for s in fb.spans if s.length is not None}
+    return ChiStage(fb.period, frozenset(parts), not fb.unknown_residues)
 
 
 class DpKind(Enum):
@@ -575,10 +583,10 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
     find the mask-compatible shifts (``_Pair.mask_shifts``) and number the
     ``B = n/p`` blocks once into a shape (every shift reads the target's
-    offset class 0, rotated); then an O(n) mask comparison and O(B) C-level
-    steps per mask-compatible block-aligned shift, and, when none is Consistent,
-    one conflict-table entry (a few operations on ``B``-bit masks per name) per
-    block-aligned shift, already filled where ``gamma`` ran.
+    offset class 0, rotated); then ``gamma_map``'s steps per mask-compatible
+    block-aligned shift, and, when none is Consistent, one conflict-table entry
+    (a few operations on ``B``-bit masks per name) per block-aligned shift,
+    already filled where ``gamma`` ran.
     """
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -621,13 +629,13 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
     comparisons against the entire other side are all Refuted certifies
     inequality.  Empty versus empty is equal; empty versus nonempty refuted.
 
-    Cost: at most one ``dp_equivalent`` per pair across the sides, each run
-    when first needed and only while one of its parts has no witness, until
-    every part has one; the Refuted rule reads only the pairs run.
+    Cost: at most one ``dp_equivalent`` per pair across the sides, each side in
+    residue order, run when first needed and only while one of its parts has no
+    witness, until every part has one; the Refuted rule reads only the pairs run.
     """
-    s_list = list(dict.fromkeys(s))
+    s_list = sorted(dict.fromkeys(s), key=attrgetter("k"))  # by residue, ties in input order
     same = dict(zip(s_list, s_list))
-    t_list = [same.get(y, y) for y in dict.fromkeys(t)]  # a part on both sides as s gives it
+    t_list = sorted((same.get(y, y) for y in dict.fromkeys(t)), key=attrgetter("k"))  # a part on both sides as in s
     for part in (*s_list, *t_list):
         if part.p != p:
             raise PeriodMismatch(f"part at period {part.p} in a comparison at {p}")
@@ -690,6 +698,7 @@ def invariant_compare(a: SkeletonTower, b: SkeletonTower, stages: int) -> Invari
     longest suffix of evaluated stages certified equal.
     The advisory trust radius per stage is the largest code length the
     certified minimum block length can vouch for (blocks longer than 4m+6).
+    Cost per stage: one ``filled_blocks`` per tower, for spans and chi parts.
     """
     if a.declared_scale is None or b.declared_scale is None:
         raise MissingScaleDeclaration("both towers must declare a scale")
@@ -707,25 +716,20 @@ def invariant_compare(a: SkeletonTower, b: SkeletonTower, stages: int) -> Invari
             detail = incompatible or "stage does not divide the deepest periods"
             rows.append(StageReport(p, False, None, detail, None, None))
             continue
-        spans = (*filled_blocks(a, p).spans, *filled_blocks(b, p).spans)
-        min_len = min((span.length for span in spans if span.length is not None), default=None)
+        fa, fb = filled_blocks(a, p), filled_blocks(b, p)  # once per tower and stage: the chi parts read them
+        min_len = min((s.length for s in (*fa.spans, *fb.spans) if s.length is not None), default=None)
         trust = (min_len - 7) // 4 if min_len is not None and min_len >= 7 else None
-        ca, cb = chi_stage(a, p), chi_stage(b, p)
+        ca, cb = _chi(a, fa), _chi(b, fb)
         if ca.complete and cb.complete:
             result, detail = efin_equal(ca.parts, cb.parts, p), f"{len(ca.parts)} vs {len(cb.parts)} parts"
         else:
             result, detail = EfinResult.UNDETERMINED, "incomplete chi stage"
         rows.append(StageReport(p, True, result, detail, min_len, trust))
-    evaluated = [r for r in rows if r.evaluated]
-    suffix = 0
-    for r in reversed(evaluated):
-        if r.result is EfinResult.CERTIFIED_EQUAL:
-            suffix += 1
-        else:
-            break
+    equal = [r.result is EfinResult.CERTIFIED_EQUAL for r in rows if r.evaluated]
+    suffix = equal[::-1].index(False) if False in equal else len(equal)
     summary = (
-        f"{suffix} of {len(evaluated)} evaluated stages certified equal (trailing suffix)"
-        if evaluated
+        f"{suffix} of {len(equal)} evaluated stages certified equal (trailing suffix)"
+        if equal
         else "no evaluable stages"
     )
     return InvariantComparison(True, tuple(rows), suffix, summary)

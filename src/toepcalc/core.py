@@ -99,6 +99,7 @@ class Alphabet:
                 raise AlphabetError(f"duplicate symbol {s!r}")
             code[s] = chr(len(code))
         object.__setattr__(self, "_code", code)
+        object.__setattr__(self, "_decode", dict(zip(code.values(), code)))  # the cell of each code point
 
     def __contains__(self, s: object) -> bool:
         return s in self.symbols

@@ -282,3 +282,37 @@ def old_shaped(self, *key) -> tuple:  # the one shape of a key (p, numbers, full
         names = {x: m | m << b for x, m in at.items() if m & (m - 1)}
         self._shapes[key] = ids, fullness | fullness << b, names, {}, full
     return self._shapes[key]
+
+
+# ``_Pair.gamma`` before the witness ran once per distinct column, verbatim, a
+# method for a ``_Pair`` subclass: it tests the witness once per in-block
+# offset.  And ``_Pair.block`` before blocks decoded by one ``map``.
+def per_offset_gamma(self, p: int, k: int) -> Optional[GammaResult]:  # None where contradicted: see gamma_map
+    n, o = self.n, k % self.n
+    (j, c), sids = divmod(o, p), self.shape(p)[0]  # a block's number is its first index
+    if next(self.rotations_contradicted(p, target := self.shape(p, c), j)):
+        return None
+    smask, tmask = self.masks[0], self.masks[1][o : o + n]
+    if smask != tmask:
+        b = next(b for b, i in enumerate(range(0, n, p)) if smask[i : i + p] != tmask[i : i + p])
+        return Undetermined(f"blank masks differ at block {b}")
+    pairs = dict.fromkeys(zip(sids, tids := target[0][j:] + target[0][:j]))  # distinct block pairs, in order
+    if not len(pairs) == len(set(sids)) == len(set(tids)):  # not well-defined or not injective
+        forward, backward = {}, {}  # the first target per source; the first source and index per target
+        for i, (x, y) in enumerate(zip(sids, tids)):
+            if forward.setdefault(x, y) != y:  # x is the index of the source's first block
+                return Undetermined(f"partial blocks {i} and {x} break well-definedness")
+            if backward.setdefault(y, (x, i))[0] != x:
+                return Undetermined(f"partial blocks {i} and {backward[y][1]} break injectivity")
+    ss, ts = zip(*((self.src[x * p : x * p + p], self.tgt2[c + y * p : c + y * p + p]) for x, y in pairs))
+    if "\0" in self.src and len(pairs) > 1:  # one block pair is a witness
+        # per in-block offset, the distinct block pairs' symbols must pair off
+        for u, (xs, ys) in enumerate(zip(zip(*ss), zip(*ts))):
+            if len(both := set(zip(xs, ys))) != len(set(xs)) or len(both) != len(set(ys)):
+                return Undetermined(f"no positionwise witness at offset {u}")
+    return Consistent(tuple(zip(map(self.block, ss), map(self.block, ts))))
+
+
+def ord_block(alphabet: Alphabet, text: str) -> tuple[Optional[str], ...]:
+    """``_Pair.block`` of a pair over ``alphabet`` as it was: the cell of each code point by ``ord``."""
+    return tuple(map((None, *alphabet).__getitem__, map(ord, text)))
