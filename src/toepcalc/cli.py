@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .codes import CodeError, apply_block_code, apply_positionwise_permutation, parse_block_code
-from .codes import PositionwisePermutation
+from .codes import AlphabetMismatch, PositionwisePermutation
 from .conjugacy import (
     ConjugateCertified,
     IncompatiblePeriods,
@@ -291,10 +291,13 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     """Pairwise verdict tags over the given tower files, keyed by file name
     in sorted order (independent of the discovery order).  Each tower is read
     once, so its per-tower facts (status tables, phase separation) are built
-    once for all its pairs."""
+    once for all its pairs.  Towers over different alphabets are an error
+    that names the first file and the first one after it with another alphabet."""
     ordered = sorted(files, key=lambda f: f.name)
     towers = {f.name: _read_tower(f) for f in ordered}
     names = [f.name for f in ordered]
+    if odd := [f for f in ordered if towers[f.name].alphabet != towers[names[0]].alphabet]:
+        raise AlphabetMismatch(f"towers use different alphabets: {ordered[0]} and {odd[0]}")
     matrix: Report = {}
     for a in names:
         matrix[a] = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, product
 from typing import Optional, Sequence
 
 from .core import Alphabet, ParseError, PartialCyclicWord, SkeletonTower
@@ -44,7 +45,8 @@ Window = tuple[str, ...]
 
 @dataclass(frozen=True)
 class BlockCode:
-    """Total map from (2·length+1)-windows over the alphabet to symbols."""
+    """Total map from (2·length+1)-windows over the alphabet to symbols; each row
+    is checked once, then ``table`` is built in canonical ``product`` order, no sort."""
 
     alphabet: Alphabet
     length: int
@@ -53,7 +55,7 @@ class BlockCode:
     def __post_init__(self):
         if not isinstance(self.length, int) or self.length < 0:
             raise CodeError("code length must be non-negative")
-        order = {s: i for i, s in enumerate(self.alphabet.symbols)}
+        symbols = set(self.alphabet.symbols)
         width = 2 * self.length + 1
         mapping: dict[Window, str] = {}
         for row, (window, out) in enumerate(self.table):
@@ -61,7 +63,7 @@ class BlockCode:
             if len(window) != width:
                 raise CodeError(f"expected {width} window symbols, got {len(window)}", row)
             for s in (*window, out):
-                if s not in order:
+                if s not in symbols:
                     raise CodeError(f"symbol {s!r} is not in the alphabet", row)
             if window in mapping:
                 raise CodeError(f"window {' '.join(window)!r} listed twice", row)
@@ -73,11 +75,9 @@ class BlockCode:
         if width > len(mapping).bit_length() or len(mapping) != a**width:
             required = a**width if width * math.log10(a) < 4000 else f"{a}^{width}"
             raise CodeError(f"table has {len(mapping)} of {required} required windows")
-        canonical = tuple(
-            sorted(mapping.items(), key=lambda kv: tuple(map(order.__getitem__, kv[0])))
-        )
-        object.__setattr__(self, "table", canonical)
-        object.__setattr__(self, "_lookup", mapping)
+        # built from a list, not a generator, so that the tuple is allocated at its exact size
+        object.__setattr__(self, "table", tuple([(w, mapping[w]) for w in product(self.alphabet, repeat=width)]))
+        object.__setattr__(self, "_lookup", dict(self.table))  # keyed by the table's own windows: each held once
 
     def apply(self, window: Sequence[str]) -> str:
         return self._lookup[tuple(window)]  # type: ignore[attr-defined]
@@ -204,26 +204,20 @@ def apply_positionwise_permutation(
     mod ``p``, so the cell keeps a (relabelled) value only when all the
     permutations involved agree on it — with ``p | q`` that is the single
     obvious one.  Blanks stay blank.  This is a conjugacy of the completed
-    structures, so the declared scale is preserved.
+    structures, so the declared scale is preserved.  Cost per level: a table
+    of the agreed images per residue mod ``gcd(q, p)``, O(p·|A|) entries in
+    all, then one C-level pass over its cells.
     """
     if phi.alphabet != tower.alphabet:
         raise AlphabetMismatch("permutation and tower alphabets differ")
-    p = phi.period
+    p, symbols = phi.period, tower.alphabet.symbols
     if tower.deepest_period % p:
         raise PeriodMismatch(f"{p} does not divide the deepest period")
-    for q, _ in tower.levels:
-        if q >= p and q % p:
-            raise PeriodMismatch(f"{p} does not divide the declared period {q}")
     levels: list[tuple[int, PartialCyclicWord]] = []
     for q, w in tower.levels:
-        g = math.gcd(q, p)
-        cells: list[Optional[str]] = []
-        for r in range(q):
-            s = w.cells[r]
-            if s is None:
-                cells.append(None)
-                continue
-            images = {phi.image(r + j * g, s) for j in range(p // g)}
-            cells.append(images.pop() if len(images) == 1 else None)
-        levels.append((q, PartialCyclicWord(tuple(cells))))
+        if q >= p and q % p:
+            raise PeriodMismatch(f"{p} does not divide the declared period {q}")
+        g = math.gcd(q, p)  # per residue t < g, each symbol s's image where its images ys at t, t + g, ... agree
+        tables = [{s: ys[0] for s, *ys in zip(symbols, *phi.perms[t::g]) if len(set(ys)) == 1} for t in range(g)]
+        levels.append((q, PartialCyclicWord(map(dict.get, cycle(tables), w.cells))))  # blank: no key
     return SkeletonTower(tower.alphabet, tuple(levels), tower.declared_scale)

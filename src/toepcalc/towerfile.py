@@ -46,10 +46,8 @@ def parse_tower_text(text: str) -> SkeletonTower:
             if name[0] == "alphabet":
                 if len(name) != 1:
                     raise ParseError("malformed alphabet directive", line=ln, column=1)
-                if alphabet is not None:
+                if alphabet is not None:  # scale and period lines need an alphabet, so this one comes first
                     raise ParseError("duplicate alphabet line", line=ln, column=1)
-                if levels or scale is not None:
-                    raise ParseError("alphabet line must come first", line=ln, column=1)
                 alphabet = Alphabet(tuple(payload.split()))
             elif name[0] == "scale":
                 if len(name) != 1:

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 from collections import Counter
 from functools import reduce
 from itertools import compress, count, product
@@ -17,7 +18,7 @@ from toepcalc import (
     SupernaturalNumber,
     TowerError,
 )
-from toepcalc.codes import AlphabetMismatch, BlockCode
+from toepcalc.codes import AlphabetMismatch, BlockCode, PeriodMismatch, PositionwisePermutation, Window
 from toepcalc.conjugacy import (
     Consistent,
     Contradicted,
@@ -316,3 +317,51 @@ def per_offset_gamma(self, p: int, k: int) -> Optional[GammaResult]:  # None whe
 def ord_block(alphabet: Alphabet, text: str) -> tuple[Optional[str], ...]:
     """``_Pair.block`` of a pair over ``alphabet`` as it was: the cell of each code point by ``ord``."""
     return tuple(map((None, *alphabet).__getitem__, map(ord, text)))
+
+
+# ``apply_positionwise_permutation`` before it read each level from one table
+# of agreed images per residue class, verbatim: a set of ``phi.image`` calls
+# per cell.
+def old_apply_positionwise_permutation(
+    tower: SkeletonTower, phi: PositionwisePermutation
+) -> SkeletonTower:
+    """Relabel cell contents by the permutation attached to ``x mod p``.
+
+    A cell of a level with period ``q`` stands for every absolute position of
+    its residue class; those positions meet the classes ``r + gcd(q, p)·Z``
+    mod ``p``, so the cell keeps a (relabelled) value only when all the
+    permutations involved agree on it — with ``p | q`` that is the single
+    obvious one.  Blanks stay blank.  This is a conjugacy of the completed
+    structures, so the declared scale is preserved.
+    """
+    if phi.alphabet != tower.alphabet:
+        raise AlphabetMismatch("permutation and tower alphabets differ")
+    p = phi.period
+    if tower.deepest_period % p:
+        raise PeriodMismatch(f"{p} does not divide the deepest period")
+    for q, _ in tower.levels:
+        if q >= p and q % p:
+            raise PeriodMismatch(f"{p} does not divide the declared period {q}")
+    levels: list[tuple[int, PartialCyclicWord]] = []
+    for q, w in tower.levels:
+        g = math.gcd(q, p)
+        cells: list[Optional[str]] = []
+        for r in range(q):
+            s = w.cells[r]
+            if s is None:
+                cells.append(None)
+                continue
+            images = {phi.image(r + j * g, s) for j in range(p // g)}
+            cells.append(images.pop() if len(images) == 1 else None)
+        levels.append((q, PartialCyclicWord(tuple(cells))))
+    return SkeletonTower(tower.alphabet, tuple(levels), tower.declared_scale)
+
+
+# ``BlockCode``'s canonical table before it was built in ``product`` order,
+# verbatim from ``__post_init__``: the checked rows sorted by alphabet rank.
+def old_canonical_table(alphabet: Alphabet, mapping: dict[Window, str]) -> tuple[tuple[Window, str], ...]:
+    order = {s: i for i, s in enumerate(alphabet.symbols)}
+    canonical = tuple(
+        sorted(mapping.items(), key=lambda kv: tuple(map(order.__getitem__, kv[0])))
+    )
+    return canonical

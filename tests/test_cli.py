@@ -545,3 +545,18 @@ def test_closed_pipe_exits_with_the_command_code_and_no_traceback(tmp_path):
     assert done.returncode == 0
     assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr, done.stderr
     assert into_closed_pipe(["compare", bad, b], "stderr").returncode == 3
+
+
+def test_corpus_over_different_alphabets_names_two_files(tmp_path):
+    binary = serialize_tower(reference_example(1))
+    write(tmp_path / "b.tw", binary)
+    write(tmp_path / "a.tw", binary)
+    write(tmp_path / "d.tw", "alphabet = x y\nperiod 2 = x y\n")
+    write(tmp_path / "c.tw", "alphabet = 0 1 2\nperiod 3 = 0 1 2\n")
+    code, text = run_command(["corpus", str(tmp_path)])
+    # the first file in sorted order, and the first after it over another alphabet
+    assert (code, text) == (3, f"error: towers use different alphabets: {tmp_path / 'a.tw'} and {tmp_path / 'c.tw'}")
+    (tmp_path / "a.tw").unlink()
+    (tmp_path / "b.tw").unlink()
+    code, text = run_command(["corpus", str(tmp_path)])
+    assert (code, text) == (3, f"error: towers use different alphabets: {tmp_path / 'c.tw'} and {tmp_path / 'd.tw'}")
