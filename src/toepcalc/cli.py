@@ -162,7 +162,7 @@ def _cmd_validate(ns) -> tuple[Report, int]:
             "alphabet": list(tower.alphabet.symbols),
             "periods": list(tower.periods),
             "scale": str(tower.declared_scale) if tower.declared_scale else None,
-            "holes": len(tower.deepest_word.blank_positions()),
+            "holes": tower.deepest_word.cells.count(None),
         },
         0,
     )
@@ -261,8 +261,8 @@ def _cmd_apply_code(ns) -> tuple[Report, int]:
         {
             "written": ns.output,
             "radius": code.length,
-            "holes_before": len(tower.deepest_word.blank_positions()),
-            "holes_after": len(result.deepest_word.blank_positions()),
+            "holes_before": tower.deepest_word.cells.count(None),
+            "holes_after": result.deepest_word.cells.count(None),
         },
         0,
     )

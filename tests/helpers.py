@@ -31,6 +31,7 @@ from toepcalc.conjugacy import (
     _tiled,
     phase_separated,
 )
+from toepcalc.construction import ALPHABET, SCALE
 from toepcalc.core import _BIT_DIGITS, BLANK
 from toepcalc.skeleton import period_status, skeleton_word
 from toepcalc.odometer import divides
@@ -365,3 +366,53 @@ def old_canonical_table(alphabet: Alphabet, mapping: dict[Window, str]) -> tuple
         sorted(mapping.items(), key=lambda kv: tuple(map(order.__getitem__, kv[0])))
     )
     return canonical
+
+
+# ``reference_example`` before its stage rules became regex rewrites of the
+# stage text, verbatim: a Python scan of the doubled cell list for its blank runs.
+_SEED = ("0", None, None, None, "0")
+
+
+def _blank_runs(cells: list[Optional[str]]) -> list[tuple[int, int]]:
+    # (start, length); the seed pins cells 0 and -1, so runs never wrap
+    runs = []
+    i = 0
+    while i < len(cells):
+        if cells[i] is None:
+            j = i
+            while j < len(cells) and cells[j] is None:
+                j += 1
+            runs.append((i, j - i))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+def _next_stage(cells: tuple[Optional[str], ...], stage: int) -> tuple[Optional[str], ...]:
+    doubled = list(cells) * 2
+    runs = _blank_runs(doubled)
+    if stage % 2 == 1:
+        start, _ = next((s, n) for s, n in runs if n == 3)
+        doubled[start + 1] = "1"
+    else:
+        singles = [s for s, n in runs if n == 1]
+        for s in singles[:2]:
+            doubled[s] = "0"
+        for s in singles[2:]:
+            doubled[s] = "1"
+        start, _ = [(s, n) for s, n in runs if n == 3][-1]
+        doubled[start : start + 3] = ["1", "0", "1"]
+    return tuple(doubled)
+
+
+def old_reference_example(stages: int) -> SkeletonTower:
+    """Tower whose levels are the stage words 0..stages of the procedure."""
+    if stages < 0:
+        raise ValueError("stages must be nonnegative")
+    cells = _SEED
+    levels = [(5, PartialCyclicWord(cells))]
+    for j in range(1, stages + 1):
+        cells = _next_stage(cells, j)
+        levels.append((5 * 2**j, PartialCyclicWord(cells)))
+    return SkeletonTower(ALPHABET, tuple(levels), SCALE)

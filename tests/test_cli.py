@@ -187,6 +187,20 @@ def test_apply_code_drops_scale(tmp_path):
     assert t.periods == (5, 10, 20)
 
 
+def test_hole_counts_of_validate_and_apply_code(tmp_path):
+    for stages, holes in ((3, 5), (4, 3)):
+        code, text = run_command(["validate", gen_file(tmp_path, stages, f"s{stages}.tw")])
+        assert code == 0 and f"holes = {holes}" in text.splitlines(), text
+    # the radius-1 code of the CI step on the refuted verdict at N = 163840
+    code_file = write(
+        tmp_path / "rule.code",
+        "len = 1\n0 0 0 -> 0\n0 0 1 -> 1\n0 1 0 -> 1\n0 1 1 -> 1\n1 0 0 -> 0\n1 0 1 -> 0\n1 1 0 -> 1\n1 1 1 -> 0\n",
+    )
+    code, text = run_command(["apply-code", str(tmp_path / "s3.tw"), "--code", code_file, "-o", str(tmp_path / "o.tw")])
+    assert code == 0, text
+    assert {"holes_before = 5", "holes_after = 10"} <= set(text.splitlines()), text
+
+
 def test_header_only_code_with_a_huge_length_is_exit_3(tmp_path):
     # the required window count 2^(2m+1) has more digits than Python prints, or takes long to build
     f = gen_file(tmp_path, 2)

@@ -1,6 +1,8 @@
 import pytest
 
-from toepcalc import reference_example, validate_tower
+from toepcalc import reference_example, serialize_tower, validate_tower
+from toepcalc.cli import run_command
+from helpers import old_reference_example
 
 
 S = {
@@ -58,3 +60,19 @@ def test_blank_run_structure_alternates():
 def test_rejects_negative_stage():
     with pytest.raises(ValueError):
         reference_example(-1)
+
+
+def test_stage_rewrites_match_the_blank_run_scanner():
+    for k in range(17):
+        new, old = reference_example(k), old_reference_example(k)
+        assert new == old, k
+        assert serialize_tower(new) == serialize_tower(old), k
+        assert [w.text() for _, w in new.levels] == [w.text() for _, w in old.levels], k
+
+
+def test_generate_writes_the_scanner_example(tmp_path):
+    for k in (0, 1, 2, 16):
+        out = tmp_path / f"s{k}.tw"
+        code, text = run_command(["generate", "paper-example", "--stages", str(k), "-o", str(out)])
+        assert code == 0, text
+        assert out.read_text() == serialize_tower(old_reference_example(k)), k
