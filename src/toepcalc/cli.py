@@ -35,7 +35,7 @@ from .conjugacy import EfinResult
 from .construction import reference_example
 from .core import BLANK, ParseError, SkeletonTower, TowerError, rotate_tower
 from .odometer import OdometerError, SupernaturalNumber
-from .skeleton import Status, growth_profile, natural_factorization, periodic_part, scale_truncation
+from .skeleton import growth_profile, natural_factorization, scale_truncation, status_masks
 from .towerfile import parse_tower_text, serialize_tower
 
 Report = dict
@@ -177,14 +177,9 @@ def _cmd_analyze(ns) -> tuple[Report, int]:
     levels = tower.levels[::-1][: ns.report_depth][::-1]  # the deepest N levels, all when N is None
     stages: Report = {}
     for p, _ in levels:
-        rss = periodic_part(tower, p)
+        ins, outs, unknowns = map(int.bit_count, status_masks(tower, p))
         row = next(r for r in growth.rows if r.period == p)
-        stages[str(p)] = {
-            "in": rss.statuses.count(Status.IN),
-            "out": rss.statuses.count(Status.OUT),
-            "unknown": rss.statuses.count(Status.UNKNOWN),
-            "min_block": row.min_block_length,
-        }
+        stages[str(p)] = {"in": ins, "out": outs, "unknown": unknowns, "min_block": row.min_block_length}
     return (
         {
             "alphabet": list(tower.alphabet.symbols),

@@ -35,11 +35,12 @@ from .skeleton import (
     Status,
     _divisors,
     _fold,
-    _table,
+    _set_bits,
     filled_blocks,
     natural_factorization,
     period_status,
     periodic_part,
+    status_masks,
 )
 
 Block = tuple[Optional[str], ...]
@@ -346,9 +347,9 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
 
 
 def _separated(tower: SkeletonTower, p: int) -> bool:
-    if period_status(tower, p).modulus < p:
-        return False  # the statuses repeat at the rotation d = modulus
-    _, ins, outs, unknown = _table(tower, p)
+    if tower.deepest_period % p:
+        return False  # the statuses repeat at the rotation d = gcd(p, deepest period) < p
+    ins, outs, unknown = status_masks(tower, p)
     by_symbol = [ins]
     for plane in tower._planes[1:]:  # the In residues of one symbol agree on each folded bit plane of its code
         fold = _fold(plane, tower.deepest_period, p)
@@ -363,10 +364,6 @@ def _separated(tower: SkeletonTower, p: int) -> bool:
     # each kind's residues x against the other certified residues y; rotating y by d puts residue r + d at bit r
     pairs = [(x, certified ^ x) for x in masks]
     return all(any(x & (y >> d | y << (p - d)) for x, y in pairs) for d in _set_bits(left))
-
-
-def _set_bits(x: int) -> Iterator[int]:
-    return compress(count(), map("1".__eq__, bin(x)[:1:-1]))  # in increasing order
 
 
 def _margin(rss, max_radius: int) -> int:

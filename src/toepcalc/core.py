@@ -152,13 +152,15 @@ class PartialCyclicWord:
     @classmethod
     def from_text(cls, text: str) -> "PartialCyclicWord":
         """One character per cell, ``_`` blank.  Single-character symbols only."""
-        return cls(tuple(None if c == BLANK else c for c in text))
+        return cls(map({BLANK: None}.get, text, text))
 
     def text(self) -> str:
-        for c in self.cells:
-            if c is not None and len(c) != 1:
-                raise TowerError(f"symbol {c!r} has no single-character form")
-        return "".join(BLANK if c is None else c for c in self.cells)
+        # "" is written as two characters, so each cell gives at least one: each gives one iff the lengths agree
+        text = "".join(map({None: BLANK, "": BLANK * 2}.get, self.cells, self.cells))
+        if len(text) != len(self.cells):
+            bad = next(c for c in self.cells if c is not None and len(c) != 1)
+            raise TowerError(f"symbol {bad!r} has no single-character form")
+        return text
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,8 @@ class SkeletonTower:
     alphabet: Alphabet
     levels: tuple[tuple[int, PartialCyclicWord], ...]
     declared_scale: Optional[SupernaturalNumber] = None
-    # periodic_part's status tables, with their residue bit masks, by period, and
-    # phase_separated's answers by ("separated", stage); the tower is immutable, so
+    # the status tables' residue bit masks by period, periodic_part's views of them by ("view", period)
+    # and phase_separated's answers by ("separated", stage); the tower is immutable, so
     # each entry is built once and stays valid for its lifetime
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _text, the deepest word one code point per cell by Alphabet._code, and _planes, its filled mask

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import is_
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     DivisibilityError,
@@ -87,14 +87,29 @@ _STATUS_OF_DIGIT = {"0": Status.IN, "1": Status.OUT, "2": Status.UNKNOWN}
 _NONE_UNLESS_IN = {"1": None, "2": None}
 
 
-def _table(tower: SkeletonTower, p: int) -> tuple[ResidueStatusSet, int, int, int]:
-    """``periodic_part``'s table for a divisor ``p`` of the deepest period and
-    its In, Out and Unknown residues as bit masks, built once per tower from
-    the bit planes of its encoding."""
+def _set_bits(x: int) -> Iterator[int]:
+    """The set bits of ``x`` in increasing order: each sits just above a run of zeros,
+    so the positions are running sums of the runs' lengths plus one, all C-level passes."""
+    runs = map(len, bin(x)[:1:-1].split("1"))  # the zeros below the lowest set bit, then between set bits
+    return islice(accumulate(map((1).__add__, runs), initial=-1), 1, x.bit_count() + 1)
+
+
+def status_masks(tower: SkeletonTower, p: int) -> tuple[int, int, int]:
+    """The In, Out and Unknown residues of ``periodic_part(tower, p)``, for a
+    divisor ``p`` of the deepest period, as ``p``-bit masks (bit ``r`` for
+    residue ``r``), built once per tower from the bit planes of its encoding.
+
+    Cost: the deepest word is encoded once per tower as ``b + 1`` bit masks of
+    N bits, for a ``b``-bit cell code.  A table folds ``2b + 1`` N-bit masks
+    made from them to ``p`` bits, O(N·b) bit operations done a machine word
+    at a time, and builds no per-residue object.
+    """
     cached = tower._status.get(p)
     if cached is not None:
         return cached
     n = tower.deepest_period
+    if p < 1 or n % p:
+        raise NonDivisorError(f"{p} does not divide the deepest period {n}")
     filled, *planes = tower._planes
     blanks = _fold(filled ^ (1 << n) - 1, n, p)
     conflicts = 0
@@ -102,14 +117,7 @@ def _table(tower: SkeletonTower, p: int) -> tuple[ResidueStatusSet, int, int, in
         conflicts |= _fold(plane, n, p) & _fold(filled ^ plane, n, p)
     unknowns = 0 if p == n else blanks & ~conflicts
     outs = (conflicts | blanks) ^ unknowns
-    # read as hex, the binary digits of a mask put bit r in hex digit r: residue r gets digit outs_r + 2·unknowns_r
-    digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
-    rss = ResidueStatusSet(
-        p,
-        tuple(map(_STATUS_OF_DIGIT.__getitem__, digits)),
-        tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells)),
-    )
-    table = tower._status[p] = (rss, (1 << p) - 1 ^ outs ^ unknowns, outs, unknowns)
+    table = tower._status[p] = ((1 << p) - 1 ^ outs ^ unknowns, outs, unknowns)
     return table
 
 
@@ -120,18 +128,22 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     it: In with symbol ``a`` when every cell holds ``a``, Out when two cells
     hold different symbols, and otherwise (a blank) Out at the deepest
     period, where the class is the one literal cell, and Unknown below it.
-    Each table is built once per tower and reused by every later query.
 
-    Cost: the deepest word is encoded once per tower as ``b + 1`` bit masks of
-    N bits, for a ``b``-bit cell code.  A table folds ``2b + 1`` N-bit masks
-    made from them to ``p`` bits, O(N·b) bit operations done a machine word
-    at a time, and reads its statuses and symbols off the folds in O(p)
-    C-level steps.
+    Cost: the table's bit masks (``status_masks``), then its statuses and
+    symbols read off them in O(p) C-level steps on the first request.  Both
+    are kept on the tower and reused by every later query.
     """
-    deep = tower.deepest_period
-    if p < 1 or deep % p:
-        raise NonDivisorError(f"{p} does not divide the deepest period {deep}")
-    return _table(tower, p)[0]
+    rss = tower._status.get(("view", p))
+    if rss is None:
+        _, outs, unknowns = status_masks(tower, p)
+        # read as hex, the binary digits of a mask put bit r in hex digit r: residue r gets digit outs_r + 2·unknowns_r
+        digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
+        rss = tower._status["view", p] = ResidueStatusSet(
+            p,
+            tuple(map(_STATUS_OF_DIGIT.__getitem__, digits)),
+            tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells)),
+        )
+    return rss
 
 
 def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
@@ -142,9 +154,13 @@ def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
     unboundedly often, so certification transfers both ways: the returned set
     (modulus ``g``) answers for the ``q``-periodic part at every position.
     """
+    return periodic_part(tower, _modulus(tower, q))
+
+
+def _modulus(tower: SkeletonTower, q: int) -> int:  # period_status(tower, q).modulus, with no table
     if q < 1:
         raise NonDivisorError(f"period {q} is not positive")
-    return periodic_part(tower, math.gcd(q, tower.deepest_period))
+    return math.gcd(q, tower.deepest_period)
 
 
 def skeleton_word(tower: SkeletonTower, p: int) -> tuple[PartialCyclicWord, tuple[bool, ...]]:
@@ -187,16 +203,18 @@ def filled_blocks(tower: SkeletonTower, p: int) -> FilledBlocks:
     stage can tell (``unknown_residues`` says how far that is).  Otherwise
     each pair of cyclically adjacent holes bounds one arc; the arc's length is
     certified only when every residue in it is In.
+
+    Cost: O(p) C-level steps on the table's bit masks (``status_masks``),
+    then a Python step and one slice test of the Unknown bits per span.
     """
-    rss = periodic_part(tower, p)
-    holes = rss.residues(Status.OUT)
-    unknown = rss.residues(Status.UNKNOWN)
+    _, outs, unknowns = status_masks(tower, p)
+    holes, unknown = tuple(_set_bits(outs)), tuple(_set_bits(unknowns))
     if not holes:
         return FilledBlocks(p, True, (), (), unknown)
-    # no residue between consecutive holes is Out; a wrapping arc is a slice of the doubled table
-    statuses2 = rss.statuses * 2
+    # no residue between consecutive holes is Out; a wrapping arc is a slice of the doubled Unknown bits
+    unknown_bits = format(unknowns, f"0{p}b")[::-1] * 2
     spans = tuple(
-        BlockSpan((h + 1) % p, None if Status.UNKNOWN in statuses2[h + 1 : nxt] else nxt - h - 1, p)
+        BlockSpan((h + 1) % p, None if "1" in unknown_bits[h + 1 : nxt] else nxt - h - 1, p)
         for h, nxt in zip(holes, (*holes[1:], holes[0] + p))
         if nxt > h + 1
     )
@@ -242,17 +260,17 @@ def essential_period_status(tower: SkeletonTower, p: int) -> EssentialStatus:
     compared; ``undetermined`` lists those divisors.
 
     Cost: four folds per divisor ``q < p``, each linear in the bits of its
-    table, on top of the ``periodic_part`` tables.
+    table, on top of the tables' bit masks (``status_masks``).
     """
-    m = period_status(tower, p).modulus
-    _, ins, outs, unknowns = _table(tower, m)
+    m = _modulus(tower, p)
+    ins, outs, unknowns = status_masks(tower, m)
     if not ins | unknowns:
         return EssentialStatus(p, EssentialOutcome.NOT_ESSENTIAL, "periodic part certified empty")
     undetermined: list[int] = []
     for q in _divisors(tower.deepest_period):
         if q >= p:
             break
-        _, q_ins, q_outs, q_unknowns = _table(tower, q)
+        q_ins, q_outs, q_unknowns = status_masks(tower, q)
         g = math.gcd(m, q)
         if _fold(ins, m, g) & _fold(q_outs, q, g) or _fold(outs, m, g) & _fold(q_ins, q, g):
             continue
@@ -371,6 +389,7 @@ def growth_profile(tower: SkeletonTower) -> GrowthProfile:
     The trend compares the certified minimum block lengths level by level:
     "increasing" (strictly), "stable" (all equal), or "non-monotone"; levels
     without a certified block are skipped in the comparison.
+    Cost: one ``filled_blocks`` per level, on the tables' bit masks.
     """
     rows: list[GrowthRow] = []
     for p, _ in tower.levels:

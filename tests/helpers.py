@@ -33,7 +33,7 @@ from toepcalc.conjugacy import (
 )
 from toepcalc.construction import ALPHABET, SCALE
 from toepcalc.core import _BIT_DIGITS, BLANK
-from toepcalc.skeleton import period_status, skeleton_word
+from toepcalc.skeleton import BlockSpan, FilledBlocks, Status, period_status, periodic_part, skeleton_word
 from toepcalc.odometer import divides
 
 BINARY = Alphabet(("0", "1"))
@@ -416,3 +416,43 @@ def old_reference_example(stages: int) -> SkeletonTower:
         cells = _next_stage(cells, j)
         levels.append((5 * 2**j, PartialCyclicWord(cells)))
     return SkeletonTower(ALPHABET, tuple(levels), SCALE)
+
+
+# ``filled_blocks`` and ``analyze``'s stage counts before they read the status
+# table's bit masks, verbatim: scans of the per-residue status tuple.
+def old_filled_blocks(tower: SkeletonTower, p: int) -> FilledBlocks:
+    rss = periodic_part(tower, p)
+    holes = rss.residues(Status.OUT)
+    unknown = rss.residues(Status.UNKNOWN)
+    if not holes:
+        return FilledBlocks(p, True, (), (), unknown)
+    # no residue between consecutive holes is Out; a wrapping arc is a slice of the doubled table
+    statuses2 = rss.statuses * 2
+    spans = tuple(
+        BlockSpan((h + 1) % p, None if Status.UNKNOWN in statuses2[h + 1 : nxt] else nxt - h - 1, p)
+        for h, nxt in zip(holes, (*holes[1:], holes[0] + p))
+        if nxt > h + 1
+    )
+    return FilledBlocks(p, False, spans, holes, unknown)
+
+
+def old_stage_counts(tower: SkeletonTower, p: int) -> dict[str, int]:
+    rss = periodic_part(tower, p)
+    return {
+        "in": rss.statuses.count(Status.IN),
+        "out": rss.statuses.count(Status.OUT),
+        "unknown": rss.statuses.count(Status.UNKNOWN),
+    }
+
+
+# ``PartialCyclicWord.from_text`` and ``text`` before they became C-level
+# ``map`` passes, verbatim: Python generators over the cells.
+def old_from_text(text: str) -> PartialCyclicWord:
+    return PartialCyclicWord(tuple(None if c == BLANK else c for c in text))
+
+
+def old_word_text(word: PartialCyclicWord) -> str:
+    for c in word.cells:
+        if c is not None and len(c) != 1:
+            raise TowerError(f"symbol {c!r} has no single-character form")
+    return "".join(BLANK if c is None else c for c in word.cells)

@@ -1,0 +1,172 @@
+"""Differential and cost tests of the readers of the status tables' bit masks.
+
+``filled_blocks`` and ``analyze``'s stage counts read the In, Out and Unknown
+masks of a stage's status table (``status_masks``); the tuple scans they
+replaced are kept verbatim in ``helpers`` as the references.  The same holds for ``PartialCyclicWord.text``
+and ``from_text``, now C-level ``map`` passes.  The cost guard checks that the
+readers that need only the masks build no per-residue ``ResidueStatusSet``.
+"""
+
+import random
+import re
+
+import pytest
+
+from toepcalc import (
+    Alphabet,
+    PartialCyclicWord,
+    SkeletonTower,
+    TowerError,
+    filled_blocks,
+    growth_profile,
+    invariant_compare,
+    parse_tower_text,
+    periodic_part,
+    reference_example,
+    rotate_tower,
+    scale_truncation,
+    serialize_tower,
+    status_masks,
+)
+from toepcalc import skeleton
+from toepcalc.cli import run_command
+from toepcalc.randomgen import random_tower
+from toepcalc.skeleton import ResidueStatusSet, _divisors
+from helpers import old_filled_blocks, old_from_text, old_stage_counts, old_word_text
+
+BINARY = ("0", "1")
+TERNARY = ("a", "b", "c")
+WIDE = tuple(f"s{i}" for i in range(300))  # codes up to 300: nine bit planes
+
+
+def one_level(symbols, cells) -> SkeletonTower:
+    return SkeletonTower(Alphabet(symbols), ((len(cells), PartialCyclicWord(tuple(cells))),))
+
+
+def with_statuses(text: str) -> SkeletonTower:
+    """A tower of period ``2p`` whose table at ``p = len(text)`` reads ``text``:
+    residue ``r`` is In for ``I`` (cells r and r + p hold 0 and 0), Out for
+    ``O`` (0 and 1) and Unknown for ``U`` (a blank and 0)."""
+    pairs = {"I": ("0", "0"), "O": ("0", "1"), "U": (None, "0")}
+    first, second = zip(*map(pairs.__getitem__, text))
+    return one_level(BINARY, first + second)
+
+
+def dense_spans(h: int) -> SkeletonTower:
+    """Period ``h`` all blank, then period ``2h``: for each residue r < h the
+    cells r and r + h hold 0 and 1 when r is even, a blank and 0 when
+    r % 6 == 1, and 0 and 0 otherwise.  Stage ``h`` has h/2 spans of one
+    residue, a third of them Unknown."""
+    first = ["0" if r % 2 == 0 else None if r % 6 == 1 else "0" for r in range(h)]
+    second = ["1" if r % 2 == 0 else "0" for r in range(h)]
+    alphabet = Alphabet(BINARY)
+    return SkeletonTower(alphabet, ((h, PartialCyclicWord((None,) * h)), (2 * h, PartialCyclicWord(first + second))))
+
+
+def random_towers():
+    rng = random.Random(2611)
+    for symbols in (BINARY, TERNARY, WIDE):
+        for _ in range(40):
+            fill = rng.choice((1.0, 0.9, 0.6, 0.3, 0.05))
+            t = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 5, 6), fill=fill)
+            yield rotate_tower(t, rng.randrange(t.deepest_period))
+        for n in (1, 6, 12, 30, 720):
+            cells = [None] * n
+            cells[rng.randrange(n)] = rng.choice(symbols)
+            yield one_level(symbols, cells)
+
+
+SPAN_TABLES = (
+    "I", "O", "U", "OO", "UUU", "IOIOU",
+    "IIOIIIUIII",  # the span after the hole wraps and holds an Unknown residue
+    "IUIOIIII",  # the wrapping span holds an Unknown residue before the hole
+    "OIIIIIIII", "IIIIIIIIO", "IIIIUIIIIO", "UIIIOIIIIU", "OUUUO", "IIOOII", "OIOIOI",
+)
+
+
+def check(t: SkeletonTower) -> None:
+    for p in _divisors(t.deepest_period):
+        assert filled_blocks(t, p) == old_filled_blocks(t, p), (t, p)
+        counts = map(int.bit_count, status_masks(t, p))  # as analyze counts them
+        assert dict(zip(("in", "out", "unknown"), counts)) == old_stage_counts(t, p), (t, p)
+
+
+def test_filled_blocks_and_counts_match_the_tuple_scans_on_random_towers():
+    for t in random_towers():
+        check(t)
+
+
+def test_filled_blocks_and_counts_match_the_tuple_scans_on_the_paper_example():
+    for k in range(13):
+        check(reference_example(k))
+
+
+def test_filled_blocks_and_counts_match_the_tuple_scans_on_chosen_spans():
+    rng = random.Random(26)
+    tables = (*SPAN_TABLES, *("".join(rng.choices("IOU", (6, 1, 1), k=rng.randint(1, 40))) for _ in range(200)))
+    wraps = unknown_inside = 0
+    for text in tables:
+        t = with_statuses(text)
+        check(t)
+        spans = filled_blocks(t, len(text)).spans
+        wraps += any(s.wraps for s in spans)
+        unknown_inside += any(s.length is None for s in spans)
+    assert wraps and unknown_inside
+    fb = filled_blocks(with_statuses("IIOIIIUIII"), 10)
+    assert fb.holes == (2,) and fb.unknown_residues == (6,) and [(s.start, s.length) for s in fb.spans] == [(3, None)]
+    fb = filled_blocks(with_statuses("IIOIIIIIII"), 10)
+    assert [(s.start, s.length, s.wraps) for s in fb.spans] == [(3, 9, True)]
+
+
+def test_filled_blocks_and_counts_match_the_tuple_scans_on_dense_spans():
+    t = dense_spans(1 << 20)
+    check(t)
+    fb = filled_blocks(t, 1 << 20)
+    assert len(fb.spans) == 1 << 19 and sum(s.length is None for s in fb.spans) == len(fb.unknown_residues) == 174763
+
+
+def test_mask_readers_build_no_residue_status_set(monkeypatch, tmp_path):
+    built = []
+
+    class Counting(ResidueStatusSet):
+        def __init__(self, modulus, *rest):
+            built.append(modulus)
+            super().__init__(modulus, *rest)
+
+    monkeypatch.setattr(skeleton, "ResidueStatusSet", Counting)
+    text = serialize_tower(reference_example(9))
+    (tmp_path / "a.tw").write_text(text)
+    code, out = run_command(["analyze", str(tmp_path / "a.tw")])
+    assert code == 0 and "stage.2560.in" in out
+    t, u = parse_tower_text(text), rotate_tower(parse_tower_text(text), 7)  # fresh towers, no table kept
+    scale_truncation(t)
+    growth_profile(t)
+    for p in _divisors(t.deepest_period):
+        filled_blocks(t, p)
+    invariant_compare(t, u, 12)
+    assert built == []
+    periodic_part(t, 10)
+    assert built == [10]  # the guard sees the view built on request
+
+
+def test_word_text_matches_the_generators():
+    rng = random.Random(2612)
+    for _ in range(300):
+        symbols = rng.choice((BINARY, TERNARY, ("0", "1", "ab"), ("", "xy", "z"), ("_", "a")))
+        cells = tuple(rng.choice((None, *symbols)) for _ in range(rng.randint(1, 12)))
+        word = PartialCyclicWord(cells)
+        try:
+            want = old_word_text(word)
+        except TowerError as exc:
+            with pytest.raises(TowerError, match=f"^{re.escape(str(exc))}$"):
+                word.text()
+        else:
+            assert word.text() == want
+        text = "".join(rng.choice("01_ab") for _ in range(rng.randint(1, 12)))
+        assert PartialCyclicWord.from_text(text) == old_from_text(text)
+    word = reference_example(12).deepest_word
+    assert word.text() == old_word_text(word) and PartialCyclicWord.from_text(word.text()) == word
+    with pytest.raises(TowerError, match="^symbol '01' has no single-character form$"):
+        PartialCyclicWord(("1", None, "01", "ab")).text()
+    with pytest.raises(TowerError, match="^symbol '' has no single-character form$"):
+        PartialCyclicWord(("", "ab", "0")).text()
