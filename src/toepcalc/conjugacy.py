@@ -35,10 +35,10 @@ from .skeleton import (
     Status,
     _divisors,
     _fold,
+    _modulus,
     _set_bits,
     filled_blocks,
     natural_factorization,
-    period_status,
     periodic_part,
     status_masks,
 )
@@ -366,21 +366,21 @@ def _separated(tower: SkeletonTower, p: int) -> bool:
     return all(any(x & (y >> d | y << (p - d)) for x, y in pairs) for d in _set_bits(left))
 
 
-def _margin(rss, max_radius: int) -> int:
-    """Largest ``m' <= max_radius`` with the source certified In on
-    ``[-2m', 2m']``, else -1: the window first meets a non-In residue ``r``
-    when ``2m'`` reaches its cyclic distance ``min(r, g - r)`` from 0."""
-    st = rss.statuses  # a status's residues nearest 0 are its first and its last
-    d = min((min(st.index(s), st[::-1].index(s) + 1) for s in (Status.OUT, Status.UNKNOWN) if s in st), default=None)
-    return max_radius if d is None else min(max_radius, (d - 1) // 2)
+def _margin(ins: int, g: int, max_radius: int) -> int:
+    """Largest ``m' <= max_radius`` with the source certified In on ``[-2m', 2m']``, for its
+    ``g``-bit In mask, else -1: the window first meets a non-In residue ``r`` when ``2m'``
+    reaches its cyclic distance ``min(r, g - r)`` from 0.  Cost: a few big-int operations."""
+    x = ins ^ (1 << g) - 1  # the non-In residues: those nearest 0 are the lowest and the highest
+    d = min((x & -x).bit_length() - 1, g + 1 - x.bit_length())
+    return min(max_radius, (d - 1) // 2) if x else max_radius
 
 
-def _candidates(rss, radius: int, p: int) -> list[int]:
-    """Classes ``c`` mod ``p`` of the shifts ``k`` whose window ``[k - radius,
-    k + radius]`` meets no Out residue of the target: those strictly inside a
-    gap between Out residues, by more than ``radius`` at each end.  The modulus
-    divides ``p``, so a class holds all its ``n/p`` shifts or none.  Cost: O(p)."""
-    g, outs = rss.modulus, rss.residues(Status.OUT)
+def _candidates(outs: int, g: int, radius: int, p: int) -> list[int]:
+    """Classes ``c`` mod ``p`` of the shifts ``k`` whose window ``[k - radius, k + radius]``
+    meets no Out residue of the target's ``g``-bit Out mask: those strictly inside a gap
+    between Out residues, by more than ``radius`` at each end.  The modulus ``g`` divides
+    ``p``, so a class holds all its ``n/p`` shifts or none.  Cost: O(p)."""
+    outs = tuple(_set_bits(outs))
     if not outs:
         return list(range(p))
     good = set()
@@ -420,7 +420,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     derived from a stage ``d | p`` and O(p) more, or O(n) per class cut.  So
     ``s`` shapes (3-5 on ``reference_example``) fill at most ``s·n/p``
     conflict-table entries per stage, each a few operations on ``n/p``-bit masks per name.
-    Margins take O(p) C-level steps per stage, independent of ``max_radius``.
+    Margins read the tables' In masks in a few big-int operations, independent of ``max_radius``.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
@@ -451,8 +451,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     # A stage is eligible up to its margin and its candidates shrink as the
     # radius grows, so it refutes at some radius iff it refutes at its margin:
     # the largest refuted radius is the largest margin of a refuting stage.
-    margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
-    candidates = {p: _candidates(period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
+    margins = {p: _margin(status_masks(a, g := _modulus(a, p))[0], g, max_radius) for p in stages}
+    candidates = {  # g: the modulus of a tower's status table at stage p
+        p: _candidates(status_masks(b, g := _modulus(b, p))[1], g, t, p) for p, t in margins.items() if t >= 0
+    }
 
     def refutes(p: int) -> bool:  # each target shape's rotations once, up to the first uncontradicted one
         read: set[int] = set()  # the classes are cut one at a time, up to the first uncontradicted shape

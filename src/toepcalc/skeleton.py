@@ -121,6 +121,12 @@ def status_masks(tower: SkeletonTower, p: int) -> tuple[int, int, int]:
     return table
 
 
+def _view(tower: SkeletonTower, p: int) -> tuple[tuple, tuple]:  # statuses, symbols by hex digit outs_r + 2·unknowns_r
+    _, outs, unknowns = status_masks(tower, p)  # read as hex, the binary digits of a mask put bit r in hex digit r
+    digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
+    return tuple(map(_STATUS_OF_DIGIT.get, digits)), tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells))
+
+
 def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     """Certified ``p``-periodic part, for ``p`` dividing the deepest period.
 
@@ -129,21 +135,10 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     hold different symbols, and otherwise (a blank) Out at the deepest
     period, where the class is the one literal cell, and Unknown below it.
 
-    Cost: the table's bit masks (``status_masks``), then its statuses and
-    symbols read off them in O(p) C-level steps on the first request.  Both
-    are kept on the tower and reused by every later query.
+    Cost: the table's bit masks (``status_masks``, kept on the tower), then
+    O(p) C-level steps on every call to read the view off them; none is kept.
     """
-    rss = tower._status.get(("view", p))
-    if rss is None:
-        _, outs, unknowns = status_masks(tower, p)
-        # read as hex, the binary digits of a mask put bit r in hex digit r: residue r gets digit outs_r + 2·unknowns_r
-        digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
-        rss = tower._status["view", p] = ResidueStatusSet(
-            p,
-            tuple(map(_STATUS_OF_DIGIT.__getitem__, digits)),
-            tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells)),
-        )
-    return rss
+    return ResidueStatusSet(p, *_view(tower, p))
 
 
 def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
@@ -164,10 +159,10 @@ def _modulus(tower: SkeletonTower, q: int) -> int:  # period_status(tower, q).mo
 
 
 def skeleton_word(tower: SkeletonTower, p: int) -> tuple[PartialCyclicWord, tuple[bool, ...]]:
-    """The certified ``p``-skeleton as a word (In cells filled) plus a mask
-    marking which blanks are Unknown rather than certified holes."""
-    rss = periodic_part(tower, p)
-    return PartialCyclicWord(rss.symbols), tuple(map(is_, rss.statuses, repeat(Status.UNKNOWN)))
+    """The certified ``p``-skeleton as a word (In cells filled) plus a mask marking which
+    blanks are Unknown rather than certified holes: O(p) C-level steps on the table's masks."""
+    statuses, symbols = _view(tower, p)
+    return PartialCyclicWord(symbols), tuple(map(is_, statuses, repeat(Status.UNKNOWN)))
 
 
 @dataclass(frozen=True)

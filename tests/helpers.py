@@ -3,8 +3,8 @@
 import math
 from collections import Counter
 from functools import reduce
-from itertools import compress, count, product
-from operator import or_
+from itertools import compress, count, product, repeat
+from operator import is_, or_
 from typing import Iterator, Optional
 
 from toepcalc import (
@@ -33,7 +33,18 @@ from toepcalc.conjugacy import (
 )
 from toepcalc.construction import ALPHABET, SCALE
 from toepcalc.core import _BIT_DIGITS, BLANK
-from toepcalc.skeleton import BlockSpan, FilledBlocks, Status, period_status, periodic_part, skeleton_word
+from toepcalc.skeleton import (
+    _NONE_UNLESS_IN,
+    _STATUS_OF_DIGIT,
+    BlockSpan,
+    FilledBlocks,
+    ResidueStatusSet,
+    Status,
+    _modulus,
+    periodic_part,
+    skeleton_word,
+    status_masks,
+)
 from toepcalc.odometer import divides
 
 BINARY = Alphabet(("0", "1"))
@@ -215,8 +226,8 @@ def old_unknown_diagnostics(a: SkeletonTower, b: SkeletonTower, max_radius: int)
     n = _common_length(a, b)
     stages = sorted(set(a.periods) | set(b.periods))
     pair = _ClassReads(_Pair(_tiled(a, n), _tiled(b, n), a.alphabet))
-    margins = {p: _margin(period_status(a, p), max_radius) for p in stages}
-    candidates = {p: _candidates(period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
+    margins = {p: old_margin(old_period_status(a, p), max_radius) for p in stages}
+    candidates = {p: old_candidates(old_period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
 
     def shape_firsts(p: int) -> Iterator[int]:  # per candidate class, the first candidate class of its shape
         first: dict[int, int] = {}
@@ -456,3 +467,64 @@ def old_word_text(word: PartialCyclicWord) -> str:
         if c is not None and len(c) != 1:
             raise TowerError(f"symbol {c!r} has no single-character form")
     return "".join(BLANK if c is None else c for c in word.cells)
+
+
+# ``periodic_part``, ``_margin``, ``_candidates`` and ``skeleton_word`` before
+# the margins, candidates and skeleton words read the status table's bit masks,
+# verbatim: scans of the per-residue view, which ``periodic_part`` kept on the
+# tower beside the masks.  ``old_period_status`` is ``period_status`` on it.
+def old_periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
+    rss = tower._status.get(("view", p))
+    if rss is None:
+        _, outs, unknowns = status_masks(tower, p)
+        # read as hex, the binary digits of a mask put bit r in hex digit r: residue r gets digit outs_r + 2·unknowns_r
+        digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
+        rss = tower._status["view", p] = ResidueStatusSet(
+            p,
+            tuple(map(_STATUS_OF_DIGIT.__getitem__, digits)),
+            tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells)),
+        )
+    return rss
+
+
+def old_period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
+    return old_periodic_part(tower, _modulus(tower, q))
+
+
+def old_margin(rss, max_radius: int) -> int:
+    st = rss.statuses  # a status's residues nearest 0 are its first and its last
+    d = min((min(st.index(s), st[::-1].index(s) + 1) for s in (Status.OUT, Status.UNKNOWN) if s in st), default=None)
+    return max_radius if d is None else min(max_radius, (d - 1) // 2)
+
+
+def old_candidates(rss, radius: int, p: int) -> list[int]:
+    g, outs = rss.modulus, rss.residues(Status.OUT)
+    if not outs:
+        return list(range(p))
+    good = set()
+    for r1, r2 in zip(outs, (*outs[1:], outs[0] + g)):  # the last gap may run past g
+        good.update(range(r1 + radius + 1, min(g, r2 - radius)), range(max(g, r1 + radius + 1) - g, r2 - radius - g))
+    good = sorted(good)
+    return [q + c for q in range(0, p, g) for c in good]
+
+
+def old_skeleton_word(tower: SkeletonTower, p: int) -> tuple[PartialCyclicWord, tuple[bool, ...]]:
+    rss = old_periodic_part(tower, p)
+    return PartialCyclicWord(rss.symbols), tuple(map(is_, rss.statuses, repeat(Status.UNKNOWN)))
+
+
+def check_status_readers(a: SkeletonTower, b: SkeletonTower, p: int, max_radius: int) -> None:
+    """The mask readers against the view readers above at stage ``p``, as
+    ``conjugacy_verdict`` reads them: ``a``'s margin, ``b``'s candidate classes
+    at that margin and at radii 0-3; and, where ``p`` divides a tower's deepest
+    period, its skeleton word with its ``Unknown`` mask and its view."""
+    ga, gb = _modulus(a, p), _modulus(b, p)
+    t = _margin(status_masks(a, ga)[0], ga, max_radius)
+    assert t == old_margin(old_period_status(a, p), max_radius), (a, p, max_radius)
+    for radius in {0, 1, 2, 3, t} - {-1}:
+        want = old_candidates(old_period_status(b, p), radius, p)
+        assert _candidates(status_masks(b, gb)[1], gb, radius, p) == want, (b, p, radius)
+    for tower in (a, b):
+        if tower.deepest_period % p == 0:
+            assert skeleton_word(tower, p) == old_skeleton_word(tower, p), (tower, p)
+            assert periodic_part(tower, p) == old_periodic_part(tower, p), (tower, p)

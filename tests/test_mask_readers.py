@@ -1,8 +1,10 @@
 """Differential and cost tests of the readers of the status tables' bit masks.
 
-``filled_blocks`` and ``analyze``'s stage counts read the In, Out and Unknown
-masks of a stage's status table (``status_masks``); the tuple scans they
-replaced are kept verbatim in ``helpers`` as the references.  The same holds for ``PartialCyclicWord.text``
+``filled_blocks``, ``analyze``'s stage counts, the verdict's margins and
+candidate classes and ``skeleton_word`` read the In, Out and Unknown masks of
+a stage's status table (``status_masks``); the tuple scans they replaced, and
+``periodic_part`` as it kept its view on the tower, are kept verbatim in
+``helpers`` as the references.  The same holds for ``PartialCyclicWord.text``
 and ``from_text``, now C-level ``map`` passes.  The cost guard checks that the
 readers that need only the masks build no per-residue ``ResidueStatusSet``.
 """
@@ -14,12 +16,18 @@ import pytest
 
 from toepcalc import (
     Alphabet,
+    ConjugateCertified,
     PartialCyclicWord,
+    RefutedUpTo,
     SkeletonTower,
     TowerError,
+    Unknown,
+    apply_block_code,
+    conjugacy_verdict,
     filled_blocks,
     growth_profile,
     invariant_compare,
+    parse_block_code,
     parse_tower_text,
     periodic_part,
     reference_example,
@@ -29,10 +37,10 @@ from toepcalc import (
     status_masks,
 )
 from toepcalc import skeleton
-from toepcalc.cli import run_command
+from toepcalc.cli import corpus_matrix, run_command
 from toepcalc.randomgen import random_tower
 from toepcalc.skeleton import ResidueStatusSet, _divisors
-from helpers import old_filled_blocks, old_from_text, old_stage_counts, old_word_text
+from helpers import check_status_readers, old_filled_blocks, old_from_text, old_stage_counts, old_word_text
 
 BINARY = ("0", "1")
 TERNARY = ("a", "b", "c")
@@ -125,6 +133,25 @@ def test_filled_blocks_and_counts_match_the_tuple_scans_on_dense_spans():
     assert len(fb.spans) == 1 << 19 and sum(s.length is None for s in fb.spans) == len(fb.unknown_residues) == 174763
 
 
+def test_margins_candidates_words_and_views_match_the_view_readers():
+    """At every divisor of random towers over 2, 3 and 300 symbols and of
+    ``reference_example(0..10)``, each tower against itself and a rotation."""
+    rng = random.Random(2702)
+    towers = (*random_towers(), *map(reference_example, range(11)))
+    for t in towers:
+        u = rotate_tower(t, rng.randrange(t.deepest_period))
+        for p in _divisors(t.deepest_period):
+            for a, b in ((t, t), (t, u)):
+                check_status_readers(a, b, p, rng.choice((0, 1, 3, 10**6)))
+
+
+# the radius-1 codes of the refuted and the Unknown code-image verdicts in CI
+CI_CODES = (
+    "len = 1\n0 0 0 -> 0\n0 0 1 -> 1\n0 1 0 -> 1\n0 1 1 -> 1\n1 0 0 -> 0\n1 0 1 -> 0\n1 1 0 -> 1\n1 1 1 -> 0\n",
+    "len = 1\n0 0 0 -> 0\n0 0 1 -> 0\n0 1 0 -> 0\n0 1 1 -> 1\n1 0 0 -> 0\n1 0 1 -> 1\n1 1 0 -> 0\n1 1 1 -> 1\n",
+)
+
+
 def test_mask_readers_build_no_residue_status_set(monkeypatch, tmp_path):
     built = []
 
@@ -145,8 +172,20 @@ def test_mask_readers_build_no_residue_status_set(monkeypatch, tmp_path):
         filled_blocks(t, p)
     invariant_compare(t, u, 12)
     assert built == []
+    codes = [parse_block_code(code, t.alphabet) for code in CI_CODES]
+    images = [apply_block_code(t, code) for code in codes]
+    assert built == []
+    verdicts = [conjugacy_verdict(parse_tower_text(text), b, 3) for b in (*images, rotate_tower(t, 7))]
+    assert [type(v) for v in verdicts] == [RefutedUpTo, Unknown, ConjugateCertified] and built == []
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, tower in zip("abcd", (t, *images, u)):
+        (corpus / f"{name}.tw").write_text(serialize_tower(tower))
+    matrix = corpus_matrix(sorted(corpus.glob("*.tw")), 3)["matrix"]
+    assert set(matrix["a.tw"].values()) == {"conjugate-certified", "refuted-up-to", "unknown"} and built == []
     periodic_part(t, 10)
     assert built == [10]  # the guard sees the view built on request
+    assert not any(isinstance(entry, ResidueStatusSet) for entry in t._status.values())  # and the tower keeps none
 
 
 def test_word_text_matches_the_generators():

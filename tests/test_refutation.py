@@ -26,9 +26,9 @@ from toepcalc import (
 )
 from toepcalc.odometer import supernatural_equal
 from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
-from toepcalc.skeleton import ResidueStatusSet
+from toepcalc.skeleton import ResidueStatusSet, _modulus, status_masks
 
-from helpers import BINARY, old_unknown_diagnostics, shift_contradicted
+from helpers import BINARY, check_status_readers, old_unknown_diagnostics, shift_contradicted
 
 
 def reference_verdict(a, b, max_radius):
@@ -153,12 +153,24 @@ def random_status_table(rng):
     return ResidueStatusSet(g, statuses, tuple("0" if s is Status.IN else None for s in statuses))
 
 
+def table_masks(rss) -> tuple[int, int, int]:
+    """The In, Out and Unknown masks of a per-residue table, as ``status_masks`` gives them."""
+    return tuple(sum(1 << r for r in rss.residues(s)) for s in (Status.IN, Status.OUT, Status.UNKNOWN))
+
+
+def stage_candidates(a, b, p, max_radius) -> tuple[int, list[int]]:
+    """``a``'s margin and ``b``'s candidate classes at stage ``p``, read as ``conjugacy_verdict`` reads them."""
+    ga, gb = _modulus(a, p), _modulus(b, p)
+    t = conjugacy._margin(status_masks(a, ga)[0], ga, max_radius)
+    return t, conjugacy._candidates(status_masks(b, gb)[1], gb, t, p) if t >= 0 else []
+
+
 def test_closed_form_margin_matches_window_definition():
     rng = random.Random(2016)
     for _ in range(3000):
         rss = random_status_table(rng)
         max_radius = rng.randint(0, 30)
-        t = conjugacy._margin(rss, max_radius)
+        t = conjugacy._margin(table_masks(rss)[0], rss.modulus, max_radius)
         assert -1 <= t <= max_radius
         for m in range(max_radius + 1):
             window_in = all(rss.status_at(x) is Status.IN for x in range(-2 * m, 2 * m + 1))
@@ -193,7 +205,7 @@ def test_candidates_match_window_scan():
             if all(rss.status_at(k + x) is not Status.OUT for x in range(-radius, radius + 1))
         ]
         assert reference_candidates(rss, radius, n) == want, (rss, radius, n)
-        classes = conjugacy._candidates(rss, radius, p)
+        classes = conjugacy._candidates(table_masks(rss)[1], rss.modulus, radius, p)
         assert classes == sorted(set(classes)) and all(0 <= c < p for c in classes)
         assert sorted(c + j * p for c in classes for j in range(n // p)) == want, (rss, radius, p, n)
 
@@ -233,8 +245,7 @@ def test_verdict_matches_descending_radius_search_on_code_images():
         n = conjugacy._common_length(a, b)
         pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
         for p in a.periods if isinstance(want, (RefutedUpTo, Unknown)) else ():
-            t = conjugacy._margin(period_status(a, p), max_radius)
-            classes = conjugacy._candidates(period_status(b, p), t, p) if t >= 0 else []
+            _, classes = stage_candidates(a, b, p, max_radius)
             if len({id(pair.shape(p, c)) for c in classes}) > 1:
                 seen.add((type(want), "several shapes"))
             if classes and period_status(b, p).modulus < p:
@@ -267,14 +278,25 @@ def test_unknown_diagnostics_match_the_per_class_count():
         for p, line in zip(stages, verdict.diagnostics):
             if "candidate shifts" not in line:
                 continue
-            t = conjugacy._margin(period_status(a, p), max_radius)
-            pair.class_shapes(p, stages, conjugacy._candidates(period_status(b, p), t, p))
+            pair.class_shapes(p, stages, stage_candidates(a, b, p, max_radius)[1])
             seen["cut"] += p not in pair._tables
             if p in pair._tables and not line.endswith(" 0 not"):
                 seen["derived, some not contradicted"] += 1
             if p in pair._tables and " 0 contradicted" not in line:
                 seen["derived, some contradicted"] += 1
     assert len(seen) == 3 and min(seen.values()) >= 10, seen
+
+
+def test_mask_readers_match_the_view_readers_on_verdict_pairs():
+    """Margins, candidate classes, skeleton words and views at every stage of
+    random verdict pairs, code images and shallower images, against the view
+    readers they replaced (``helpers.check_status_readers``)."""
+    rng = random.Random(2701)
+    pairs = [random_verdict_pair(rng) for _ in range(600)]
+    for a, b in (*pairs, *code_image_pairs(rng), *shallower_pairs(rng)):
+        max_radius = rng.choice((0, 1, 2, 3, 5, 20))
+        for p in sorted(set(a.periods) | set(b.periods)):
+            check_status_readers(a, b, p, max_radius)
 
 
 def test_unknown_count_cuts_classes_above_a_long_jump():

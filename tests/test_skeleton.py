@@ -104,7 +104,7 @@ def test_status_table_cache_is_invisible(monkeypatch):
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert {a, b} == {b}
     assert a._planes is a._planes and a._planes == b._planes
-    assert periodic_part(a, 10) is first
+    assert periodic_part(a, 10) == first  # the view is built anew on each call
     assert periodic_part(a, 10) == periodic_part(b, 10)
     with pytest.raises(NonDivisorError):
         periodic_part(a, 3)  # warm
