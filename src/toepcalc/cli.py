@@ -28,6 +28,7 @@ from .conjugacy import (
     RefutedUpTo,
     Unknown,
     Verdict,
+    _decide,
     conjugacy_verdict,
     invariant_compare,
 )
@@ -285,9 +286,10 @@ def _cmd_rotate(ns) -> tuple[Report, int]:
 def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     """Pairwise verdict tags over the given tower files, keyed by file name
     in sorted order (independent of the discovery order).  Each tower is read
-    once, so its per-tower facts (status tables, phase separation) are built
-    once for all its pairs.  Towers over different alphabets are an error
-    that names the first file and the first one after it with another alphabet."""
+    once, so its per-tower facts (status tables, phase separation, blank mask,
+    block shapes) are built once for all its pairs, and each pair runs only the
+    verdict's decision, with no ``Unknown`` diagnostics.  Towers over different
+    alphabets name the first file and the first one after it with another one."""
     ordered = sorted(files, key=lambda f: f.name)
     towers = {f.name: _read_tower(f) for f in ordered}
     names = [f.name for f in ordered]
@@ -297,7 +299,8 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     for a in names:
         matrix[a] = {}
         for b in names:
-            matrix[a][b] = _VERDICT_TAGS[type(conjugacy_verdict(towers[a], towers[b], max_radius))]
+            decision = _decide(towers[a], towers[b], max_radius)  # no Unknown diagnostics: the tag is kept
+            matrix[a][b] = _VERDICT_TAGS[type(decision) if isinstance(decision, Verdict) else Unknown]
     return {"files": names, "matrix": matrix}
 
 

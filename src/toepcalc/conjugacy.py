@@ -25,15 +25,14 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress, count, islice, product, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .codes import AlphabetMismatch, PeriodMismatch
-from .core import _BIT_DIGITS, Alphabet, SkeletonTower
+from .core import _BIT_DIGITS, SkeletonTower
 from .odometer import supernatural_equal
 from .skeleton import (
     NonDivisorError,
     Status,
-    _divisors,
     _fold,
     _modulus,
     _set_bits,
@@ -75,10 +74,6 @@ class Undetermined(GammaResult):
     reason: str
 
 
-def _tiled(tower: SkeletonTower, n: int) -> str:
-    return tower._text * (n // tower.deepest_period)
-
-
 def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
     na, nb = a.deepest_period, b.deepest_period
     if na % nb and nb % na:
@@ -86,41 +81,73 @@ def _common_length(a: SkeletonTower, b: SkeletonTower) -> int:
     return max(na, nb)
 
 
+def _cycle(text: str, n: int, k: int) -> str:
+    """``text`` rotated by ``0 <= k < len(text)`` (``x -> text[x + k]``), repeated to length ``n``, a multiple of it."""
+    return (text[k:] + text[:k]) * (n // len(text))
+
+
+def _blanks(tower: SkeletonTower) -> tuple[str, int, int]:
+    """The blank mask of ``tower._text`` (``1`` per blank), its blank count and least rotation period, per tower."""
+    if (facts := tower._status.get("blanks")) is None:
+        mask = tower._text.translate("1".ljust(len(tower.alphabet._decode), "0"))
+        r = mask.find("1" if 2 * (blanks := mask.count("1")) <= len(mask) else "0") + 1  # 0 if the mask is constant
+        m = mask[r:] + mask[:r]  # ends with its rarer character: str.find tries a match only where that is
+        facts = tower._status["blanks"] = mask, blanks, (m + m).find(m, 1)
+    return facts
+
+
+def _shaped(tower: SkeletonTower, *key) -> tuple:  # the one shape of a key (p, numbers, fullness) on the tower
+    if (shape := tower._status.get(key)) is None:
+        _, ids, full = key
+        # in ~4 ns steps: the OR loop f(32 + b/128) for f full blocks; count, code, K translates (8 + K)(b + 128)
+        b, at, steps = len(ids), {}, (f := sum(full)) * (32 + len(ids) // 128)
+        names = [x for x, m in Counter(compress(ids, full)).items() if m > 1] if steps > 8 * (b + 128) else ()
+        if len(names) < 256 and (8 + len(names)) * (b + 128) < steps:
+            rank = bytearray(b)  # of each block's name, 0 if none
+            for r, x in enumerate(names, 1):
+                rank[x] = r
+            code = bytes(itemgetter(*ids[::-1])(rank))  # a tuple, as b > 1 here
+            at = {x: int(code.translate(b"0" * r + b"1" + b"0" * (255 - r)), 2) for r, x in enumerate(names, 1)}
+            fullness = int(bytes(full[::-1]).translate(_BIT_DIGITS[0]), 2)
+        else:
+            for i in compress(count(), full):
+                at[ids[i]] = at.get(ids[i], 0) | 1 << i
+            fullness = sum(at.values())
+        names = {x: m | m << b for x, m in at.items() if m & (m - 1)} if len(at) < f else {}
+        shape = tower._status[key] = ids, fullness | fullness << b, names, full
+    return shape
+
+
 class _Pair:
-    """Two deepest words encoded as in ``SkeletonTower._text``, prepared once per
-    verdict: blocks are ``str`` slices of the source at offset 0 and of the doubled
-    target at each offset class ``c`` mod ``p``; shift ``k`` sees class ``k mod p``
-    rotated by ``j = (k mod n) // p`` blocks.  Each class is cut once per stage into
-    its shape (block numbers, each its block's first index, and fullness), shared by
-    classes of one shape: its ``B = n/p``-bit masks decide conflicts (and locate one
-    for ``gamma_map``), its table holds rotations' verdicts, ``gamma`` reads its numbers."""
+    """Two towers' deepest words, encoded as in ``SkeletonTower._text`` and tiled to a common
+    length ``n``, the source rotated by ``ka`` and the target by ``kb``: blocks are ``str`` slices
+    of the source at offset 0 and of the doubled target at each offset class ``c`` mod ``p``;
+    shift ``k`` sees class ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.  A tower cuts its
+    blocks from offset ``o`` once, for all its pairs, into a shape kept under ``(n, p, o)`` (block
+    numbers, each its block's first index, and fullness), one per ``(p, numbers, fullness)``: its
+    ``B = n/p``-bit masks decide conflicts (and locate one for ``gamma_map``), ``gamma`` reads its
+    numbers.  The pair keeps only what needs both sides: each target shape's rotations' conflict flags."""
 
-    def __init__(self, src: str, tgt: str, alphabet: Alphabet):
-        self.n = len(src)
-        self.src = src
-        self.tgt2 = tgt + tgt
-        self.decode = alphabet._decode  # the cell of each code point
-        self._shapes: dict[tuple, tuple] = {}  # (p, numbers, fullness)
-        self._shape_of: dict[tuple[int, Optional[int]], tuple] = {}  # (p, class)
-        self._tables: dict[int, list[tuple]] = {}  # p: the target's derived shape per class
-
-    @cached_property
-    def masks(self) -> tuple[str, str]:
-        return tuple(w.translate("1".ljust(len(self.decode), "0")) for w in (self.src, self.tgt2))  # blank: 1
+    def __init__(self, a: SkeletonTower, b: SkeletonTower, n: int, ka: int = 0, kb: int = 0):
+        self.n, self.sides = n, ((a, ka), (b, kb))
+        self.decode = a.alphabet._decode  # the cell of each code point
+        self.src, self.tgt2 = _cycle(a._text, n, ka), _cycle(b._text, 2 * n, kb)
+        self.masks = _cycle(_blanks(a)[0], n, ka), _cycle(_blanks(b)[0], 2 * n, kb)  # blank: 1
+        self._contradicted: dict[int, dict[int, bool]] = {}  # id(target shape): its rotations' conflict flags
 
     @cached_property
     def mask_shifts(self) -> range:
-        """Shifts in ``[0, n)`` with matching blank masks, none unless the blanks
-        are equally many: the first by ``str.find`` of the source mask, rotated to
-        end with its rarer character so a match is tried only where that is, in the
-        doubled target mask, then every least rotation period (the least divisor of
-        ``n`` where it recurs).  O(n) C-level steps per match or period tried."""
-        smask, tmask2 = self.masks
-        r = smask.find("1" if 2 * (blanks := smask.count("1")) <= self.n else "0") + 1  # 0 if the mask is constant
-        if 2 * blanks != tmask2.count("1") or (q := tmask2.find(smask[r:] + smask[:r])) < 0:
+        """Shifts in ``[0, n)`` with matching blank masks, none unless the blanks are
+        equally many: the first by one ``str.find`` of the source mask, rotated to end
+        with its rarer character so a match is tried only where that is, in the doubled
+        target mask, then every least rotation period of the target's mask: O(n)
+        C-level steps per match tried, on blank counts and periods kept per tower."""
+        (a, _), (b, _) = self.sides
+        blanks, (smask, tmask2) = _blanks(a)[1] * (self.n // a.deepest_period), self.masks
+        r = smask.find("1" if 2 * blanks <= self.n else "0") + 1  # 0 if the mask is constant
+        if blanks != _blanks(b)[1] * (self.n // b.deepest_period) or (q := tmask2.find(smask[r:] + smask[:r])) < 0:
             return range(0)
-        d = next(d for d in _divisors(self.n) if tmask2.startswith(tmask2[: self.n], d))
-        return range((q - r) % d, self.n, d)
+        return range((q - r) % (d := _blanks(b)[2]), self.n, d)
 
     def blocks(self, p: int, o: Optional[int] = None) -> list[str]:
         """Consecutive ``p``-slices of the source, or of the target from offset ``o``."""
@@ -131,35 +158,15 @@ class _Pair:
         """The stage-``p`` shape of the source, or of the target at offset
         class ``c``: its block numbers (equal blocks share one); bitmasks,
         doubled to ``2B`` bits, of its full blocks and of each name of two or
-        more full blocks; the target's conflict flag per block rotation; and
-        each block's fullness."""
-        if (p, c) not in self._shape_of:
+        more full blocks; and each block's fullness."""
+        tower, k = self.sides[c is not None]
+        key = ("shape", self.n, p, (k if c is None else k + c) % self.n)
+        if (shape := tower._status.get(key)) is None:
             ids = tuple(map((first := {}).setdefault, self.blocks(p, c), count()))  # first indices
             full = (True,) * len(ids)
-            if "\0" in (self.src if c is None else self.tgt2):  # a blank: fullness per distinct block
+            if _blanks(tower)[1]:  # a blank: fullness per distinct block
                 full = tuple(map({x: "\0" not in s for s, x in first.items()}.__getitem__, ids))
-            self._shape_of[p, c] = self._shaped(p, ids, full)
-        return self._shape_of[p, c]
-
-    def _shaped(self, *key) -> tuple:  # the one shape of a key (p, numbers, fullness)
-        if (shape := self._shapes.get(key)) is None:
-            _, ids, full = key
-            # in ~4 ns steps: the OR loop f(32 + b/128) for f full blocks; count, code, K translates (8 + K)(b + 128)
-            b, at, steps = len(ids), {}, (f := sum(full)) * (32 + len(ids) // 128)
-            names = [x for x, m in Counter(compress(ids, full)).items() if m > 1] if steps > 8 * (b + 128) else ()
-            if len(names) < 256 and (8 + len(names)) * (b + 128) < steps:
-                rank = bytearray(b)  # of each block's name, 0 if none
-                for r, x in enumerate(names, 1):
-                    rank[x] = r
-                code = bytes(itemgetter(*ids[::-1])(rank))  # a tuple, as b > 1 here
-                at = {x: int(code.translate(b"0" * r + b"1" + b"0" * (255 - r)), 2) for r, x in enumerate(names, 1)}
-                fullness = int(bytes(full[::-1]).translate(_BIT_DIGITS[0]), 2)
-            else:
-                for i in compress(count(), full):
-                    at[ids[i]] = at.get(ids[i], 0) | 1 << i
-                fullness = sum(at.values())
-            names = {x: m | m << b for x, m in at.items() if m & (m - 1)} if len(at) < f else {}
-            shape = self._shapes[key] = ids, fullness | fullness << b, names, {}, full
+            shape = tower._status[key] = _shaped(tower, p, ids, full)
         return shape
 
     def class_shapes(self, p: int, stages: list[int], classes: Sequence[int]) -> list[tuple]:
@@ -171,21 +178,22 @@ class _Pair:
         per distinct (stage-``d`` shape, ``c // d``) is derived in O(n/d) tuple
         steps (64 string steps each), and ``map`` gives each class its shape.
         Where no ``d`` exists or that costs more, each class is cut: O(n)
-        string steps and a Python step (256 string steps) per block."""
-        d, n = max((d for d in stages if d < p and p % d == 0), default=0), self.n
-        if d and p not in self._tables:
+        string steps and a Python step (256 string steps) per block.  A table
+        is kept on the target's tower, for every pair it is the target of."""
+        d, n, (b, kb) = max((d for d in stages if d < p and p % d == 0), default=0), self.n, self.sides[1]
+        if d and (key := ("classes", n, p, kb)) not in b._status:
             below, q = self.class_shapes(d, stages, range(d)), p // d
             distinct = dict(zip(map(id, below), below))
             if 64 * len(distinct) * q * (n // d) < len(classes) * (n + 256 * (n // p)):
-                self._tables[p] = []
+                table = b._status[key] = []
                 for a in range(q):  # the classes a·d + r
                     derived = {}
-                    for i, (ids, *_, full) in distinct.items():
+                    for i, (ids, _, _, full) in distinct.items():
                         ids, full = zip(*[iter(ids[a:] + ids[:a])] * q), zip(*[iter(full[a:] + full[:a])] * q)
-                        derived[i] = self._shaped(p, tuple(map({}.setdefault, ids, count())), tuple(map(all, full)))
-                    self._tables[p] += map(derived.__getitem__, map(id, below))
-        if p in self._tables:
-            return list(map(self._tables[p].__getitem__, classes))
+                        derived[i] = _shaped(b, p, tuple(map({}.setdefault, ids, count())), tuple(map(all, full)))
+                    table += map(derived.__getitem__, map(id, below))
+        if (table := b._status.get(("classes", n, p, kb))) is not None:
+            return list(map(table.__getitem__, classes))
         return list(map(self.shape, repeat(p), classes))
 
     def rotations_contradicted(self, p: int, target: tuple, start: int = 0) -> Iterator[bool]:
@@ -194,8 +202,8 @@ class _Pair:
         sides fail to pair off, that is, the names covering two or more of them cover
         unequal block sets on the two sides (one-block names cover the rest): a source
         name differs from the target name at its first block, or the target has more."""
-        (_, sfull, snames, *_), (tids, tfull, tnames, table, _) = self.shape(p), target
-        b = len(tids)
+        (_, sfull, snames, _), (tids, tfull, tnames, _) = self.shape(p), target
+        table, b = self._contradicted.setdefault(id(target), {}), len(tids)
         for j in range(start, b):
             if j not in table:
                 both = sfull & tfull >> j & (1 << b) - 1  # bit i: block i is full on both sides
@@ -236,6 +244,11 @@ class _Pair:
         raise AssertionError("no conflict among the fully filled blocks")
 
     def gamma(self, p: int, k: int) -> Optional[GammaResult]:  # None where contradicted: see gamma_map
+        pairs = self.matched(p, k)
+        return Consistent(tuple(zip(*(map(self.block, side) for side in pairs)))) if isinstance(pairs, tuple) else pairs
+
+    def matched(self, p: int, k: int) -> Union[None, Undetermined, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """``gamma`` short of decoding a Consistent witness: its distinct block pairs as slices."""
         n, o = self.n, k % self.n
         (j, c), sids = divmod(o, p), self.shape(p)[0]  # a block's number is its first index
         if next(self.rotations_contradicted(p, target := self.shape(p, c), j)):
@@ -253,12 +266,12 @@ class _Pair:
                 if backward.setdefault(y, (x, i))[0] != x:
                     return Undetermined(f"partial blocks {i} and {backward[y][1]} break injectivity")
         ss, ts = zip(*((self.src[x * p : x * p + p], self.tgt2[c + y * p : c + y * p + p]) for x, y in pairs))
-        if "\0" in self.src and len(pairs) > 1:  # one block pair is a witness
+        if _blanks(self.sides[0][0])[1] and len(pairs) > 1:  # one block pair is a witness
             # per distinct in-block column of the distinct block pairs, named by its first offset: symbols pair off
             for xs, ys in dict.fromkeys(cols := list(zip(zip(*ss), zip(*ts)))):
                 if len(both := set(zip(xs, ys))) != len(set(xs)) or len(both) != len(set(ys)):
                     return Undetermined(f"no positionwise witness at offset {cols.index((xs, ys))}")
-        return Consistent(tuple(zip(map(self.block, ss), map(self.block, ts))))
+        return ss, ts
 
     def block(self, text: str) -> Block:
         return tuple(map(self.decode.__getitem__, text))
@@ -275,11 +288,11 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     positionwise witness.  Everything else is Undetermined.
 
     Cost: O(n) for the common length ``n``: the source and the target's offset
-    class ``k mod p`` are cut from the towers' cached encodings once, into the
-    shapes the rest reads.  The conflict test takes a few operations on ``n/p``-bit
-    masks per name of two or more full blocks, its location (found here alone, as
-    verdicts keep only a Consistent) a few per block full on both sides up to it;
-    the map O(n/p) C-level steps on the block numbers, and the ``D`` distinct block
+    class ``k mod p`` are cut into the shapes the rest reads, once per tower.
+    The conflict test takes a few operations on ``n/p``-bit masks per name of
+    two or more full blocks, its location (found here alone, as verdicts keep
+    only a Consistent) a few per block full on both sides up to it; the map
+    O(n/p) C-level steps on the block numbers, and the ``D`` distinct block
     pairs' slices and columns O(D·p), with a Python step per distinct column for
     the witness and one ``map`` over ``Alphabet._decode`` per block decoded.
     """
@@ -288,7 +301,7 @@ def gamma_map(a: SkeletonTower, b: SkeletonTower, p: int, k: int) -> GammaResult
     n = _common_length(a, b)
     if p < 1 or n % p:
         raise IncompatiblePeriods(f"stage {p} does not divide the common period {n}")
-    return (pair := _Pair(_tiled(a, n), _tiled(b, n), a.alphabet)).gamma(p, k) or pair.conflict(p, k)
+    return (pair := _Pair(a, b, n)).gamma(p, k) or pair.conflict(p, k)
 
 
 class Verdict:
@@ -408,11 +421,12 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
        with a consistent correspondence, so none exists.
     4. Else Unknown, with a per-stage accounting.
 
-    Cost: the cached encodings are tiled once; each stage's blocks are cut as
-    slices and numbered into a shape once for the source and once per target
-    offset class reached, O(n) each, which a correspondence reads after an O(n)
-    mask comparison; phase separation is checked only when reached; shifts
-    with matching masks come from one O(n) string search.  Candidates are whole
+    Cost: the decision (``_decide``, all ``corpus`` runs) stops short of the
+    ``Unknown`` count.  Each stage's blocks are cut as slices and numbered into a
+    shape once per tower and offset reached, for all the tower's pairs, O(n)
+    each, which a correspondence reads after an O(n) mask comparison; phase
+    separation is checked only when reached; shifts with matching masks come
+    from one O(n) string search on masks kept per tower.  Candidates are whole
     offset classes.  The refutation cuts them one at a time and reads each
     target shape's ``n/p`` rotations once, up to the first uncontradicted one;
     the count sums each shape's once, times its classes, and takes the shapes
@@ -422,6 +436,28 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     conflict-table entries per stage, each a few operations on ``n/p``-bit masks per name.
     Margins read the tables' In masks in a few big-int operations, independent of ``max_radius``.
     """
+    if isinstance(decision := _decide(a, b, max_radius), Verdict):
+        return decision
+    pair, stages, separated, margins, candidates = decision  # the explanation: an Unknown's per-stage accounting
+    diagnostics = []
+    for p, t in margins.items():
+        if not separated[p]:
+            diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
+            continue
+        line = f"stage {p}: no consistent shift; usable source margin radius {t}"
+        if t >= 0:
+            total = len(candidates[p]) * (pair.n // p)
+            of = pair.class_shapes(p, stages, candidates[p])
+            shapes, classes = dict(zip(map(id, of), of)), Counter(map(id, of))  # each shape's number of classes
+            contradicted = sum(sum(pair.rotations_contradicted(p, s)) * classes[i] for i, s in shapes.items())
+            line += f"; {total} candidate shifts at radius {t}: {contradicted} contradicted, {total - contradicted} not"
+        diagnostics.append(line)
+    return Unknown(tuple(diagnostics))
+
+
+def _decide(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Union[Verdict, tuple]:
+    """``conjugacy_verdict`` short of rendering ``Unknown`` diagnostics: the verdict, or
+    the facts they are rendered from."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
     if (
@@ -429,15 +465,12 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
         and b.declared_scale is not None
         and not supernatural_equal(a.declared_scale, b.declared_scale)
     ):
-        return NotConjugateCertified(
-            f"declared scales differ: {a.declared_scale} vs {b.declared_scale}"
-        )
+        return NotConjugateCertified(f"declared scales differ: {a.declared_scale} vs {b.declared_scale}")
     try:
         n = _common_length(a, b)
     except IncompatiblePeriods as exc:
         return Unknown((str(exc),))
-    stages = sorted(set(a.periods) | set(b.periods))
-    pair = _Pair(_tiled(a, n), _tiled(b, n), a.alphabet)
+    stages, pair = sorted(set(a.periods) | set(b.periods)), _Pair(a, b, n)
     separated: dict[int, bool] = {}
     for p in stages:
         separated[p] = phase_separated(a, p) and phase_separated(b, p)
@@ -462,27 +495,9 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
         return all(all(pair.rotations_contradicted(p, s)) for s in shapes if not (id(s) in read or read.add(id(s))))
 
     for m in sorted(set(margins.values()) - {-1}, reverse=True):
-        refuting = tuple(p for p in stages if margins[p] == m and refutes(p))
-        if refuting:
+        if refuting := tuple(p for p in stages if margins[p] == m and refutes(p)):
             return RefutedUpTo(m, refuting)
-
-    diagnostics = []
-    for p, t in margins.items():
-        if not separated[p]:
-            diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
-            continue
-        line = f"stage {p}: no consistent shift; usable source margin radius {t}"
-        if t >= 0:
-            total = len(candidates[p]) * (n // p)
-            of = pair.class_shapes(p, stages, candidates[p])
-            shapes, classes = dict(zip(map(id, of), of)), Counter(map(id, of))  # each shape's number of classes
-            contradicted = sum(sum(pair.rotations_contradicted(p, s)) * classes[i] for i, s in shapes.items())
-            line += (
-                f"; {total} candidate shifts at radius {t}:"
-                f" {contradicted} contradicted, {total - contradicted} not"
-            )
-        diagnostics.append(line)
-    return Unknown(tuple(diagnostics))
+    return pair, stages, separated, margins, candidates
 
 
 @dataclass(frozen=True)
@@ -579,27 +594,33 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     witness, Contradicted everywhere is a refutation.  Only shifts with
     matching blank masks can be Consistent, so ``gamma`` runs only there.
 
-    Cost: O(n) to rotate each part as a slice of its tower's cached encoding,
-    find the mask-compatible shifts (``_Pair.mask_shifts``) and number the
-    ``B = n/p`` blocks once into a shape (every shift reads the target's
-    offset class 0, rotated); then ``gamma_map``'s steps per mask-compatible
-    block-aligned shift, and, when none is Consistent, one conflict-table entry
-    (a few operations on ``B``-bit masks per name) per block-aligned shift,
-    already filled where ``gamma`` ran.
+    Cost: O(n) to find the mask-compatible shifts (``_Pair.mask_shifts``); a
+    part ``(tower, k)`` reads its ``B = n/p`` blocks' shape at offset ``k`` of its
+    tower, cut once per tower (every shift reads the target's, rotated); then
+    ``gamma_map``'s steps per mask-compatible block-aligned shift, and, when none
+    is Consistent, one conflict-table entry (a few operations on ``B``-bit masks
+    per name) per block-aligned shift, already filled where ``gamma`` ran.  The
+    scan (``_dp_scan``, all ``efin_equal`` runs) decodes no witness: a found
+    one is decoded by one more ``gamma`` at its rotation.
     """
+    if (found := _dp_scan(w, z)).block_rotation is None:
+        return found
+    pair, j = _Pair(w.base, z.base, w.base.deepest_period, w.k, z.k), found.block_rotation
+    return DpResult(found.kind, pair.gamma(w.p, j * w.p).correspondence, j)
+
+
+def _dp_scan(w: Part, z: Part) -> DpResult:
+    """``dp_equivalent`` short of decoding the witness: its kind and block rotation."""
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
     if w.base.alphabet != z.base.alphabet:
         raise AlphabetMismatch("parts use different alphabets")
     if w.base.deepest_period != z.base.deepest_period:
         raise PeriodMismatch("parts rest on towers of different depth")
-    a, b = w.base._text, z.base._text
-    pair, p = _Pair(a[w.k :] + a[: w.k], b[z.k :] + b[: z.k], w.base.alphabet), w.p
+    pair, p = _Pair(w.base, z.base, w.base.deepest_period, w.k, z.k), w.p
     for k in pair.mask_shifts:
-        if k % p == 0:
-            g = pair.gamma(p, k)
-            if isinstance(g, Consistent):
-                return DpResult(DpKind.CONSISTENT_WITNESS, g.correspondence, k // p)
+        if k % p == 0 and isinstance(pair.matched(p, k), tuple):
+            return DpResult(DpKind.CONSISTENT_WITNESS, None, k // p)
     refuted = all(pair.rotations_contradicted(p, pair.shape(p, 0)))  # the block-aligned shifts, as gamma read them
     return DpResult(DpKind.REFUTED if refuted else DpKind.UNDETERMINED)
 
@@ -628,7 +649,7 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
     comparisons against the entire other side are all Refuted certifies
     inequality.  Empty versus empty is equal; empty versus nonempty refuted.
 
-    Cost: at most one ``dp_equivalent`` per pair across the sides, each side in
+    Cost: at most one ``dp_equivalent`` scan per pair across the sides, each side in
     residue order, run when first needed and only while one of its parts has no
     witness, until every part has one; the Refuted rule reads only the pairs run.
     """
@@ -644,7 +665,7 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
         if not bare:
             break
         if not bare.isdisjoint((x, y)):
-            kinds[x, y] = dp_equivalent(x, y).kind
+            kinds[x, y] = _dp_scan(x, y).kind
             if kinds[x, y] is DpKind.CONSISTENT_WITNESS:
                 bare -= {x, y}
     if not bare:

@@ -176,8 +176,9 @@ class SkeletonTower:
     alphabet: Alphabet
     levels: tuple[tuple[int, PartialCyclicWord], ...]
     declared_scale: Optional[SupernaturalNumber] = None
-    # the status tables' residue bit masks by period and phase_separated's answers by ("separated", stage):
-    # no per-residue view; the tower is immutable, so each entry is built once and stays valid for its lifetime
+    # the status tables' residue bit masks by period (no per-residue view), phase_separated's answers by
+    # ("separated", stage), the verdict's blank mask, block shapes by ("shape", length, stage, offset) and by
+    # (stage, numbers, fullness) and derived class tables: the tower is immutable, so each entry stays valid
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _text, the deepest word one code point per cell by Alphabet._code, and _planes, its filled mask
     # then its _bit_planes (a blank has code 0, so the first is their union): only validate_tower sets them

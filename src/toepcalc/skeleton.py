@@ -121,9 +121,13 @@ def status_masks(tower: SkeletonTower, p: int) -> tuple[int, int, int]:
     return table
 
 
-def _view(tower: SkeletonTower, p: int) -> tuple[tuple, tuple]:  # statuses, symbols by hex digit outs_r + 2·unknowns_r
+def _digits(tower: SkeletonTower, p: int) -> str:  # per residue r, the digit outs_r + 2·unknowns_r
     _, outs, unknowns = status_masks(tower, p)  # read as hex, the binary digits of a mask put bit r in hex digit r
-    digits = format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
+    return format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
+
+
+def _view(tower: SkeletonTower, p: int) -> tuple[tuple, tuple]:  # statuses, symbols by digit
+    digits = _digits(tower, p)
     return tuple(map(_STATUS_OF_DIGIT.get, digits)), tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells))
 
 
@@ -200,20 +204,21 @@ def filled_blocks(tower: SkeletonTower, p: int) -> FilledBlocks:
     certified only when every residue in it is In.
 
     Cost: O(p) C-level steps on the table's bit masks (``status_masks``),
-    then a Python step and one slice test of the Unknown bits per span.
+    then a Python step per span to build it.
     """
     _, outs, unknowns = status_masks(tower, p)
     holes, unknown = tuple(_set_bits(outs)), tuple(_set_bits(unknowns))
-    if not holes:
-        return FilledBlocks(p, True, (), (), unknown)
-    # no residue between consecutive holes is Out; a wrapping arc is a slice of the doubled Unknown bits
-    unknown_bits = format(unknowns, f"0{p}b")[::-1] * 2
-    spans = tuple(
-        BlockSpan((h + 1) % p, None if "1" in unknown_bits[h + 1 : nxt] else nxt - h - 1, p)
-        for h, nxt in zip(holes, (*holes[1:], holes[0] + p))
-        if nxt > h + 1
-    )
-    return FilledBlocks(p, False, spans, holes, unknown)
+    spans = (BlockSpan((h + 1) % p, None if "2" in a else len(a), p) for h, a in zip(holes, _arcs(tower, p)) if a)
+    return FilledBlocks(p, not holes, tuple(spans), holes, unknown)
+
+
+def _arcs(tower: SkeletonTower, p: int) -> list[str]:
+    """After each hole at period ``p``, in increasing order, the residues up to the next, cyclically, as digits
+    ``0`` (In) and ``2`` (Unknown): the digits rotated to follow the first hole, split at holes, in C-level passes."""
+    if not (outs := status_masks(tower, p)[1]):
+        return []
+    digits, h = _digits(tower, p), (outs & -outs).bit_length()  # h: just after the first hole
+    return (digits[h:] + digits[:h]).split("1")[:-1]
 
 
 class EssentialOutcome(Enum):
@@ -384,24 +389,18 @@ def growth_profile(tower: SkeletonTower) -> GrowthProfile:
     The trend compares the certified minimum block lengths level by level:
     "increasing" (strictly), "stable" (all equal), or "non-monotone"; levels
     without a certified block are skipped in the comparison.
-    Cost: one ``filled_blocks`` per level, on the tables' bit masks.
+    Cost: per level, the ``filled_blocks`` spans' lengths as C-level passes
+    over the table's digits, with no span built.
     """
     rows: list[GrowthRow] = []
     for p, _ in tower.levels:
-        fb = filled_blocks(tower, p)
-        certified = [s.length for s in fb.spans if s.length is not None]
+        arcs = _arcs(tower, p)
+        certified = [len(arc) for arc in arcs if arc and "2" not in arc]
         # a certified span of length L lies between holes L + 1 apart; a hole
         # without a span after it is followed at once by the next hole
-        gaps = [length + 1 for length in certified] + [1] * (len(fb.holes) > len(fb.spans))
-        rows.append(
-            GrowthRow(
-                period=p,
-                min_block_length=min(certified) if certified else None,
-                min_hole_gap=min(gaps) if gaps else None,
-                unknown_count=len(fb.unknown_residues),
-                fully_periodic=fb.fully_periodic,
-            )
-        )
+        gaps = [length + 1 for length in certified] + [1] * ("" in arcs)
+        least, unknowns = min(certified) if certified else None, status_masks(tower, p)[2].bit_count()
+        rows.append(GrowthRow(p, least, min(gaps) if gaps else None, unknowns, fully_periodic=not arcs))
     vals = [r.min_block_length for r in rows if r.min_block_length is not None]
     if len(vals) < 2 or all(b > a for a, b in zip(vals, vals[1:])):
         trend = "increasing"

@@ -28,7 +28,6 @@ from toepcalc.conjugacy import (
     _common_length,
     _margin,
     _Pair,
-    _tiled,
     phase_separated,
 )
 from toepcalc.construction import ALPHABET, SCALE
@@ -77,6 +76,15 @@ def per_residues(cells: tuple[str, ...], p: int) -> frozenset[int]:
         if len({full[i] for i in range(r, span, p)}) == 1:
             out.add(r)
     return frozenset(out)
+
+
+def text_pair(src: str, tgt: str, alphabet: Alphabet, cls: type = _Pair) -> _Pair:
+    """A ``cls`` pair of the words encoded as ``src`` and ``tgt`` (as in
+    ``SkeletonTower._text``; ``len(tgt)`` divides ``len(src)``), each a new
+    one-level tower, so the pair shares no per-tower cache."""
+    decode = alphabet._decode.__getitem__
+    a, b = (SkeletonTower(alphabet, ((len(w), PartialCyclicWord(map(decode, w))),)) for w in (src, tgt))
+    return cls(a, b, len(src))
 
 
 def shift_contradicted(pair: _Pair, p: int, k: int) -> bool:
@@ -225,7 +233,7 @@ def old_unknown_diagnostics(a: SkeletonTower, b: SkeletonTower, max_radius: int)
     candidate class cut into its shape."""
     n = _common_length(a, b)
     stages = sorted(set(a.periods) | set(b.periods))
-    pair = _ClassReads(_Pair(_tiled(a, n), _tiled(b, n), a.alphabet))
+    pair = _ClassReads(text_pair(*(t._text * (n // t.deepest_period) for t in (a, b)), a.alphabet))
     margins = {p: old_margin(old_period_status(a, p), max_radius) for p in stages}
     candidates = {p: old_candidates(old_period_status(b, p), t, p) for p, t in margins.items() if t >= 0}
 

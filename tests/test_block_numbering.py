@@ -9,10 +9,11 @@ import random
 from collections import Counter
 from itertools import compress, count
 from operator import and_, itemgetter
+from types import SimpleNamespace
 
 from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower, reference_example, rotate_tower
 from toepcalc import conjugacy
-from toepcalc.conjugacy import _Pair, _tiled
+from toepcalc.conjugacy import _Pair, _shaped
 from toepcalc.skeleton import skeleton_word
 
 from helpers import _first_conflict, old_shaped, shift_contradicted
@@ -90,7 +91,7 @@ def random_cells(rng, n):
 def assert_same_shape(shape, ref, p, c):
     """A shape's numbers, doubled full-block mask and fullness tuple read
     like the reference's tuple cut of class ``c`` at stage ``p``."""
-    ids, full, _, _, fullness = shape
+    ids, full, _, fullness = shape
     ref_ids, ref_full = ref.numbered(p, c)
     assert relabelled(ids) == relabelled(ref_ids), (p, c)
     m = sum(f << i for i, f in enumerate(ref_full))
@@ -104,14 +105,15 @@ def assert_same_tables(a, b, stages, ref):
     cheaper, numbers like the reference's tuple cut and is the shape the
     class is cut into; returns the number of stages derived."""
     n = max(a.deepest_period, b.deepest_period)
-    pair = _Pair(_tiled(a, n), _tiled(b, n), ALPHABET)
+    a, b = (SkeletonTower(t.alphabet, t.levels, t.declared_scale) for t in (a, b))  # tables are kept per tower
+    pair = _Pair(a, b, n)
     for p in sorted(stages, reverse=True):
         shapes = pair.class_shapes(p, stages, range(p))
         assert len(shapes) == p
         for c, shape in enumerate(shapes):
             assert_same_shape(shape, ref, p, c)
             assert shape is pair.shape(p, c), (p, c)  # one shape per (p, numbers, fullness)
-    return len(pair._tables)
+    return sum(key[0] == "classes" for key in b._status if isinstance(key, tuple))
 
 
 def divisor_sets(n):
@@ -135,7 +137,7 @@ def assert_same_numbering(a, b, stage_sets=()):
     the ``class_shapes`` tables over each stage set, by default ``divisor_sets``;
     returns the number of stages derived."""
     n = max(a.deepest_period, b.deepest_period)
-    pair = _Pair(_tiled(a, n), _tiled(b, n), ALPHABET)
+    pair = _Pair(a, b, n)
     ref = ReferencePair(*(t.deepest_word.repeated(n // t.deepest_period).cells for t in (a, b)))
     derived = sum(assert_same_tables(a, b, stages, ref) for stages in stage_sets or divisor_sets(n))
     for p in (d for d in range(1, n + 1) if n % d == 0):
@@ -212,8 +214,8 @@ def shaped_key(p, labels, full_labels):
 
 
 def test_shaped_masks_match_the_or_loop(monkeypatch):
-    """All five fields of ``_shaped`` (numbers, doubled full-block mask,
-    names with their doubled masks in order, the empty table, fullness)
+    """All four fields of ``_shaped`` (numbers, doubled full-block mask,
+    names with their doubled masks in order, fullness)
     alike with the OR loop, on edge shapes and on every stage's source and
     target shapes of ``reference_example(1..12)`` against a rotation; the
     translates and the OR loop each run."""
@@ -236,13 +238,13 @@ def test_shaped_masks_match_the_or_loop(monkeypatch):
     ]
     for k in range(1, 13):
         g = reference_example(k)
-        pair = _Pair(g._text, rotate_tower(g, 7 * k)._text, g.alphabet)
+        pair = _Pair(g, rotate_tower(g, 7 * k), g.deepest_period)
         for p in g.periods:
             for c in (None, 0, p // 2):
                 shape = pair.shape(p, c)
-                keys.append((p, shape[0], shape[4]))
+                keys.append((p, shape[0], shape[3]))
     for key in keys:
-        new, ref = _Pair("", "", ALPHABET), _Pair("", "", ALPHABET)
-        got, want = new._shaped(*key), old_shaped(ref, *key)
+        ids, full, names, _, fullness = old_shaped(SimpleNamespace(_shapes={}), *key)  # _: a pair keeps the table
+        got, want = _shaped(word_tower((None,)), *key), (ids, full, names, fullness)
         assert got == want and list(got[2].items()) == list(want[2].items()), key[0]
     assert 0 < len(translated) < len(keys), translated

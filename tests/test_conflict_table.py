@@ -14,10 +14,10 @@ from operator import and_
 from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower, rotate_tower
 from toepcalc import conjugacy
 from toepcalc.codes import apply_block_code
-from toepcalc.conjugacy import Part, _Pair, _tiled, dp_equivalent, with_common_depth
+from toepcalc.conjugacy import Part, _Pair, dp_equivalent, with_common_depth
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
-from helpers import _first_conflict, old_blocks, old_gamma, old_shaped, shift_contradicted
+from helpers import _first_conflict, old_blocks, old_gamma, old_shaped, shift_contradicted, text_pair
 
 REASONS = ("equal full blocks map to distinct full blocks", "distinct full blocks map to one full block")
 
@@ -32,8 +32,8 @@ class ReferencePair(_Pair):
 
     blocks, gamma, _shaped = old_blocks, old_gamma, old_shaped
 
-    def __init__(self, src, tgt, alphabet):
-        super().__init__(src, tgt, alphabet)
+    def __init__(self, *sides):
+        super().__init__(*sides)
         self._numbers = {}  # (p, class)
 
     def numbered(self, p, c=None):
@@ -76,7 +76,7 @@ def assert_same_conflicts(src, tgt, alphabet, seen, rng):
     conflict of each contradicted one; ``gamma`` too, whose reference locates
     conflicts by the Counter search, and ``seen`` counts the cases the table
     and the locator have to get right."""
-    pair, ref = _Pair(src, tgt, alphabet), ReferencePair(src, tgt, alphabet)
+    pair, ref = (text_pair(src, tgt, alphabet, cls) for cls in (_Pair, ReferencePair))
     n = len(src)
     queries = [(p, k) for p in divisors(n) for k in range(-n, 2 * n)] * 2
     rng.shuffle(queries)
@@ -124,7 +124,7 @@ def random_pair(rng, symbols):
     if rng.random() < 0.5:
         a, b = b, a
     n = max(a.deepest_period, b.deepest_period)
-    return _tiled(a, n), _tiled(b, n), a.alphabet, kind
+    return a._text * (n // a.deepest_period), b._text * (n // b.deepest_period), a.alphabet, kind
 
 
 def test_random_tower_pairs_conflict_like_the_per_shift_test():
@@ -191,7 +191,7 @@ def test_gamma_and_dp_equivalent_match_the_block_scan(monkeypatch):
             a, b = b, a
         kinds[kind] += 1
         n = max(a.deepest_period, b.deepest_period)
-        pair, ref = (cls(_tiled(a, n), _tiled(b, n), a.alphabet) for cls in (_Pair, ReferencePair))
+        pair, ref = (cls(a, b, n) for cls in (_Pair, ReferencePair))
         for p in divisors(n):
             for k in range(n):
                 g = pair.gamma(p, k) or pair.conflict(p, k)

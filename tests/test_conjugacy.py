@@ -1,5 +1,6 @@
 """Correspondences, verdicts, starred parts, chi stages, invariant table."""
 
+import pickle
 import random
 from itertools import product
 
@@ -39,6 +40,7 @@ from toepcalc import (
     with_common_depth,
 )
 from toepcalc.codes import PeriodMismatch
+from toepcalc import conjugacy
 from toepcalc.conjugacy import _Pair
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
 from helpers import BINARY, tower
@@ -312,14 +314,15 @@ def test_efin_refuted_and_equal_cases():
 
 def test_encoding_cache_is_invisible(monkeypatch):
     a, b = reference_example(2), reference_example(2)
-    cold_repr, cold_hash = repr(a), hash(a)
+    cold_repr, cold_hash, cold_pickle = repr(a), hash(a), pickle.dumps(a)
     assert isinstance(conjugacy_verdict(a, rotate_tower(a, 7), 2), ConjugateCertified)
     assert a == b and hash(a) == hash(b) == cold_hash
     assert repr(a) == repr(b) == cold_repr
     assert {a, b} == {b}
     assert {Part(a, 5, k) for k in range(5)} | {Part(b, 5, k) for k in range(5)} == {Part(b, 5, k) for k in range(5)}
     calls = []
-    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", lambda w, z: calls.append((w, z)) or dp_equivalent(w, z))
+    scan = conjugacy._dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
+    monkeypatch.setattr(conjugacy, "_dp_scan", lambda w, z: calls.append((w, z)) or scan(w, z))
     s = [Part(a, 5, k) for k in range(5)]
     t = [Part(b, 5, k) for k in range(5)]
     assert efin_equal(s, t, 5) is EfinResult.CERTIFIED_EQUAL
@@ -329,6 +332,14 @@ def test_encoding_cache_is_invisible(monkeypatch):
     assert efin_equal(s, t[:4], 5) is EfinResult.UNDETERMINED
     assert len(calls) == 4 and len({frozenset(c) for c in calls}) == 4
     assert all(x.base is a for c in calls for x in c)
+    # the per-tower facts (status tables, shapes, blank masks) are not pickled: a
+    # warm tower pickles as it did cold and loads with none, equal and alike
+    assert any(isinstance(key, tuple) and key[0] == "shape" for key in a._status) and "blanks" in a._status
+    assert pickle.dumps(a) == cold_pickle
+    loaded = pickle.loads(pickle.dumps(a))
+    assert not loaded._status and loaded == a and hash(loaded) == cold_hash and repr(loaded) == cold_repr
+    assert conjugacy_verdict(loaded, b, 2) == conjugacy_verdict(a, b, 2) == conjugacy_verdict(b, a, 2)
+    assert efin_equal(s, t[:4], 5) is efin_equal([Part(loaded, 5, k) for k in range(5)], t[:4], 5)
 
 
 def test_efin_compares_only_across_the_sides(monkeypatch):
@@ -341,7 +352,8 @@ def test_efin_compares_only_across_the_sides(monkeypatch):
     cells[1] = "_"
     b = tower("".join(cells), scale="2^inf")
     calls = []
-    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", lambda w, z: calls.append(1) or dp_equivalent(w, z))
+    scan = conjugacy._dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
+    monkeypatch.setattr(conjugacy, "_dp_scan", lambda w, z: calls.append(1) or scan(w, z))
     rows = [(r.period, r.evaluated, r.result, r.detail) for r in invariant_compare(a, b, 12).stages]
     assert rows == [
         (2, True, EfinResult.CERTIFIED_EQUAL, "0 vs 0 parts"),

@@ -193,7 +193,7 @@ def test_mask_shifts_match_definition():
     seen = set()
     for a, b in pairs:
         n = max(a.deepest_period, b.deepest_period)
-        pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+        pair = conjugacy._Pair(a, b, n)
         want = mask_shifts(a, b)
         assert list(pair.mask_shifts) == want, (a, b)
         seen.add(min(len(want), 2))

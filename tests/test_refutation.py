@@ -28,7 +28,7 @@ from toepcalc.odometer import supernatural_equal
 from toepcalc.randomgen import random_block_code, random_positionwise, random_tower
 from toepcalc.skeleton import ResidueStatusSet, _modulus, status_masks
 
-from helpers import BINARY, check_status_readers, old_unknown_diagnostics, shift_contradicted
+from helpers import BINARY, check_status_readers, old_unknown_diagnostics, shift_contradicted, text_pair
 
 
 def reference_verdict(a, b, max_radius):
@@ -47,7 +47,7 @@ def reference_verdict(a, b, max_radius):
     except conjugacy.IncompatiblePeriods as exc:
         return Unknown((str(exc),))
     stages = sorted(set(a.periods) | set(b.periods))
-    pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+    pair = text_pair(*(t._text * (n // t.deepest_period) for t in (a, b)), a.alphabet)
     separated = {}
     for p in stages:
         separated[p] = phase_separated(a, p) and phase_separated(b, p)
@@ -243,7 +243,7 @@ def test_verdict_matches_descending_radius_search_on_code_images():
         want = reference_verdict(a, b, max_radius)
         assert conjugacy_verdict(a, b, max_radius) == want, (a, b, max_radius)
         n = conjugacy._common_length(a, b)
-        pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+        pair = conjugacy._Pair(a, b, n)
         for p in a.periods if isinstance(want, (RefutedUpTo, Unknown)) else ():
             _, classes = stage_candidates(a, b, p, max_radius)
             if len({id(pair.shape(p, c)) for c in classes}) > 1:
@@ -274,15 +274,16 @@ def test_unknown_diagnostics_match_the_per_class_count():
             continue
         assert verdict.diagnostics == old_unknown_diagnostics(a, b, max_radius), (a, b, max_radius)
         n, stages = conjugacy._common_length(a, b), sorted(set(a.periods) | set(b.periods))
-        pair = conjugacy._Pair(conjugacy._tiled(a, n), conjugacy._tiled(b, n), a.alphabet)
+        pair = conjugacy._Pair(a, b, n)
         for p, line in zip(stages, verdict.diagnostics):
             if "candidate shifts" not in line:
                 continue
             pair.class_shapes(p, stages, stage_candidates(a, b, p, max_radius)[1])
-            seen["cut"] += p not in pair._tables
-            if p in pair._tables and not line.endswith(" 0 not"):
+            derived = ("classes", n, p, 0) in b._status  # the tables are kept on the target's tower
+            seen["cut"] += not derived
+            if derived and not line.endswith(" 0 not"):
                 seen["derived, some not contradicted"] += 1
-            if p in pair._tables and " 0 contradicted" not in line:
+            if derived and " 0 contradicted" not in line:
                 seen["derived, some contradicted"] += 1
     assert len(seen) == 3 and min(seen.values()) >= 10, seen
 

@@ -45,10 +45,10 @@ from toepcalc import (
     with_common_depth,
 )
 from toepcalc.codes import AlphabetMismatch
-from toepcalc.conjugacy import Consistent, _Pair
+from toepcalc.conjugacy import Consistent
 from toepcalc.odometer import INF, OdometerError, prime_index, supernatural_equal
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
-from helpers import shift_contradicted, tower
+from helpers import shift_contradicted, text_pair, tower
 
 
 def reference_periodic_part(tower, p):
@@ -334,7 +334,7 @@ def test_efin_matches_sorted_pair_rule_on_any_kinds(monkeypatch):
     def stand_in(w, z):
         return DpResult(table[frozenset((w, z))])
 
-    monkeypatch.setattr("toepcalc.conjugacy.dp_equivalent", stand_in)
+    monkeypatch.setattr("toepcalc.conjugacy._dp_scan", stand_in)  # efin_equal's dp_equivalent, short of decoding
     monkeypatch.setitem(globals(), "dp_equivalent", stand_in)  # the reference's
     rng = random.Random(53)
     pool = [Part(tower("01_0_1"), 6, k) for k in range(6)]
@@ -486,7 +486,7 @@ def reference_dp_equivalent(w, z):
     if w.base.deepest_period != z.base.deepest_period:
         raise PeriodMismatch("parts rest on towers of different depth")
     a, b = w.base.deepest_word.cells, z.base.deepest_word.cells
-    pair = _Pair(*(x.base._text[x.k :] + x.base._text[: x.k] for x in (w, z)), w.base.alphabet)
+    pair = text_pair(*(x.base._text[x.k :] + x.base._text[: x.k] for x in (w, z)), w.base.alphabet)
     all_contradicted = True
     for j in range(w.base.deepest_period // w.p):
         if not shift_contradicted(pair, w.p, j * w.p):  # gamma is not Contradicted there
