@@ -26,9 +26,10 @@ from .conjugacy import (
     MissingScaleDeclaration,
     NotConjugateCertified,
     RefutedUpTo,
+    Undecided,
     Unknown,
     Verdict,
-    _decide,
+    conjugacy_decision,
     conjugacy_verdict,
     invariant_compare,
 )
@@ -136,6 +137,7 @@ _VERDICT_TAGS = {
     NotConjugateCertified: "not-conjugate",
     RefutedUpTo: "refuted-up-to",
     Unknown: "unknown",
+    Undecided: "unknown",  # a decision short of its Unknown diagnostics
 }
 
 
@@ -299,8 +301,7 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
     for a in names:
         matrix[a] = {}
         for b in names:
-            decision = _decide(towers[a], towers[b], max_radius)  # no Unknown diagnostics: the tag is kept
-            matrix[a][b] = _VERDICT_TAGS[type(decision) if isinstance(decision, Verdict) else Unknown]
+            matrix[a][b] = _VERDICT_TAGS[type(conjugacy_decision(towers[a], towers[b], max_radius))]
     return {"files": names, "matrix": matrix}
 
 

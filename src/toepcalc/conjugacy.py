@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress, count, islice, product, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .codes import AlphabetMismatch, PeriodMismatch
 from .core import _BIT_DIGITS, SkeletonTower
@@ -86,18 +86,19 @@ def _cycle(text: str, n: int, k: int) -> str:
     return (text[k:] + text[:k]) * (n // len(text))
 
 
-def _blanks(tower: SkeletonTower) -> tuple[str, int, int]:
-    """The blank mask of ``tower._text`` (``1`` per blank), its blank count and least rotation period, per tower."""
+def _blanks(tower: SkeletonTower) -> tuple[str, int, int, int]:
+    """The blank mask of ``tower._text`` (``1`` per blank), its blank count, the index ``r`` just past its first
+    rarer character (0 if the mask is constant) and its least rotation period, per tower."""
     if (facts := tower._status.get("blanks")) is None:
         mask = tower._text.translate("1".ljust(len(tower.alphabet._decode), "0"))
-        r = mask.find("1" if 2 * (blanks := mask.count("1")) <= len(mask) else "0") + 1  # 0 if the mask is constant
+        r = mask.find("1" if 2 * (blanks := mask.count("1")) <= len(mask) else "0") + 1
         m = mask[r:] + mask[:r]  # ends with its rarer character: str.find tries a match only where that is
-        facts = tower._status["blanks"] = mask, blanks, (m + m).find(m, 1)
+        facts = tower._status["blanks"] = mask, blanks, r, (m + m).find(m, 1)
     return facts
 
 
-def _shaped(tower: SkeletonTower, *key) -> tuple:  # the one shape of a key (p, numbers, fullness) on the tower
-    if (shape := tower._status.get(key)) is None:
+def _shaped(cache: dict, *key) -> tuple:  # the one shape of a key (p, numbers, fullness) in a tower's or pair's cache
+    if (shape := cache.get(key)) is None:
         _, ids, full = key
         # in ~4 ns steps: the OR loop f(32 + b/128) for f full blocks; count, code, K translates (8 + K)(b + 128)
         b, at, steps = len(ids), {}, (f := sum(full)) * (32 + len(ids) // 128)
@@ -108,14 +109,22 @@ def _shaped(tower: SkeletonTower, *key) -> tuple:  # the one shape of a key (p, 
                 rank[x] = r
             code = bytes(itemgetter(*ids[::-1])(rank))  # a tuple, as b > 1 here
             at = {x: int(code.translate(b"0" * r + b"1" + b"0" * (255 - r)), 2) for r, x in enumerate(names, 1)}
-            fullness = int(bytes(full[::-1]).translate(_BIT_DIGITS[0]), 2)
+            fullness = int(full[::-1].translate(_BIT_DIGITS[0]), 2)
         else:
             for i in compress(count(), full):
                 at[ids[i]] = at.get(ids[i], 0) | 1 << i
             fullness = sum(at.values())
         names = {x: m | m << b for x, m in at.items() if m & (m - 1)} if len(at) < f else {}
-        shape = tower._status[key] = ids, fullness | fullness << b, names, full
+        shape = cache[key] = ids, fullness | fullness << b, names, full
     return shape
+
+
+def _tile(shape: tuple, m: int) -> tuple:
+    """``shape`` repeated ``m > 1`` times, as ``_shaped`` builds it: there every name covers two or more full blocks."""
+    (ids, full2, names, full), b = shape, len(shape[0])  # undoubled, a mask's top b bits; names of one block added
+    at = {ids[i]: 1 << i for i in compress(count(), full) if ids[i] not in names} | {x: names[x] >> b for x in names}
+    r = ((1 << 2 * m * b) - 1) // ((1 << b) - 1)  # a bit per block of the 2m copies of the doubled mask
+    return ids * m, (full2 >> b) * r, {x: y * r for x, y in at.items()}, full * m
 
 
 class _Pair:
@@ -123,31 +132,36 @@ class _Pair:
     length ``n``, the source rotated by ``ka`` and the target by ``kb``: blocks are ``str`` slices
     of the source at offset 0 and of the doubled target at each offset class ``c`` mod ``p``;
     shift ``k`` sees class ``k mod p`` rotated by ``j = (k mod n) // p`` blocks.  A tower cuts its
-    blocks from offset ``o`` once, for all its pairs, into a shape kept under ``(n, p, o)`` (block
-    numbers, each its block's first index, and fullness), one per ``(p, numbers, fullness)``: its
-    ``B = n/p``-bit masks decide conflicts (and locate one for ``gamma_map``), ``gamma`` reads its
-    numbers.  The pair keeps only what needs both sides: each target shape's rotations' conflict flags."""
+    blocks from each offset once, for all its pairs, into a shape (see ``shape``): its ``B``-bit
+    masks decide conflicts (and locate one for ``gamma_map``), ``gamma`` reads its numbers.  The
+    pair keeps only what needs both sides: each target shape's rotations' conflict flags, a tiled
+    side's repeated shapes, and its texts and masks, built when first read."""
 
     def __init__(self, a: SkeletonTower, b: SkeletonTower, n: int, ka: int = 0, kb: int = 0):
-        self.n, self.sides = n, ((a, ka), (b, kb))
-        self.decode = a.alphabet._decode  # the cell of each code point
-        self.src, self.tgt2 = _cycle(a._text, n, ka), _cycle(b._text, 2 * n, kb)
-        self.masks = _cycle(_blanks(a)[0], n, ka), _cycle(_blanks(b)[0], 2 * n, kb)  # blank: 1
+        self.n, self.sides, self.decode = n, ((a, ka), (b, kb)), a.alphabet._decode  # decode: each code point's cell
         self._contradicted: dict[int, dict[int, bool]] = {}  # id(target shape): its rotations' conflict flags
+        self._shapes: dict = {}  # a tiled side's, by (p, numbers, fullness) and by id(shape repeated); class tables
+
+    # the tiled texts, the target's doubled, and their blank masks (blank: 1), each built when first read
+    src = cached_property(lambda self: _cycle(self.sides[0][0]._text, self.n, self.sides[0][1]))
+    tgt2 = cached_property(lambda self: _cycle(self.sides[1][0]._text, 2 * self.n, self.sides[1][1]))
+    masks = cached_property(
+        lambda self: tuple(_cycle(_blanks(t)[0], m * self.n, k) for m, (t, k) in enumerate(self.sides, 1))
+    )
 
     @cached_property
     def mask_shifts(self) -> range:
         """Shifts in ``[0, n)`` with matching blank masks, none unless the blanks are
-        equally many: the first by one ``str.find`` of the source mask, rotated to end
-        with its rarer character so a match is tried only where that is, in the doubled
-        target mask, then every least rotation period of the target's mask: O(n)
-        C-level steps per match tried, on blank counts and periods kept per tower."""
-        (a, _), (b, _) = self.sides
-        blanks, (smask, tmask2) = _blanks(a)[1] * (self.n // a.deepest_period), self.masks
-        r = smask.find("1" if 2 * blanks <= self.n else "0") + 1  # 0 if the mask is constant
-        if blanks != _blanks(b)[1] * (self.n // b.deepest_period) or (q := tmask2.find(smask[r:] + smask[:r])) < 0:
+        equally many: the first by one ``str.find`` of the source's mask, rotated to
+        end with its rarer character so a match is tried only where that is, in the
+        doubled target mask, then every least rotation period of the target's mask: O(n)
+        C-level steps per match tried, on blank facts kept per tower."""
+        (a, ka), (b, _) = self.sides
+        mask, blanks, r, _ = _blanks(a)  # the source rotated by r - ka ends with its rarer character
+        if blanks * b.deepest_period != _blanks(b)[1] * len(mask) or (
+                q := self.masks[1].find(_cycle(mask, self.n, r % len(mask)))) < 0:
             return range(0)
-        return range((q - r) % (d := _blanks(b)[2]), self.n, d)
+        return range((q - r + ka) % (d := _blanks(b)[3]), self.n, d)  # a match makes d divide len(mask)
 
     def blocks(self, p: int, o: Optional[int] = None) -> list[str]:
         """Consecutive ``p``-slices of the source, or of the target from offset ``o``."""
@@ -158,16 +172,22 @@ class _Pair:
         """The stage-``p`` shape of the source, or of the target at offset
         class ``c``: its block numbers (equal blocks share one); bitmasks,
         doubled to ``2B`` bits, of its full blocks and of each name of two or
-        more full blocks; and each block's fullness."""
+        more full blocks; and each block's fullness, a byte.  A tower tiled to
+        ``n`` cuts its blocks at its own length ``L`` where ``p`` divides it,
+        and the pair keeps that shape repeated ``n/L`` times, for itself alone."""
         tower, k = self.sides[c is not None]
-        key = ("shape", self.n, p, (k if c is None else k + c) % self.n)
+        own = tower.deepest_period if tower.deepest_period % p == 0 else self.n  # the blocks repeat after it
+        key = ("shape", own, p, (k if c is None else k + c) % own)
         if (shape := tower._status.get(key)) is None:
-            ids = tuple(map((first := {}).setdefault, self.blocks(p, c), count()))  # first indices
-            full = (True,) * len(ids)
+            ids = tuple(map((first := {}).setdefault, self.blocks(p, c)[: own // p], count()))  # first indices
+            full = b"\1" * len(ids)
             if _blanks(tower)[1]:  # a blank: fullness per distinct block
-                full = tuple(map({x: "\0" not in s for s, x in first.items()}.__getitem__, ids))
-            shape = tower._status[key] = _shaped(tower, p, ids, full)
-        return shape
+                full = bytes(map({x: "\0" not in s for s, x in first.items()}.__getitem__, ids))
+            shape = tower._status[key] = _shaped(tower._status, p, ids, full)
+        if own < self.n and id(shape) not in self._shapes:
+            tiled = _tile(shape, self.n // own)
+            self._shapes[id(shape)] = self._shapes.setdefault((p, tiled[0], tiled[3]), tiled)
+        return shape if own == self.n else self._shapes[id(shape)]
 
     def class_shapes(self, p: int, stages: list[int], classes: Sequence[int]) -> list[tuple]:
         """The target's shapes of offset ``classes`` at stage ``p``.  Class
@@ -179,20 +199,21 @@ class _Pair:
         steps (64 string steps each), and ``map`` gives each class its shape.
         Where no ``d`` exists or that costs more, each class is cut: O(n)
         string steps and a Python step (256 string steps) per block.  A table
-        is kept on the target's tower, for every pair it is the target of."""
+        is kept beside the shapes: on the target's tower, or in a pair that tiles it."""
         d, n, (b, kb) = max((d for d in stages if d < p and p % d == 0), default=0), self.n, self.sides[1]
-        if d and (key := ("classes", n, p, kb)) not in b._status:
+        cache = self._shapes if b.deepest_period < n and b.deepest_period % p == 0 else b._status
+        if d and (key := ("classes", n, p, kb)) not in cache:
             below, q = self.class_shapes(d, stages, range(d)), p // d
             distinct = dict(zip(map(id, below), below))
             if 64 * len(distinct) * q * (n // d) < len(classes) * (n + 256 * (n // p)):
-                table = b._status[key] = []
+                table = cache[key] = []
                 for a in range(q):  # the classes a·d + r
                     derived = {}
                     for i, (ids, _, _, full) in distinct.items():
                         ids, full = zip(*[iter(ids[a:] + ids[:a])] * q), zip(*[iter(full[a:] + full[:a])] * q)
-                        derived[i] = _shaped(b, p, tuple(map({}.setdefault, ids, count())), tuple(map(all, full)))
+                        derived[i] = _shaped(cache, p, tuple(map({}.setdefault, ids, count())), bytes(map(all, full)))
                     table += map(derived.__getitem__, map(id, below))
-        if (table := b._status.get(("classes", n, p, kb))) is not None:
+        if (table := cache.get(("classes", n, p, kb))) is not None:
             return list(map(table.__getitem__, classes))
         return list(map(self.shape, repeat(p), classes))
 
@@ -421,7 +442,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
        with a consistent correspondence, so none exists.
     4. Else Unknown, with a per-stage accounting.
 
-    Cost: the decision (``_decide``, all ``corpus`` runs) stops short of the
+    Cost: the decision (``conjugacy_decision``, all ``corpus`` runs) stops short of the
     ``Unknown`` count.  Each stage's blocks are cut as slices and numbered into a
     shape once per tower and offset reached, for all the tower's pairs, O(n)
     each, which a correspondence reads after an O(n) mask comparison; phase
@@ -436,7 +457,7 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     conflict-table entries per stage, each a few operations on ``n/p``-bit masks per name.
     Margins read the tables' In masks in a few big-int operations, independent of ``max_radius``.
     """
-    if isinstance(decision := _decide(a, b, max_radius), Verdict):
+    if isinstance(decision := conjugacy_decision(a, b, max_radius), Verdict):
         return decision
     pair, stages, separated, margins, candidates = decision  # the explanation: an Unknown's per-stage accounting
     diagnostics = []
@@ -455,16 +476,17 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     return Unknown(tuple(diagnostics))
 
 
-def _decide(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Union[Verdict, tuple]:
+Undecided = NamedTuple(  # the per-stage facts an Unknown verdict's diagnostics are rendered from
+    "Undecided", [("pair", _Pair), ("stages", list), ("separated", dict), ("margins", dict), ("candidates", dict)]
+)
+
+
+def conjugacy_decision(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Union[Verdict, Undecided]:
     """``conjugacy_verdict`` short of rendering ``Unknown`` diagnostics: the verdict, or
     the facts they are rendered from."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("towers use different alphabets")
-    if (
-        a.declared_scale is not None
-        and b.declared_scale is not None
-        and not supernatural_equal(a.declared_scale, b.declared_scale)
-    ):
+    if None not in (a.declared_scale, b.declared_scale) and not supernatural_equal(a.declared_scale, b.declared_scale):
         return NotConjugateCertified(f"declared scales differ: {a.declared_scale} vs {b.declared_scale}")
     try:
         n = _common_length(a, b)
@@ -497,7 +519,7 @@ def _decide(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Union[Verdic
     for m in sorted(set(margins.values()) - {-1}, reverse=True):
         if refuting := tuple(p for p in stages if margins[p] == m and refutes(p)):
             return RefutedUpTo(m, refuting)
-    return pair, stages, separated, margins, candidates
+    return Undecided(pair, stages, separated, margins, candidates)
 
 
 @dataclass(frozen=True)
@@ -600,16 +622,16 @@ def dp_equivalent(w: Part, z: Part) -> DpResult:
     ``gamma_map``'s steps per mask-compatible block-aligned shift, and, when none
     is Consistent, one conflict-table entry (a few operations on ``B``-bit masks
     per name) per block-aligned shift, already filled where ``gamma`` ran.  The
-    scan (``_dp_scan``, all ``efin_equal`` runs) decodes no witness: a found
+    scan (``dp_scan``, all ``efin_equal`` runs) decodes no witness: a found
     one is decoded by one more ``gamma`` at its rotation.
     """
-    if (found := _dp_scan(w, z)).block_rotation is None:
+    if (found := dp_scan(w, z)).block_rotation is None:
         return found
     pair, j = _Pair(w.base, z.base, w.base.deepest_period, w.k, z.k), found.block_rotation
     return DpResult(found.kind, pair.gamma(w.p, j * w.p).correspondence, j)
 
 
-def _dp_scan(w: Part, z: Part) -> DpResult:
+def dp_scan(w: Part, z: Part) -> DpResult:
     """``dp_equivalent`` short of decoding the witness: its kind and block rotation."""
     if w.p != z.p:
         raise PeriodMismatch(f"parts live at different periods {w.p} and {z.p}")
@@ -665,7 +687,7 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
         if not bare:
             break
         if not bare.isdisjoint((x, y)):
-            kinds[x, y] = _dp_scan(x, y).kind
+            kinds[x, y] = dp_scan(x, y).kind
             if kinds[x, y] is DpKind.CONSISTENT_WITNESS:
                 bare -= {x, y}
     if not bare:

@@ -10,11 +10,12 @@ import re
 from collections import Counter
 from itertools import compress, count, product
 from operator import and_
+from types import SimpleNamespace
 
 from toepcalc import Alphabet, PartialCyclicWord, SkeletonTower, rotate_tower
 from toepcalc import conjugacy
 from toepcalc.codes import apply_block_code
-from toepcalc.conjugacy import Part, _Pair, dp_equivalent, with_common_depth
+from toepcalc.conjugacy import Consistent, Part, _Pair, dp_equivalent, with_common_depth
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
 from helpers import _first_conflict, old_blocks, old_gamma, old_shaped, shift_contradicted, text_pair
@@ -27,10 +28,10 @@ class ReferencePair(_Pair):
     masks: ``numbered`` and ``fully_filled`` verbatim, numbering each class
     and cutting the rotated lists of one shift; ``contradicted`` counting
     distinct names, and ``conflict`` the Counter search over those lists.
-    ``blocks``, ``gamma`` (the block scan) and ``_shaped`` (name masks by OR)
-    are as they were before ``gamma`` read the shapes' block numbers."""
+    ``blocks`` and ``gamma`` (the block scan) are as they were before ``gamma``
+    read the shapes' block numbers, and ``matched`` reads the block scan."""
 
-    blocks, gamma, _shaped = old_blocks, old_gamma, old_shaped
+    blocks, gamma = old_blocks, old_gamma
 
     def __init__(self, *sides):
         super().__init__(*sides)
@@ -54,11 +55,25 @@ class ReferencePair(_Pair):
         index = list(compress(count(), map(and_, sfull, tfull)))
         return list(map(sid.__getitem__, index)), list(map(tid.__getitem__, index)), index
 
+    def matched(self, p, k):
+        """``old_gamma``, a Consistent result as an empty pair of block lists."""
+        return ((), ()) if isinstance(g := old_gamma(self, p, k), Consistent) else g
+
     def contradicted(self, p, k):
         return _has_conflict(*self.fully_filled(p, k)[:2])
 
     def conflict(self, p, k):
         return _first_conflict(*self.fully_filled(p, k))
+
+
+def reference_shaped(cache, *key):
+    """``_shaped`` with the name masks built by the OR loop (``old_shaped``),
+    one shape per key kept in ``cache``."""
+    shapes = cache.setdefault("reference shapes", {})
+    if key not in shapes:
+        ids, full, names, _, fullness = old_shaped(SimpleNamespace(_shapes={}), *key)
+        shapes[key] = ids, full, names, fullness
+    return shapes[key]
 
 
 def _has_conflict(src, tgt):
@@ -201,9 +216,12 @@ def test_gamma_and_dp_equivalent_match_the_block_scan(monkeypatch):
         for p in sorted(set(a.periods) | set(b.periods)):
             parts = [Part(t, p, r) for t in (a, b) for r in range(p)]
             got = [dp_equivalent(w, z) for w, z in product(parts, repeat=2)]
+            fresh = {t: SkeletonTower(t.alphabet, t.levels, t.declared_scale) for t in (a, b)}  # no shape cut yet
             with monkeypatch.context() as m:
                 m.setattr(conjugacy, "_Pair", ReferencePair)
-                assert got == [dp_equivalent(w, z) for w, z in product(parts, repeat=2)], p
+                m.setattr(conjugacy, "_shaped", reference_shaped)
+                refs = [(Part(fresh[w.base], p, w.k), Part(fresh[z.base], p, z.k)) for w, z in product(parts, repeat=2)]
+                assert got == [dp_equivalent(w, z) for w, z in refs], p
             seen.update(r.kind.value for r in got)
     assert min(kinds.values()) >= 10, kinds
     assert min(seen.values()) >= 10 and len(seen) == 10, seen

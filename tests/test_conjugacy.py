@@ -321,8 +321,8 @@ def test_encoding_cache_is_invisible(monkeypatch):
     assert {a, b} == {b}
     assert {Part(a, 5, k) for k in range(5)} | {Part(b, 5, k) for k in range(5)} == {Part(b, 5, k) for k in range(5)}
     calls = []
-    scan = conjugacy._dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
-    monkeypatch.setattr(conjugacy, "_dp_scan", lambda w, z: calls.append((w, z)) or scan(w, z))
+    scan = conjugacy.dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
+    monkeypatch.setattr(conjugacy, "dp_scan", lambda w, z: calls.append((w, z)) or scan(w, z))
     s = [Part(a, 5, k) for k in range(5)]
     t = [Part(b, 5, k) for k in range(5)]
     assert efin_equal(s, t, 5) is EfinResult.CERTIFIED_EQUAL
@@ -352,8 +352,8 @@ def test_efin_compares_only_across_the_sides(monkeypatch):
     cells[1] = "_"
     b = tower("".join(cells), scale="2^inf")
     calls = []
-    scan = conjugacy._dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
-    monkeypatch.setattr(conjugacy, "_dp_scan", lambda w, z: calls.append(1) or scan(w, z))
+    scan = conjugacy.dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
+    monkeypatch.setattr(conjugacy, "dp_scan", lambda w, z: calls.append(1) or scan(w, z))
     rows = [(r.period, r.evaluated, r.result, r.detail) for r in invariant_compare(a, b, 12).stages]
     assert rows == [
         (2, True, EfinResult.CERTIFIED_EQUAL, "0 vs 0 parts"),

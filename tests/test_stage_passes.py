@@ -229,8 +229,8 @@ def test_efin_equal_call_order_does_not_depend_on_input_order(monkeypatch):
     same whatever order the parts come in (a frozenset's order follows the
     hash seed): original, reversed and shuffled."""
     calls = []
-    scan = conjugacy._dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
-    monkeypatch.setattr(conjugacy, "_dp_scan", lambda w, z: calls.append((w, z)) or scan(w, z))
+    scan = conjugacy.dp_scan  # efin_equal's dp_equivalent, short of decoding witnesses
+    monkeypatch.setattr(conjugacy, "dp_scan", lambda w, z: calls.append((w, z)) or scan(w, z))
     rng = random.Random(2305)
     g, moved = next(moved_copies(23))
     cases = [(g, moved, 40), (g, moved, 640), (*hole_tower(64), 64)]

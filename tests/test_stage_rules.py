@@ -334,7 +334,7 @@ def test_efin_matches_sorted_pair_rule_on_any_kinds(monkeypatch):
     def stand_in(w, z):
         return DpResult(table[frozenset((w, z))])
 
-    monkeypatch.setattr("toepcalc.conjugacy._dp_scan", stand_in)  # efin_equal's dp_equivalent, short of decoding
+    monkeypatch.setattr("toepcalc.conjugacy.dp_scan", stand_in)  # efin_equal's dp_equivalent, short of decoding
     monkeypatch.setitem(globals(), "dp_equivalent", stand_in)  # the reference's
     rng = random.Random(53)
     pool = [Part(tower("01_0_1"), 6, k) for k in range(6)]

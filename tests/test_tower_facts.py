@@ -50,13 +50,19 @@ def fresh_shape(tower, n, p, o):
     text = fresh_text(tower, n, o)
     blocks = [text[i : i + p] for i in range(0, n, p)]
     ids = tuple(map({}.setdefault, blocks, count()))
-    full = tuple("\0" not in block for block in blocks)
+    full = bytes("\0" not in block for block in blocks)
     ids, fullmask, names, _, full = old_shaped(SimpleNamespace(_shapes={}), p, ids, full)
     return ids, fullmask, names, full
 
 
 def fresh_mask(tower, n, k):
     return "".join("1" if c == "\0" else "0" for c in fresh_text(tower, n, k))
+
+
+def rarer_end(mask, r):
+    """Whether ``r`` is 0 on a constant mask, else just past the first of its rarer character."""
+    rarer = "1" if 2 * mask.count("1") <= len(mask) else "0"
+    return r == (0 if len(set(mask)) == 1 else mask.index(rarer) + 1)
 
 
 def tower_pairs(rng):
@@ -83,9 +89,11 @@ def tower_pairs(rng):
 
 def test_tower_facts_match_fresh_cuts():
     """Every ``(n, p, offset)`` a pair reads, for every source and target
-    rotation: the shape kept on the tower equals the one cut afresh, is the
-    tower's one shape of its numbers and fullness, and stays under its key;
-    the masks equal fresh masks and ``mask_shifts`` its definition."""
+    rotation: the shape read equals the one cut afresh, and so does the one
+    kept on the tower, at the tower's own length where ``p`` divides it (a
+    tiled shape is kept by the pair), which is the tower's one shape of its
+    numbers and fullness; the masks equal fresh masks and ``mask_shifts``
+    its definition."""
     rng = random.Random(2801)
     seen = Counter()
     for kind, a, b in tower_pairs(rng):
@@ -97,15 +105,18 @@ def test_tower_facts_match_fresh_cuts():
                 assert pair.masks == (smask, tmask * 2), (a, b, ka, kb)
                 assert list(pair.mask_shifts) == [k for k in range(n) if (tmask * 2).startswith(smask, k)]
                 for p in divisors(n):
-                    reads = [(a, ka, pair.shape(p))] + [(b, kb + c, pair.shape(p, c)) for c in range(p)]
-                    for tower, o, shape in reads:
+                    for tower, o, c in [(a, ka, None)] + [(b, kb + c, c) for c in range(p)]:
+                        shape, own = pair.shape(p, c), tower.deepest_period if tower.deepest_period % p == 0 else n
+                        kept = tower._status["shape", own, p, o % own]
                         assert shape == fresh_shape(tower, n, p, o % n), (a, b, n, p, o)
-                        assert shape is tower._status["shape", n, p, o % n]
-                        assert shape is _shaped(tower, p, shape[0], shape[3])
+                        assert kept == fresh_shape(tower, own, p, o % own), (a, b, n, p, o)
+                        assert kept is _shaped(tower._status, p, kept[0], kept[3])
+                        assert shape is (kept if own == n else pair.shape(p, c))
+                        seen["tiled shapes"] += own < n
         seen[kind] += 1
         seen["blanks"] += "_" in serialize_tower(a) + serialize_tower(b)
         seen["tiled"] += a.deepest_period != b.deepest_period
-    assert min(seen.values()) >= 5 and len(seen) == 7, seen
+    assert min(seen.values()) >= 5 and len(seen) == 8, seen
 
 
 def test_tower_facts_of_rotated_parts_and_the_paper_example():
@@ -126,16 +137,17 @@ def test_tower_facts_of_rotated_parts_and_the_paper_example():
         assert len(keys) > 50
         for _, m, p, o in keys:
             assert m == n and tower._status["shape", m, p, o] == fresh_shape(tower, n, p, o), (p, o)
-        mask, blanks, period = tower._status["blanks"]
-        assert mask == fresh_mask(tower, n, 0) and blanks == mask.count("1")
+        mask, blanks, r, period = tower._status["blanks"]
+        assert mask == fresh_mask(tower, n, 0) and blanks == mask.count("1") and rarer_end(mask, r)
         assert period == min(d for d in divisors(n) if mask[d:] + mask[:d] == mask)
 
 
 def test_corpus_cuts_each_shape_once_and_renders_no_diagnostics(tmp_path, monkeypatch):
     """A corpus over the paper example at two depths, a rotation and a code
-    image (certified, refuted and ``Unknown`` cells) cuts
-    each ``(tower, n, p, offset)`` at most once over all its pairs, and never
-    counts an ``Unknown`` verdict's shapes (``class_shapes``)."""
+    image (certified, refuted and ``Unknown`` cells) cuts each ``(tower, n,
+    p, offset)`` at most once over all its pairs, ``n`` the tower's own length
+    where ``p`` divides it, and never counts an ``Unknown`` verdict's shapes
+    (``class_shapes``)."""
     g = reference_example(5)
     towers = {
         "g4.tw": reference_example(4),
@@ -150,7 +162,8 @@ def test_corpus_cuts_each_shape_once_and_renders_no_diagnostics(tmp_path, monkey
 
     def recording(self, p, o=None):
         tower, k = self.sides[o is not None]
-        cuts.append((id(tower), self.n, p, (k + (o or 0)) % self.n))
+        own = tower.deepest_period if tower.deepest_period % p == 0 else self.n
+        cuts.append((id(tower), own, p, (k + (o or 0)) % own))
         return cut(self, p, o)
 
     monkeypatch.setattr(_Pair, "blocks", recording)
@@ -178,8 +191,8 @@ def test_blank_facts_on_edge_words():
         (None,) * 7 + ("01",),
     ):
         tower = SkeletonTower(alphabet, ((len(cells), PartialCyclicWord(cells)),))
-        mask, blanks, period = conjugacy._blanks(tower)
+        mask, blanks, r, period = conjugacy._blanks(tower)
         assert mask == "".join("1" if c is None else "0" for c in cells)
-        assert blanks == cells.count(None)
+        assert blanks == cells.count(None) and rarer_end(mask, r), cells
         assert period == min(d for d in divisors(len(cells)) if mask[d:] + mask[:d] == mask), cells
         assert conjugacy_verdict(tower, tower, 1) == conjugacy_verdict(tower, rotate_tower(tower, 0), 1)
