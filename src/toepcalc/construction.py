@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .core import BLANK, Alphabet, PartialCyclicWord, SkeletonTower
+from .core import Alphabet, PartialCyclicWord, SkeletonTower
 from .odometer import SupernaturalNumber
 
 ALPHABET = Alphabet(("0", "1"))
@@ -46,5 +46,5 @@ def reference_example(stages: int) -> SkeletonTower:
     if stages < 0:
         raise ValueError("stages must be nonnegative")
     texts = accumulate(range(1, stages + 1), _next_stage, initial="0___0")
-    levels = tuple((len(t), PartialCyclicWord(map({BLANK: None}.get, t, t))) for t in texts)
+    levels = tuple((len(t), PartialCyclicWord.from_text(t)) for t in texts)
     return SkeletonTower(ALPHABET, levels, SCALE)

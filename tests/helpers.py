@@ -66,6 +66,14 @@ def completions(word: PartialCyclicWord, alphabet: Alphabet = BINARY):
         yield tuple(cells)
 
 
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def one_level(symbols, cells) -> SkeletonTower:
+    return SkeletonTower(Alphabet(symbols), ((len(cells), PartialCyclicWord(tuple(cells))),))
+
+
 def per_residues(cells: tuple[str, ...], p: int) -> frozenset[int]:
     """Exact Per_p residues of a total periodic word given by one period."""
     n = len(cells)
@@ -91,6 +99,11 @@ def shift_contradicted(pair: _Pair, p: int, k: int) -> bool:
     """``rotations_contradicted`` of the one shift ``k`` at stage ``p``."""
     j, c = divmod(k % pair.n, p)
     return next(pair.rotations_contradicted(p, pair.shape(p, c), j))
+
+
+def _has_conflict(src, tgt):
+    """Not a bijection: distinct sources, targets and pairs differ in number."""
+    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
 
 
 # The conflict locator of ``_Pair`` before it searched the shape masks,

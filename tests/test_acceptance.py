@@ -46,7 +46,7 @@ from toepcalc.cli import corpus_matrix, run_command
 from toepcalc.conjugacy import Consistent
 from toepcalc.oracle import PeriodicWord
 from toepcalc.randomgen import deepen, random_block_code, random_positionwise, random_tower
-from helpers import BINARY, per_residues, tower
+from helpers import BINARY, divisors, per_residues, tower
 
 
 def _finish(number: int, limit: float, started: float, failures: list):
@@ -55,10 +55,6 @@ def _finish(number: int, limit: float, started: float, failures: list):
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)")
     assert not failures, failures[:5]
     assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s (limit {limit}s)"
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_criterion_01_generator_bit_exact():

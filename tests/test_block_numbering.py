@@ -16,7 +16,7 @@ from toepcalc import conjugacy
 from toepcalc.conjugacy import _Pair, _shaped
 from toepcalc.skeleton import skeleton_word
 
-from helpers import _first_conflict, old_shaped, shift_contradicted
+from helpers import _first_conflict, _has_conflict, old_shaped, shift_contradicted
 
 # multi-character tokens beside their characters: concatenating the tokens of
 # ("0", "1") and of ("01",) gives the same text, so an encoding that did so
@@ -65,11 +65,6 @@ class ReferencePair:
 
     def conflict(self, p, k):
         return _first_conflict(*self.fully_filled(p, k))
-
-
-def _has_conflict(src, tgt):
-    """Not a bijection: distinct sources, targets and pairs differ in number."""
-    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
 
 
 def relabelled(numbers):

@@ -18,7 +18,7 @@ from toepcalc.codes import apply_block_code
 from toepcalc.conjugacy import Consistent, Part, _Pair, dp_equivalent, with_common_depth
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
-from helpers import _first_conflict, old_blocks, old_gamma, old_shaped, shift_contradicted, text_pair
+from helpers import _first_conflict, _has_conflict, divisors, old_blocks, old_gamma, old_shaped, shift_contradicted, text_pair
 
 REASONS = ("equal full blocks map to distinct full blocks", "distinct full blocks map to one full block")
 
@@ -74,15 +74,6 @@ def reference_shaped(cache, *key):
         ids, full, names, _, fullness = old_shaped(SimpleNamespace(_shapes={}), *key)
         shapes[key] = ids, full, names, fullness
     return shapes[key]
-
-
-def _has_conflict(src, tgt):
-    """Not a bijection: distinct sources, targets and pairs differ in number."""
-    return not len(set(src)) == len(set(tgt)) == len(set(zip(src, tgt)))
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def assert_same_conflicts(src, tgt, alphabet, seen, rng):

@@ -40,15 +40,11 @@ from toepcalc import skeleton
 from toepcalc.cli import corpus_matrix, run_command
 from toepcalc.randomgen import random_tower
 from toepcalc.skeleton import ResidueStatusSet, _divisors
-from helpers import check_status_readers, old_filled_blocks, old_from_text, old_stage_counts, old_word_text
+from helpers import check_status_readers, old_filled_blocks, old_from_text, old_stage_counts, old_word_text, one_level
 
 BINARY = ("0", "1")
 TERNARY = ("a", "b", "c")
 WIDE = tuple(f"s{i}" for i in range(300))  # codes up to 300: nine bit planes
-
-
-def one_level(symbols, cells) -> SkeletonTower:
-    return SkeletonTower(Alphabet(symbols), ((len(cells), PartialCyclicWord(tuple(cells))),))
 
 
 def with_statuses(text: str) -> SkeletonTower:

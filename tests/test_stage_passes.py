@@ -33,7 +33,7 @@ from toepcalc.conjugacy import (
 )
 from toepcalc.randomgen import random_positionwise, random_tower
 
-from helpers import ord_block, per_offset_gamma, text_pair
+from helpers import divisors, ord_block, per_offset_gamma, text_pair
 
 FIVE = Alphabet(("a", "b", "c", "d", "e"))
 
@@ -44,10 +44,6 @@ class PerOffsetPair(_Pair):
 
 def encode(alphabet, cells):
     return "".join(map(alphabet._code.__getitem__, cells))
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def column_words(rng):

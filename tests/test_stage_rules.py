@@ -48,7 +48,7 @@ from toepcalc.codes import AlphabetMismatch
 from toepcalc.conjugacy import Consistent
 from toepcalc.odometer import INF, OdometerError, prime_index, supernatural_equal
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
-from helpers import shift_contradicted, text_pair, tower
+from helpers import divisors, shift_contradicted, text_pair, tower
 
 
 def reference_periodic_part(tower, p):
@@ -215,10 +215,6 @@ def reference_natural_factorization(u, count):
             break
         t += 1
     return tuple(out)
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def random_stage_tower(rng):

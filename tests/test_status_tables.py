@@ -10,11 +10,9 @@ import re
 import pytest
 
 from toepcalc import (
-    Alphabet,
     EssentialOutcome,
     EssentialStatus,
     NonDivisorError,
-    PartialCyclicWord,
     SkeletonTower,
     Status,
     essential_period_status,
@@ -23,6 +21,7 @@ from toepcalc import (
 )
 from toepcalc.skeleton import ResidueStatusSet
 from toepcalc.randomgen import random_tower
+from helpers import one_level
 
 BINARY = ("0", "1")
 TERNARY = ("a", "b", "c")
@@ -86,10 +85,6 @@ def reference_essential_period_status(tower: SkeletonTower, p: int, cache: dict)
             p, EssentialOutcome.UNKNOWN, "separated everywhere but nonemptiness uncertified"
         )
     return EssentialStatus(p, EssentialOutcome.ESSENTIAL, "separated from every shorter period")
-
-
-def one_level(symbols, cells) -> SkeletonTower:
-    return SkeletonTower(Alphabet(symbols), ((len(cells), PartialCyclicWord(tuple(cells))),))
 
 
 def patterned(rng: random.Random, symbols, n: int, fill: float, noise: float) -> SkeletonTower:

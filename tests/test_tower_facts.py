@@ -25,15 +25,11 @@ from toepcalc.codes import parse_block_code
 from toepcalc.conjugacy import _Pair, _shaped, conjugacy_verdict
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
-from helpers import old_shaped
+from helpers import divisors, old_shaped
 
 # the radius-1 code of the refuted CI verdict: its image of the paper example is refuted up to radius 2
 REFUTED_CODE = "len = 1\n0 0 0 -> 0\n0 0 1 -> 1\n0 1 0 -> 1\n0 1 1 -> 1\n1 0 0 -> 0\n1 0 1 -> 0\n1 1 0 -> 1\n1 1 1 -> 0\n"
 SYMBOL_SETS = (("0", "1"), ("a", "b", "c"), ("0", "1", "01", "10"))
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def fresh_text(tower, n, k):
