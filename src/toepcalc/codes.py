@@ -45,8 +45,9 @@ Window = tuple[str, ...]
 
 @dataclass(frozen=True)
 class BlockCode:
-    """Total map from (2·length+1)-windows over the alphabet to symbols; each row
-    is checked once, then ``table`` is built in canonical ``product`` order, no sort."""
+    """Total map from (2·length+1)-windows over the alphabet to symbols; the rows
+    are checked in bulk, the windows against canonical ``product`` order and the
+    outputs by one set test, and one at a time only to name a bad row."""
 
     alphabet: Alphabet
     length: int
@@ -55,28 +56,31 @@ class BlockCode:
     def __post_init__(self):
         if not isinstance(self.length, int) or self.length < 0:
             raise CodeError("code length must be non-negative")
-        symbols = set(self.alphabet.symbols)
-        width = 2 * self.length + 1
-        mapping: dict[Window, str] = {}
-        for row, (window, out) in enumerate(self.table):
-            window = tuple(window)
-            if len(window) != width:
-                raise CodeError(f"expected {width} window symbols, got {len(window)}", row)
-            for s in (*window, out):
-                if s not in symbols:
-                    raise CodeError(f"symbol {s!r} is not in the alphabet", row)
-            if window in mapping:
-                raise CodeError(f"window {' '.join(window)!r} listed twice", row)
-            mapping[window] = out
+        symbols, width, rows, a = set(self.alphabet.symbols), 2 * self.length + 1, tuple(self.table), len(self.alphabet)
         # with two or more symbols, a width past the table size's bit length
-        # already needs more windows; the count is built only when it has under
-        # 4000 digits (Python prints at most 4300), else written as a power
-        a = len(self.alphabet)
-        if width > len(mapping).bit_length() or len(mapping) != a**width:
+        # already needs more windows; rows out of canonical order are looked up
+        # in it, so that a window missing, listed twice or malformed leaves a None
+        whole = width <= len(rows).bit_length() and len(rows) == a**width and set(map(len, rows)) <= {2}
+        canonical = tuple(product(self.alphabet.symbols, repeat=width)) if whole else ()
+        windows, outs = tuple(zip(*rows)) if whole else ((), ())
+        if tuple(map(tuple, windows)) != canonical:
+            outs = tuple(map(dict(zip(map(tuple, windows), outs)).get, canonical))
+        if not (whole and symbols.issuperset(outs)):  # name the first bad row, else the count is wrong
+            seen: set[Window] = set()
+            for row, (window, out) in enumerate(rows):
+                window = tuple(window)
+                if len(window) != width:
+                    raise CodeError(f"expected {width} window symbols, got {len(window)}", row)
+                for s in (*window, out):
+                    if s not in symbols:
+                        raise CodeError(f"symbol {s!r} is not in the alphabet", row)
+                if window in seen:
+                    raise CodeError(f"window {' '.join(window)!r} listed twice", row)
+                seen.add(window)
+            # the count is built only when it has under 4000 digits (Python prints at most 4300), else as a power
             required = a**width if width * math.log10(a) < 4000 else f"{a}^{width}"
-            raise CodeError(f"table has {len(mapping)} of {required} required windows")
-        # built from a list, not a generator, so that the tuple is allocated at its exact size
-        object.__setattr__(self, "table", tuple([(w, mapping[w]) for w in product(self.alphabet, repeat=width)]))
+            raise CodeError(f"table has {len(rows)} of {required} required windows")
+        object.__setattr__(self, "table", tuple(zip(canonical, outs)))  # every window a tuple, in canonical order
         object.__setattr__(self, "_lookup", dict(self.table))  # keyed by the table's own windows: each held once
 
     def apply(self, window: Sequence[str]) -> str:

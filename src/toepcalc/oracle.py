@@ -11,7 +11,7 @@ radius-2 windows search in milliseconds.  The library imposes no limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm
 from typing import Optional
 
@@ -28,9 +28,8 @@ class PeriodicWord:
     def __post_init__(self):
         if not self.cells:
             raise ValueError("periodic word must be nonempty")
-        for c in self.cells:
-            if c not in self.alphabet:
-                raise AlphabetError(f"symbol {c!r} not in alphabet")
+        if not set(self.cells).issubset(self.alphabet.symbols):  # then name the first bad cell
+            raise AlphabetError(f"symbol {next(c for c in self.cells if c not in self.alphabet)!r} not in alphabet")
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> "PeriodicWord":
@@ -114,11 +113,8 @@ def _forced(index: tuple[int, ...], y: tuple[str, ...]) -> Optional[tuple[str, .
 
 
 def _full_code(alphabet: Alphabet, m: int, table: dict[Window, str]) -> BlockCode:
-    filler = alphabet.symbols[0]
-    entries = {
-        w: table.get(w, filler) for w in product(alphabet.symbols, repeat=2 * m + 1)
-    }
-    return BlockCode(alphabet, m, tuple(entries.items()))
+    windows = tuple(product(alphabet.symbols, repeat=2 * m + 1))
+    return BlockCode(alphabet, m, tuple(zip(windows, map(table.get, windows, repeat(alphabet.symbols[0])))))
 
 
 def exact_conjugacy_search(
@@ -138,28 +134,30 @@ def exact_conjugacy_search(
     total codes (unused windows map to the first symbol).  Returns None when
     every radius up to max_radius is exhausted.
 
-    Cost: O(w.period·span) once for the dict from each rotation of w, tiled
-    to span = lcm of the periods, to its first shift; then per radius m,
-    O(n·(2m+1)) to number the windows of v and O(n) to force the table of
-    each of the at most w.period images.  Each backward search numbers the
-    windows of y and forces one table per radius, O(n·max_radius²).
+    Cost: a period-n rotation of w's tiling also has period w.period, so
+    period g = gcd(n, w.period), and so has w; else None at once.  The images
+    are the g rotations of w's root tiled to n, O(g·n), with least shifts
+    below g.  Then per radius m, O(n·(2m+1)) to number the windows of v and
+    O(n) to force the table of each image.  Each image is searched backward
+    at most once per call (that search depends only on y and v, and an image
+    that fails it is dropped): it numbers the windows of y and forces one
+    table per radius, O(n·max_radius²).
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatch("words use different alphabets")
-    n, span = v.period, lcm(v.period, w.period)
-    w_long = w.cells * (span // w.period)
-    first_shift: dict[tuple[str, ...], int] = {}
-    for shift in range(w.period):  # shift + w.period gives the same rotation
-        first_shift.setdefault(w_long[shift:] + w_long[:shift], shift)
-    # the images: rotations of w's tiling that are themselves tilings of a period-n word
-    images = [(r[:n], k) for r, k in first_shift.items() if r == r[:n] * (span // n)]
-    if not images:
+    n, g = v.period, gcd(v.period, w.period)
+    if w.cells != w.cells[:g] * (w.period // g):
         return None
+    images: dict[tuple[str, ...], int] = {}  # each image to its least shift; one that fails backward is dropped
+    for shift in range(g):
+        images.setdefault((w.cells[shift:g] + w.cells[:shift]) * (n // g), shift)
     rank = {s: i for i, s in enumerate(v.alphabet.symbols)}
     for m in range(max_radius + 1):
+        if not images:
+            break
         windows, index = _window_index(v, m)
         tables = []
-        for y_cells, shift in images:
+        for y_cells, shift in images.items():
             values = _forced(index, y_cells)
             if values is not None:
                 tables.append((tuple(map(rank.__getitem__, values)), values, y_cells, shift))
@@ -169,6 +167,7 @@ def exact_conjugacy_search(
             if back is not None:
                 code = _full_code(v.alphabet, m, dict(zip(windows, values)))
                 return SearchWitness(code, back, shift)
+            del images[y_cells]
     return None
 
 

@@ -18,7 +18,7 @@ from toepcalc import (
     SupernaturalNumber,
     TowerError,
 )
-from toepcalc.codes import AlphabetMismatch, BlockCode, PeriodMismatch, PositionwisePermutation, Window
+from toepcalc.codes import AlphabetMismatch, BlockCode, CodeError, PeriodMismatch, PositionwisePermutation, Window
 from toepcalc.conjugacy import (
     Consistent,
     Contradicted,
@@ -45,6 +45,7 @@ from toepcalc.skeleton import (
     status_masks,
 )
 from toepcalc.odometer import divides
+from toepcalc.oracle import PeriodicWord, SearchWitness, _forced, _window_index
 
 BINARY = Alphabet(("0", "1"))
 
@@ -549,3 +550,87 @@ def check_status_readers(a: SkeletonTower, b: SkeletonTower, p: int, max_radius:
         if tower.deepest_period % p == 0:
             assert skeleton_word(tower, p) == old_skeleton_word(tower, p), (tower, p)
             assert periodic_part(tower, p) == old_periodic_part(tower, p), (tower, p)
+
+
+# ``BlockCode.__post_init__`` before its rows were checked in bulk, verbatim:
+# one row at a time, then the table rebuilt in ``product`` order by lookup.
+class OldBlockCode(BlockCode):
+    def __post_init__(self):
+        if not isinstance(self.length, int) or self.length < 0:
+            raise CodeError("code length must be non-negative")
+        symbols = set(self.alphabet.symbols)
+        width = 2 * self.length + 1
+        mapping: dict[Window, str] = {}
+        for row, (window, out) in enumerate(self.table):
+            window = tuple(window)
+            if len(window) != width:
+                raise CodeError(f"expected {width} window symbols, got {len(window)}", row)
+            for s in (*window, out):
+                if s not in symbols:
+                    raise CodeError(f"symbol {s!r} is not in the alphabet", row)
+            if window in mapping:
+                raise CodeError(f"window {' '.join(window)!r} listed twice", row)
+            mapping[window] = out
+        # with two or more symbols, a width past the table size's bit length
+        # already needs more windows; the count is built only when it has under
+        # 4000 digits (Python prints at most 4300), else written as a power
+        a = len(self.alphabet)
+        if width > len(mapping).bit_length() or len(mapping) != a**width:
+            required = a**width if width * math.log10(a) < 4000 else f"{a}^{width}"
+            raise CodeError(f"table has {len(mapping)} of {required} required windows")
+        # built from a list, not a generator, so that the tuple is allocated at its exact size
+        object.__setattr__(self, "table", tuple([(w, mapping[w]) for w in product(self.alphabet, repeat=width)]))
+        object.__setattr__(self, "_lookup", dict(self.table))  # keyed by the table's own windows: each held once
+
+
+# ``exact_conjugacy_search`` before its images came from the gcd root,
+# verbatim with its backward search and code completion: ``first_shift`` from
+# every rotation of w tiled to the lcm of the periods, and one backward search
+# per forced table.
+def old_full_code(alphabet: Alphabet, m: int, table: dict[Window, str]) -> BlockCode:
+    filler = alphabet.symbols[0]
+    entries = {
+        w: table.get(w, filler) for w in product(alphabet.symbols, repeat=2 * m + 1)
+    }
+    return BlockCode(alphabet, m, tuple(entries.items()))
+
+
+def old_exact_conjugacy_search(
+    v: PeriodicWord, w: PeriodicWord, max_radius: int
+) -> Optional[SearchWitness]:
+    if v.alphabet != w.alphabet:
+        raise AlphabetMismatch("words use different alphabets")
+    n, span = v.period, math.lcm(v.period, w.period)
+    w_long = w.cells * (span // w.period)
+    first_shift: dict[tuple[str, ...], int] = {}
+    for shift in range(w.period):  # shift + w.period gives the same rotation
+        first_shift.setdefault(w_long[shift:] + w_long[:shift], shift)
+    # the images: rotations of w's tiling that are themselves tilings of a period-n word
+    images = [(r[:n], k) for r, k in first_shift.items() if r == r[:n] * (span // n)]
+    if not images:
+        return None
+    rank = {s: i for i, s in enumerate(v.alphabet.symbols)}
+    for m in range(max_radius + 1):
+        windows, index = _window_index(v, m)
+        tables = []
+        for y_cells, shift in images:
+            values = _forced(index, y_cells)
+            if values is not None:
+                tables.append((tuple(map(rank.__getitem__, values)), values, y_cells, shift))
+        tables.sort()  # distinct images force distinct tables: the ranks decide
+        for _, values, y_cells, shift in tables:
+            back = _old_inverse_search(PeriodicWord(v.alphabet, y_cells), v, max_radius)
+            if back is not None:
+                code = old_full_code(v.alphabet, m, dict(zip(windows, values)))
+                return SearchWitness(code, back, shift)
+    return None
+
+
+def _old_inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
+    """The table of least radius mapping y onto v exactly, completed to a total code."""
+    for m in range(max_radius + 1):
+        windows, index = _window_index(y, m)
+        values = _forced(index, v.cells)
+        if values is not None:
+            return old_full_code(y.alphabet, m, dict(zip(windows, values)))
+    return None
