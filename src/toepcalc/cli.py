@@ -165,7 +165,7 @@ def _cmd_validate(ns) -> tuple[Report, int]:
             "alphabet": list(tower.alphabet.symbols),
             "periods": list(tower.periods),
             "scale": str(tower.declared_scale) if tower.declared_scale else None,
-            "holes": tower.deepest_word.cells.count(None),
+            "holes": tower._text.count("\0"),
         },
         0,
     )
@@ -177,9 +177,8 @@ def _cmd_analyze(ns) -> tuple[Report, int]:
     tower = _read_tower(ns.file)
     trunc = scale_truncation(tower)
     growth = growth_profile(tower)
-    levels = tower.levels[::-1][: ns.report_depth][::-1]  # the deepest N levels, all when N is None
     stages: Report = {}
-    for p, _ in levels:
+    for p in tower.periods[::-1][: ns.report_depth][::-1]:  # the deepest N levels, all when N is None
         ins, outs, unknowns = map(int.bit_count, status_masks(tower, p))
         row = next(r for r in growth.rows if r.period == p)
         stages[str(p)] = {"in": ins, "out": outs, "unknown": unknowns, "min_block": row.min_block_length}
@@ -259,8 +258,8 @@ def _cmd_apply_code(ns) -> tuple[Report, int]:
         {
             "written": ns.output,
             "radius": code.length,
-            "holes_before": tower.deepest_word.cells.count(None),
-            "holes_after": result.deepest_word.cells.count(None),
+            "holes_before": tower._text.count("\0"),
+            "holes_after": result._text.count("\0"),
         },
         0,
     )

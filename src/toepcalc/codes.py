@@ -160,7 +160,7 @@ def apply_block_code(tower: SkeletonTower, code: BlockCode) -> SkeletonTower:
     ring = (tower._text * (3 + 2 * m // deep))[-m % deep :][: deep + 2 * m]
     windows = map(ring.__getitem__, map(slice, range(deep), range(width, deep + width)))
     out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(map(image.get, windows))),), None)  # blank: no key
-    levels = tuple((p, skeleton_word(out, p)[0]) for p, _ in tower.levels[:-1])
+    levels = tuple((p, skeleton_word(out, p)[0]) for p in tower.periods[:-1])
     return SkeletonTower(tower.alphabet, (*levels, *out.levels), None)
 
 

@@ -180,20 +180,34 @@ class SkeletonTower:
     # ("separated", stage), the verdict's blank mask, block shapes by ("shape", length, stage, offset) and by
     # (stage, numbers, fullness) and derived class tables: the tower is immutable, so each entry stays valid
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # _text, the deepest word one code point per cell by Alphabet._code, and _planes, its filled mask
-    # then its _bit_planes (a blank has code 0, so the first is their union): only validate_tower sets them
+    # _periods; _pieces, each level one code point per cell by Alphabet._code; _text, the deepest piece; and
+    # _planes, its filled mask then its _bit_planes (a blank has code 0, so the first is their union): only
+    # _check_levels sets them.  A tower _parsed from tokens has no levels until read: __getattr__ decodes them
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))
         validate_tower(self)
 
+    @classmethod
+    def _parsed(cls, alphabet: Alphabet, levels: list, scale: Optional[SupernaturalNumber]) -> "SkeletonTower":
+        tower = object.__new__(cls)
+        vars(tower).update(alphabet=alphabet, declared_scale=scale, _status={})
+        _check_levels(tower, levels, {**alphabet._code, BLANK: chr(0)})
+        return tower
+
+    def __getattr__(self, name: str):  # a parsed tower's levels, decoded on first read and kept
+        if name != "levels":
+            raise AttributeError(name)
+        decode, pieces = self.alphabet._decode, zip(self._periods, self._pieces)
+        return vars(self).setdefault("levels", tuple((p, PartialCyclicWord(_lookup(decode, c))) for p, c in pieces))
+
     @property
     def periods(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.levels)
+        return self._periods
 
     @property
     def deepest_period(self) -> int:
-        return self.levels[-1][0]
+        return self._periods[-1]
 
     @property
     def deepest_word(self) -> PartialCyclicWord:
@@ -215,39 +229,49 @@ def _bit_planes(text: str, bits: int) -> list[int]:
     return [int(code[width - 1 - b // 8 :: width].translate(_BIT_DIGITS[b % 8]), 2) for b in range(bits)]
 
 
+def _lookup(table: dict, keys) -> tuple:  # table[k] for each of keys by one itemgetter, a tuple also for one key
+    return itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[0]],)
+
+
 def validate_tower(tower: SkeletonTower) -> None:
     """Raise a ``TowerError`` subclass describing the first defect found.
 
-    The only checks of a tower's structure, also for parsed files.  Level by
-    level: a positive period, greater than and a multiple of the one above, one
-    cell per period, symbols of the alphabet; then adjacent-level consistency (a
-    filled cell at period ``p`` must reappear verbatim at every congruent
-    position of the next level, which is at fault) and declared-scale divisibility.
+    The only checks of a tower's structure, also for parsed files, whose tokens
+    ``_check_levels`` reads as this reads a tower's cells.  Level by level: a
+    positive period, greater than and a multiple of the one above, one cell per
+    period, symbols of the alphabet; then adjacent-level consistency (a filled
+    cell at period ``p`` must reappear verbatim at every congruent position of
+    the next level, which is at fault) and declared-scale divisibility.
 
-    Cost: C-level passes only: each level's cells to code points by the alphabet's code table, the
-    ``b`` bit planes of all of them, then per level and plane a shift, a mask and a tile by doubling
-    shifts, O(N·b) bit operations for N cells.  The deepest level's share becomes ``_text`` and ``_planes``.
+    Cost: C-level passes only: each level's cells to code points by one ``itemgetter`` over the code
+    table, the ``b`` bit planes of all of them, then per level and plane a shift, a mask and a tile by
+    doubling shifts, O(N·b) bit operations for N cells.  The code points become ``_pieces`` and ``_planes``.
     """
     if not tower.levels:
         raise TowerError("a tower needs at least one level")
+    _check_levels(tower, [(p, w.cells) for p, w in tower.levels], tower.alphabet._code)
+
+
+def _check_levels(tower: SkeletonTower, levels: list, code: dict) -> None:
+    """``validate_tower`` on (period, cells) pairs, each cell a key of ``code``; sets the tower's caches."""
     pieces, prev = [], 0  # the code points of each level
-    for level, (p, w) in enumerate(tower.levels):
+    for level, (p, cells) in enumerate(levels):
         if not isinstance(p, int) or p < 1:
             raise DivisibilityError(f"period must be a positive integer, got {p!r}", level)
         if prev and p <= prev:
             raise DivisibilityError(f"periods must increase, got {p} after {prev}", level)
         if prev and p % prev:
             raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
-        if w.period != p:
-            raise DivisibilityError(f"expected {p} cells, got {w.period}", level)
+        if len(cells) != p:
+            raise DivisibilityError(f"expected {p} cells, got {len(cells)}", level)
         try:  # itemgetter of one cell gives its code point rather than a tuple; both join alike
-            pieces.append("".join(itemgetter(*w.cells)(tower.alphabet._code)))
+            pieces.append("".join(itemgetter(*cells)(code)))
         except KeyError:
-            i = next(i for i, c in enumerate(w.cells) if c not in tower.alphabet._code)
-            raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i) from None
+            i = next(i for i, c in enumerate(cells) if c not in code)
+            raise AlphabetError(f"symbol {cells[i]!r} not in alphabet", level, i) from None
         prev = p
     planes, end, above = _bit_planes("".join(pieces), len(tower.alphabet.symbols).bit_length()), 0, []
-    for level, (q, deep) in enumerate(tower.levels):
+    for level, ((q, _), deep) in enumerate(zip(levels, pieces)):
         masks, filled, differ = [plane >> end & (1 << q) - 1 for plane in planes], 0, 0
         end += q
         for mask, tiled in zip(masks, above):  # each plane of the level above, tiled by doubling shifts
@@ -255,16 +279,15 @@ def validate_tower(tower: SkeletonTower) -> None:
             while r < q:
                 tiled, r = tiled | tiled << r, 2 * r
             filled, differ = filled | tiled, differ | mask ^ tiled
-        if filled & differ & (1 << q) - 1:  # a cell filled above and different below
-            cells = shallow.cells * (q // p)
-            x = next(x for x, s in enumerate(cells) if s is not None and deep.cells[x] != s)
-            raise ConsistencyError(p, q, x, f"{cells[x]!r} above, {deep.cells[x]!r} below", level)
+        if bad := filled & differ & (1 << q) - 1:  # a cell filled above and different below: the first one
+            x, decode = (bad & -bad).bit_length() - 1, tower.alphabet._decode
+            raise ConsistencyError(p, q, x, f"{decode[shallow[x % p]]!r} above, {decode[deep[x]]!r} below", level)
         p, shallow, above = q, deep, masks
-    scale = tower.declared_scale
+    periods, scale = tuple(p for p, _ in levels), tower.declared_scale
     if scale is not None and not divides(prev, scale):  # the deepest period is a multiple of the others
-        level, p = next((level, p) for level, (p, _) in enumerate(tower.levels) if not divides(p, scale))
+        level, p = next((level, p) for level, p in enumerate(periods) if not divides(p, scale))
         raise ScaleError(f"declared period {p} does not divide scale {scale}", level)
-    vars(tower)["_text"], vars(tower)["_planes"] = pieces[-1], (reduce(or_, above), *above)
+    vars(tower).update(_periods=periods, _pieces=tuple(pieces), _text=pieces[-1], _planes=(reduce(or_, above), *above))
 
 
 def rotate_tower(tower: SkeletonTower, k: int) -> SkeletonTower:

@@ -393,7 +393,7 @@ def growth_profile(tower: SkeletonTower) -> GrowthProfile:
     over the table's digits, with no span built.
     """
     rows: list[GrowthRow] = []
-    for p, _ in tower.levels:
+    for p in tower.periods:
         arcs = _arcs(tower, p)
         certified = [len(arc) for arc in arcs if arc and "2" not in arc]
         # a certified span of length L lies between holes L + 1 apart; a hole

@@ -9,9 +9,9 @@
 One whitespace-separated token per cell, ``_`` for a blank.  The alphabet
 line comes first, the optional scale line next, then the period lines with
 strictly increasing periods, each dividing the next.  The parser checks only
-the syntax; ``validate_tower`` checks the tower, and its errors come back as a
-``ParseError`` at the 1-based line of the level at fault (and the column of
-the cell, when one is named), as do the parser's own errors.
+the syntax; ``validate_tower``'s checks run on the tokens, and their errors come
+back as a ``ParseError`` at the 1-based line of the level at fault (and the
+column of the cell, when one is named), as do the parser's own errors.
 """
 
 from __future__ import annotations
@@ -19,18 +19,19 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .core import BLANK, Alphabet, ParseError, PartialCyclicWord, SkeletonTower, TowerError
+from .core import BLANK, Alphabet, ParseError, SkeletonTower, TowerError, _lookup
 from .odometer import OdometerError, SupernaturalNumber
 
 _TOKEN = re.compile(r"\S+")
 
 
 def parse_tower_text(text: str) -> SkeletonTower:
-    """Cost: a few C-level string calls per line; a period line's tokens become cells (``_`` as
-    ``None``) by one ``str.split`` and one ``map``, no Python step per token.  Then ``validate_tower``."""
+    """Cost: a few C-level string calls per line; a period line's tokens go by one ``str.split``
+    and one ``itemgetter`` straight to code points, checked as ``validate_tower`` checks a tower,
+    no Python step per token.  The levels' cells are decoded only when ``levels`` is first read."""
     alphabet: Optional[Alphabet] = None
     scale: Optional[SupernaturalNumber] = None
-    levels: list[tuple[int, PartialCyclicWord]] = []
+    levels: list[tuple[int, list[str]]] = []
     level_lines: list[tuple[int, str]] = []  # line number and text of each level, for errors
     try:
         for ln, raw in enumerate(text.splitlines(), start=1):
@@ -71,8 +72,9 @@ def parse_tower_text(text: str) -> SkeletonTower:
                     period = int(name[1])
                 except ValueError as exc:  # more digits than Python's int-string limit
                     raise ParseError(f"period of {len(name[1])} digits is too long", line=ln, column=1) from exc
-                tokens = payload.split()
-                levels.append((period, PartialCyclicWord(map({BLANK: None}.get, tokens, tokens))))
+                if not (tokens := payload.split()):
+                    raise ParseError("a cyclic word needs at least one cell", line=ln)
+                levels.append((period, tokens))
                 level_lines.append((ln, line))
             else:
                 raise ParseError(f"unknown directive {name[0]!r}", line=ln, column=1)
@@ -80,7 +82,7 @@ def parse_tower_text(text: str) -> SkeletonTower:
             raise ParseError("missing alphabet line")
         if not levels:
             raise ParseError("missing period lines")
-        return SkeletonTower(alphabet, tuple(levels), scale)
+        return SkeletonTower._parsed(alphabet, levels, scale)
     except TowerError as exc:  # a bad alphabet or word on line ln, or a rule of validate_tower at exc.level
         column = None
         if exc.level is not None:
@@ -94,6 +96,7 @@ def serialize_tower(tower: SkeletonTower) -> str:
     lines = [f"alphabet = {' '.join(tower.alphabet.symbols)}"]
     if tower.declared_scale is not None:
         lines.append(f"scale = {tower.declared_scale}")
-    for period, word in tower.levels:
-        lines.append(f"period {period} = " + " ".join(map({None: BLANK}.get, word.cells, word.cells)))
+    tokens = {**tower.alphabet._decode, chr(0): BLANK}  # written from the code points: nothing decoded
+    for period, piece in zip(tower.periods, tower._pieces):
+        lines.append(f"period {period} = " + " ".join(_lookup(tokens, piece)))
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Shared builders for the test suite."""
 
 import math
+import re
 from collections import Counter
 from functools import reduce
 from itertools import compress, count, product, repeat
-from operator import is_, or_
+from operator import is_, itemgetter, or_
 from typing import Iterator, Optional
 
 from toepcalc import (
@@ -12,6 +13,7 @@ from toepcalc import (
     AlphabetError,
     ConsistencyError,
     DivisibilityError,
+    ParseError,
     PartialCyclicWord,
     ScaleError,
     SkeletonTower,
@@ -31,7 +33,7 @@ from toepcalc.conjugacy import (
     phase_separated,
 )
 from toepcalc.construction import ALPHABET, SCALE
-from toepcalc.core import _BIT_DIGITS, BLANK
+from toepcalc.core import _BIT_DIGITS, BLANK, _bit_planes
 from toepcalc.skeleton import (
     _NONE_UNLESS_IN,
     _STATUS_OF_DIGIT,
@@ -44,7 +46,7 @@ from toepcalc.skeleton import (
     skeleton_word,
     status_masks,
 )
-from toepcalc.odometer import divides
+from toepcalc.odometer import OdometerError, divides
 from toepcalc.oracle import PeriodicWord, SearchWitness, _forced, _window_index
 
 BINARY = Alphabet(("0", "1"))
@@ -166,6 +168,139 @@ def old_validate_tower(tower: SkeletonTower) -> None:
                 raise ScaleError(
                     f"declared period {p} does not divide scale {tower.declared_scale}", level
                 )
+
+
+# ``parse_tower_text`` and ``validate_tower`` before a file's tokens went straight to code points, verbatim
+# but for the tower class: each period line's cells as a tuple, then the tower checked from its cells.
+class OldParsedTower(SkeletonTower):
+    """A tower checked by the old ``validate_tower``, with the periods read off its levels."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))
+        old_encoding_validate_tower(self)
+
+    periods = property(lambda self: tuple(p for p, _ in self.levels))
+    deepest_period = property(lambda self: self.levels[-1][0])
+
+
+def old_encoding_validate_tower(tower: SkeletonTower) -> None:
+    """Raise a ``TowerError`` subclass describing the first defect found.
+
+    The only checks of a tower's structure, also for parsed files.  Level by
+    level: a positive period, greater than and a multiple of the one above, one
+    cell per period, symbols of the alphabet; then adjacent-level consistency (a
+    filled cell at period ``p`` must reappear verbatim at every congruent
+    position of the next level, which is at fault) and declared-scale divisibility.
+
+    Cost: C-level passes only: each level's cells to code points by the alphabet's code table, the
+    ``b`` bit planes of all of them, then per level and plane a shift, a mask and a tile by doubling
+    shifts, O(N·b) bit operations for N cells.  The deepest level's share becomes ``_text`` and ``_planes``.
+    """
+    if not tower.levels:
+        raise TowerError("a tower needs at least one level")
+    pieces, prev = [], 0  # the code points of each level
+    for level, (p, w) in enumerate(tower.levels):
+        if not isinstance(p, int) or p < 1:
+            raise DivisibilityError(f"period must be a positive integer, got {p!r}", level)
+        if prev and p <= prev:
+            raise DivisibilityError(f"periods must increase, got {p} after {prev}", level)
+        if prev and p % prev:
+            raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
+        if w.period != p:
+            raise DivisibilityError(f"expected {p} cells, got {w.period}", level)
+        try:  # itemgetter of one cell gives its code point rather than a tuple; both join alike
+            pieces.append("".join(itemgetter(*w.cells)(tower.alphabet._code)))
+        except KeyError:
+            i = next(i for i, c in enumerate(w.cells) if c not in tower.alphabet._code)
+            raise AlphabetError(f"symbol {w.cells[i]!r} not in alphabet", level, i) from None
+        prev = p
+    planes, end, above = _bit_planes("".join(pieces), len(tower.alphabet.symbols).bit_length()), 0, []
+    for level, (q, deep) in enumerate(tower.levels):
+        masks, filled, differ = [plane >> end & (1 << q) - 1 for plane in planes], 0, 0
+        end += q
+        for mask, tiled in zip(masks, above):  # each plane of the level above, tiled by doubling shifts
+            r = p
+            while r < q:
+                tiled, r = tiled | tiled << r, 2 * r
+            filled, differ = filled | tiled, differ | mask ^ tiled
+        if filled & differ & (1 << q) - 1:  # a cell filled above and different below
+            cells = shallow.cells * (q // p)
+            x = next(x for x, s in enumerate(cells) if s is not None and deep.cells[x] != s)
+            raise ConsistencyError(p, q, x, f"{cells[x]!r} above, {deep.cells[x]!r} below", level)
+        p, shallow, above = q, deep, masks
+    scale = tower.declared_scale
+    if scale is not None and not divides(prev, scale):  # the deepest period is a multiple of the others
+        level, p = next((level, p) for level, (p, _) in enumerate(tower.levels) if not divides(p, scale))
+        raise ScaleError(f"declared period {p} does not divide scale {scale}", level)
+    vars(tower)["_text"], vars(tower)["_planes"] = pieces[-1], (reduce(or_, above), *above)
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def old_parse_tower_text(text: str) -> SkeletonTower:
+    """Cost: a few C-level string calls per line; a period line's tokens become cells (``_`` as
+    ``None``) by one ``str.split`` and one ``map``, no Python step per token.  Then ``validate_tower``."""
+    alphabet: Optional[Alphabet] = None
+    scale: Optional[SupernaturalNumber] = None
+    levels: list[tuple[int, PartialCyclicWord]] = []
+    level_lines: list[tuple[int, str]] = []  # line number and text of each level, for errors
+    try:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].rstrip()
+            if not line.strip():
+                continue
+            head, eq, payload = line.partition("=")
+            if not eq:
+                raise ParseError("expected 'name = ...' directive", line=ln, column=1)
+            name = head.split()
+            if not name:
+                raise ParseError("missing directive name", line=ln, column=1)
+            if name[0] == "alphabet":
+                if len(name) != 1:
+                    raise ParseError("malformed alphabet directive", line=ln, column=1)
+                if alphabet is not None:  # scale and period lines need an alphabet, so this one comes first
+                    raise ParseError("duplicate alphabet line", line=ln, column=1)
+                alphabet = Alphabet(tuple(payload.split()))
+            elif name[0] == "scale":
+                if len(name) != 1:
+                    raise ParseError("malformed scale directive", line=ln, column=1)
+                if alphabet is None:
+                    raise ParseError("scale line before alphabet line", line=ln, column=1)
+                if scale is not None:
+                    raise ParseError("duplicate scale line", line=ln, column=1)
+                if levels:
+                    raise ParseError("scale line must precede period lines", line=ln, column=1)
+                try:
+                    scale = SupernaturalNumber.parse(payload.strip())
+                except OdometerError as exc:
+                    raise ParseError(str(exc), line=ln) from exc
+            elif name[0] == "period":
+                if alphabet is None:
+                    raise ParseError("period line before alphabet line", line=ln, column=1)
+                if len(name) != 2 or not name[1].isdecimal():
+                    raise ParseError("expected 'period N = ...'", line=ln, column=1)
+                try:
+                    period = int(name[1])
+                except ValueError as exc:  # more digits than Python's int-string limit
+                    raise ParseError(f"period of {len(name[1])} digits is too long", line=ln, column=1) from exc
+                tokens = payload.split()
+                levels.append((period, PartialCyclicWord(map({BLANK: None}.get, tokens, tokens))))
+                level_lines.append((ln, line))
+            else:
+                raise ParseError(f"unknown directive {name[0]!r}", line=ln, column=1)
+        if alphabet is None:
+            raise ParseError("missing alphabet line")
+        if not levels:
+            raise ParseError("missing period lines")
+        return OldParsedTower(alphabet, tuple(levels), scale)
+    except TowerError as exc:  # a bad alphabet or word on line ln, or a rule of validate_tower at exc.level
+        column = None
+        if exc.level is not None:
+            ln, line = level_lines[exc.level]
+            if exc.position is not None:
+                column = list(_TOKEN.finditer(line, line.index("=") + 1))[exc.position].start() + 1
+        raise ParseError(str(exc), line=ln, column=column) from exc
 
 
 # ``SkeletonTower._text`` and ``_planes`` before ``validate_tower`` set them, verbatim.

@@ -6,9 +6,13 @@ a stage's status table (``status_masks``); the tuple scans they replaced, and
 ``periodic_part`` as it kept its view on the tower, are kept verbatim in
 ``helpers`` as the references.  The same holds for ``PartialCyclicWord.text``
 and ``from_text``, now C-level ``map`` passes.  The cost guard checks that the
-readers that need only the masks build no per-residue ``ResidueStatusSet``.
+readers that need only the masks build no per-residue ``ResidueStatusSet``,
+and a second one that ``validate``, ``analyze``, ``compare`` and ``corpus``
+on tower files build no ``PartialCyclicWord``: a parsed tower decodes its
+``levels`` only when they are read.
 """
 
+import pickle
 import random
 import re
 
@@ -182,6 +186,47 @@ def test_mask_readers_build_no_residue_status_set(monkeypatch, tmp_path):
     periodic_part(t, 10)
     assert built == [10]  # the guard sees the view built on request
     assert not any(isinstance(entry, ResidueStatusSet) for entry in t._status.values())  # and the tower keeps none
+
+
+def test_parsed_towers_build_no_cell_tuple(monkeypatch, tmp_path):
+    t = reference_example(9)
+    images = [apply_block_code(t, parse_block_code(code, t.alphabet)) for code in CI_CODES]
+    other_scale = serialize_tower(reference_example(8)).replace("scale = ", "scale = 3 * ")
+    for name, text in zip("abcde", (*map(serialize_tower, (t, rotate_tower(t, 7), *images)), other_scale)):
+        (tmp_path / f"{name}.tw").write_text(text)
+    built = []
+    post_init = PartialCyclicWord.__post_init__
+    monkeypatch.setattr(PartialCyclicWord, "__post_init__", lambda word: built.append(word) or post_init(word))
+    runs = {
+        ("validate", "a"): "status = valid",
+        ("analyze", "a"): "stage.2560.in = 2555",
+        ("compare", "a", "b"): "verdict = conjugate-certified",
+        ("compare", "a", "c"): "verdict = refuted-up-to",
+        ("compare", "a", "d"): "verdict = unknown",
+        ("compare", "a", "e"): "verdict = not-conjugate",
+    }
+    for (command, *names), line in runs.items():
+        code, out = run_command([command, *(str(tmp_path / f"{name}.tw") for name in names)])
+        assert line in out.splitlines() and built == [], (command, names, out)
+    code, out = run_command(["corpus", str(tmp_path)])
+    assert code == 0 and "matrix.a.tw.b.tw = conjugate-certified" in out.splitlines() and built == []
+    parse_tower_text((tmp_path / "a.tw").read_text()).levels
+    assert len(built) == len(t.levels)  # the guard sees the levels decoded on request
+
+
+def test_a_parsed_tower_reads_as_the_tower_built_in_code():
+    rng = random.Random(3131)
+    towers = [reference_example(6), one_level(("ab", "c"), ("c",)), one_level(WIDE, ("s299", None, "s7", "s0"))]
+    towers += [random_tower(rng, WIDE, depth=3, fill=0.6, with_scale=True) for _ in range(5)]
+    for t in towers:
+        text = serialize_tower(t)
+        fresh = [parse_tower_text(text) for _ in range(5)]
+        assert [serialize_tower(u) for u in fresh] == [text] * 5
+        assert all("levels" not in vars(u) for u in fresh)  # not decoded yet, written from code points
+        assert fresh[0].levels == t.levels and hash(fresh[1]) == hash(t) and repr(fresh[2]) == repr(t)
+        loaded = pickle.loads(pickle.dumps(fresh[3]))
+        assert loaded == t and loaded.levels == t.levels and loaded._text == t._text
+        assert fresh[4] == t and t == fresh[4] and fresh[4].deepest_word == t.deepest_word
 
 
 def test_word_text_matches_the_generators():

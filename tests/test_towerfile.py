@@ -19,11 +19,12 @@ from toepcalc import (
     parse_tower_text,
     reference_example,
     serialize_tower,
+    status_masks,
 )
 from toepcalc.core import BLANK
 from toepcalc.odometer import INF, OdometerError, divides
 from toepcalc.randomgen import random_tower
-from helpers import old_serialize_tower, tower
+from helpers import OldParsedTower, divisors, old_parse_tower_text, old_serialize_tower, tower
 
 
 GOOD = """\
@@ -337,6 +338,7 @@ def test_parser_matches_the_reference_on_defective_files():
         if text is None:
             continue
         defects[defect] += 1
+        _parses_as_before(text)  # the parser that built each level's cell tuple, in every detail
         ref, new = _outcome(reference_parse_tower_text, text), _outcome(parse_tower_text, text)
         context = (seed, defect, text, ref, new)
         if isinstance(ref, SkeletonTower):
@@ -363,3 +365,130 @@ def test_parser_matches_the_reference_on_defective_files():
         assert line[new.column - 2] == " " and line[new.column - 1] != " ", context
     assert all(defects.values()), defects
     assert all(seen.values()), seen
+
+
+# --- the parser that built each level's cell tuple, kept as the reference ---
+
+
+def _parses_as_before(text: str):
+    """The file's outcome under the new and the old parser: one tower (equal as a tower, in its
+    code points, bit planes, periods and status masks) or one error text, line and column."""
+    old, new = _outcome(old_parse_tower_text, text), _outcome(parse_tower_text, text)
+    if isinstance(old, SkeletonTower):
+        assert (new._text, new._planes, new.periods) == (old._text, old._planes, old.periods), text
+        for p in divisors(new.deepest_period):
+            assert status_masks(new, p) == status_masks(old, p), (text, p)
+        assert new == SkeletonTower(old.alphabet, old.levels, old.declared_scale), text
+        return old
+    assert type(new) is type(old) is ParseError, (text, old, new)
+    assert (str(new), new.line, new.column) == (str(old), old.line, old.column), text
+    return old
+
+
+BAD_LINES = ("bogus", "x = 1", "period = 0 1", "period 4x = 0", " = 1", "alphabet = 0 1", "scale = 2", "period 5 =")
+
+
+def two_defect_file(rng: random.Random, kind: str) -> Optional[str]:
+    """A serialized random tower with two defects, the one the old parser named first listed first:
+    "syntax" a bad line after a bad symbol on an earlier level, "count" a wrong cell count on a level
+    and a bad symbol on a deeper one, "period" a bad period and a bad symbol on one level."""
+    symbols = rng.choice((("0", "1"), ("0", "1", "2"), ("a", "bb", "c01")))
+    t = random_tower(rng, symbols=symbols, depth=rng.randint(1, 4), fill=rng.choice((0.0, 0.5, 1.0)),
+                     with_scale=rng.random() < 0.5)
+    lines = serialize_tower(t).splitlines()
+    first, deep = 2 if t.declared_scale is not None else 1, len(t.levels) - 1
+    i = rng.randint(0, deep)
+
+    def edit(level: int, change) -> None:
+        head, _, payload = lines[first + level].partition(" = ")
+        tokens = payload.split()
+        change(tokens)
+        lines[first + level] = f"{head} = {' '.join(tokens)}"
+
+    def bad_symbol(tokens: list) -> None:
+        tokens[rng.randrange(len(tokens))] = rng.choice([s for s in ("x", "2", "01", "__") if s not in symbols])
+
+    if kind == "syntax":
+        edit(i, bad_symbol)
+        lines.insert(rng.randint(first + i + 1, len(lines)), rng.choice(BAD_LINES))
+    elif kind == "count":
+        if i == deep:
+            return None
+        edit(i, lambda tokens: tokens.pop() if len(tokens) > 1 and rng.random() < 0.5 else tokens.append("0"))
+        edit(rng.randint(i + 1, deep), bad_symbol)
+    else:
+        edit(i, bad_symbol)
+        prev = t.levels[i - 1][0] if i else 0  # 0, not above prev, or above it but no multiple of it
+        periods = (0, rng.randint(1, prev) if prev else 0, prev + rng.randint(1, prev - 1) if prev > 1 else 0)
+        lines[first + i] = _set_period(lines[first + i], rng.choice(periods))
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_matches_the_old_parser_on_files_with_two_defects():
+    named = {"syntax": 0, "count": 0, "period": 0}
+    for seed in range(900):
+        rng = random.Random(seed)
+        kind = ("syntax", "count", "period")[seed % 3]
+        text = two_defect_file(rng, kind)
+        if text is None:
+            continue
+        message = _message(_parses_as_before(text))
+        if kind == "syntax":  # the old parser read every line before it checked a symbol
+            assert "not in alphabet" not in message, text
+        elif kind == "count":
+            assert message.startswith("expected "), text
+        else:
+            assert message.startswith(("period must be", "periods must", "period ")), text
+        named[kind] += 1
+    assert min(named.values()) > 100, named
+    examples = {
+        "alphabet = 0 1\nperiod 2 = 0 x\nperiod 4 = 0 1 0 1\nperod 8 = 0 1 0 1 0 1 0 1\n":
+            "unknown directive 'perod' (line 4, column 1)",
+        "alphabet = 0 1\nperiod 2 = 0 1 0\nperiod 4 = 0 1 x 1\n": "expected 2 cells, got 3 (line 2)",
+        "alphabet = 0 1\nperiod 2 = 0 1\nperiod 3 = 0 x 1\n": "period 3 is not a multiple of 2 (line 3)",
+        "alphabet = 0 1\nperiod 5 =\n": "a cyclic word needs at least one cell (line 2)",
+        "alphabet = 0 1\nperiod 2 = 0 x\nperiod 4 =   # no cells\nbogus\n":
+            "a cyclic word needs at least one cell (line 3)",
+    }
+    for text, error in examples.items():
+        assert str(_parses_as_before(text)) == error
+
+
+def test_parser_matches_the_old_parser_on_short_levels_and_large_alphabets():
+    texts = [
+        "alphabet = ab cd\nperiod 1 = cd\nperiod 2 = cd _\n",
+        "alphabet = ab cd\nperiod 1 = _\nperiod 3 = _ ab _\n",
+        "alphabet = ab cd\nperiod 1 = ab\nperiod 2 = cd ab\n",
+        "alphabet = ab cd\nperiod 1 = x\n",
+        "alphabet = 0 1\nperiod 1 = 0 1\n",
+        "\ufeffalphabet = 0 1\nperiod 2 = 0 1\n",
+        "alphabet = 0 1\ufeff\nperiod 2 = 0 1\ufeff\n",
+        "alphabet = 0 1\nperiod 2 = 0 \ufeff1\n",
+    ]
+    rng = random.Random(3131)
+    for _ in range(60):
+        t = random_tower(rng, symbols=("ab", "cd", "e"), depth=rng.randint(1, 4), base_periods=(1,),
+                         fill=rng.choice((0.0, 0.5, 1.0)))
+        texts.append(serialize_tower(t))
+    wide = tuple(f"s{i}" for i in range(300))
+    huge = tuple(f"{i:x}" for i in range(70000))  # code points up to 70000, past the surrogates at 0xD800
+    for symbols, count in ((wide, 40), (huge, 2)):
+        for _ in range(count):
+            t = random_tower(rng, symbols=symbols, depth=rng.randint(1, 3), fill=0.8)
+            texts.append(serialize_tower(t))
+            texts.append(defective_text(rng, serialize_tower(t)))
+    levels = "period 4 = d800 dfff _ 1116f\nperiod 8 = d800 dfff _ 1116f d800 dfff 0 1116f\n"
+    texts.append(f"alphabet = {' '.join(huge)}\n{levels}")
+    outcomes = [_parses_as_before(text) for text in texts]
+    assert {type(o) for o in outcomes} == {ParseError, OldParsedTower}
+
+
+def defective_text(rng: random.Random, text: str) -> str:
+    """``text`` with one token of a random period line replaced by a symbol of none of the alphabets here."""
+    lines = text.splitlines()
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("period")])
+    head, _, payload = lines[k].partition(" = ")
+    tokens = payload.split()
+    tokens[rng.randrange(len(tokens))] = rng.choice(("x", "__", "zz"))
+    lines[k] = f"{head} = {' '.join(tokens)}"
+    return "\n".join(lines) + "\n"
