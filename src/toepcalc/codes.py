@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import cycle, product
+from itertools import cycle, product, repeat
 from typing import Optional, Sequence
 
-from .core import Alphabet, ParseError, PartialCyclicWord, SkeletonTower
-from .skeleton import skeleton_word
+from .core import Alphabet, ParseError, SkeletonTower
+from .skeleton import _view
 
 
 class CodeError(ValueError):
@@ -154,14 +154,15 @@ def apply_block_code(tower: SkeletonTower, code: BlockCode) -> SkeletonTower:
     """
     if code.alphabet != tower.alphabet:
         raise AlphabetMismatch("code and tower alphabets differ")
-    deep, m, width = tower.deepest_period, code.length, 2 * code.length + 1
-    image = {"".join(map(tower.alphabet._code.__getitem__, w)): out for w, out in code.table}  # by code points
+    deep, m, width, enc = tower.deepest_period, code.length, 2 * code.length + 1, tower.alphabet._code
+    image = {"".join(map(enc.__getitem__, w)): enc[out] for w, out in code.table}  # all by code points
     # the text from position -m, extended cyclically, so that the window of position x starts at x
     ring = (tower._text * (3 + 2 * m // deep))[-m % deep :][: deep + 2 * m]
     windows = map(ring.__getitem__, map(slice, range(deep), range(width, deep + width)))
-    out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(map(image.get, windows))),), None)  # blank: no key
-    levels = tuple((p, skeleton_word(out, p)[0]) for p in tower.periods[:-1])
-    return SkeletonTower(tower.alphabet, (*levels, *out.levels), None)
+    text = "".join(map(image.get, windows, repeat("\0")))  # a window with a blank has no key
+    out = SkeletonTower._encoded(tower.alphabet, ((deep, text),), None)
+    levels = [(p, _view(out, p)[1]) for p in tower.periods[:-1]]  # the certified skeletons, by code points
+    return SkeletonTower._encoded(tower.alphabet, (*levels, (deep, text)), None)
 
 
 @dataclass(frozen=True)
@@ -214,14 +215,14 @@ def apply_positionwise_permutation(
     """
     if phi.alphabet != tower.alphabet:
         raise AlphabetMismatch("permutation and tower alphabets differ")
-    p, symbols = phi.period, tower.alphabet.symbols
+    p, symbols, enc = phi.period, tower.alphabet.symbols, tower.alphabet._code
     if tower.deepest_period % p:
         raise PeriodMismatch(f"{p} does not divide the deepest period")
-    levels: list[tuple[int, PartialCyclicWord]] = []
-    for q, w in tower.levels:
+    levels = []
+    for q, cells in zip(tower.periods, tower._pieces):
         if q >= p and q % p:
             raise PeriodMismatch(f"{p} does not divide the declared period {q}")
-        g = math.gcd(q, p)  # per residue t < g, each symbol s's image where its images ys at t, t + g, ... agree
-        tables = [{s: ys[0] for s, *ys in zip(symbols, *phi.perms[t::g]) if len(set(ys)) == 1} for t in range(g)]
-        levels.append((q, PartialCyclicWord(map(dict.get, cycle(tables), w.cells))))  # blank: no key
-    return SkeletonTower(tower.alphabet, tuple(levels), tower.declared_scale)
+        g = math.gcd(q, p)  # per residue t < g, each code point's image y at t where its images ys at t + g, ... agree
+        tables = [{enc[s]: enc[y] for s, y, *ys in zip(symbols, *phi.perms[t::g]) if {*ys} <= {y}} for t in range(g)]
+        levels.append((q, "".join(map(dict.get, cycle(tables), cells, repeat("\0")))))  # blank: no key, so 0
+    return SkeletonTower._encoded(tower.alphabet, levels, tower.declared_scale)

@@ -707,8 +707,8 @@ def with_common_depth(a: SkeletonTower, b: SkeletonTower) -> tuple[SkeletonTower
 def _pad(t: SkeletonTower, n: int) -> SkeletonTower:
     if t.deepest_period == n:
         return t
-    deeper = (n, t.deepest_word.repeated(n // t.deepest_period))
-    return SkeletonTower(t.alphabet, (*t.levels, deeper), t.declared_scale)
+    deeper = (n, t._text * (n // t.deepest_period))
+    return SkeletonTower._encoded(t.alphabet, (*zip(t.periods, t._pieces), deeper), t.declared_scale)
 
 
 @dataclass(frozen=True)

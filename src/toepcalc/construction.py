@@ -11,8 +11,8 @@ previous word and resolves part of the blanks:
 Every stage keeps one unresolved triple, so the limit word is Toeplitz but
 never eventually periodic; the declared scale is 2^inf * 5.
 
-Cost: per stage, one doubling of the stage text and at most three C-level
-regex passes over its 5·2^j cells, with no Python step per cell.
+Cost: per stage, one doubling of the stage text, at most three C-level regex
+passes over its 5·2^j cells and one ``str.translate`` to code points.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .core import Alphabet, PartialCyclicWord, SkeletonTower
+from .core import Alphabet, SkeletonTower
 from .odometer import SupernaturalNumber
 
 ALPHABET = Alphabet(("0", "1"))
@@ -30,6 +30,7 @@ SCALE = SupernaturalNumber.parse("2^inf * 5")
 # last cells, so no run wraps around the doubled word
 _SINGLE = re.compile(r"(?<!_)_(?!_)")
 _TRIPLE = re.compile(r"(?<!_)___(?!_)")
+_CODE = str.maketrans("_01", "\0\1\2")  # a stage text's cells to ALPHABET's code points
 
 
 def _next_stage(text: str, stage: int) -> str:
@@ -46,5 +47,4 @@ def reference_example(stages: int) -> SkeletonTower:
     if stages < 0:
         raise ValueError("stages must be nonnegative")
     texts = accumulate(range(1, stages + 1), _next_stage, initial="0___0")
-    levels = tuple((len(t), PartialCyclicWord.from_text(t)) for t in texts)
-    return SkeletonTower(ALPHABET, levels, SCALE)
+    return SkeletonTower._encoded(ALPHABET, [(len(t), t.translate(_CODE)) for t in texts], SCALE)

@@ -100,6 +100,7 @@ class Alphabet:
             code[s] = chr(len(code))
         object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_decode", dict(zip(code.values(), code)))  # the cell of each code point
+        object.__setattr__(self, "_identity", dict(zip(code.values(), code.values())))  # for _encoded
 
     def __contains__(self, s: object) -> bool:
         return s in self.symbols
@@ -182,20 +183,22 @@ class SkeletonTower:
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _periods; _pieces, each level one code point per cell by Alphabet._code; _text, the deepest piece; and
     # _planes, its filled mask then its _bit_planes (a blank has code 0, so the first is their union): only
-    # _check_levels sets them.  A tower _parsed from tokens has no levels until read: __getattr__ decodes them
+    # _check_levels sets them.  Each tower the package builds is _encoded: __getattr__ decodes its levels when read
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))
         validate_tower(self)
 
     @classmethod
-    def _parsed(cls, alphabet: Alphabet, levels: list, scale: Optional[SupernaturalNumber]) -> "SkeletonTower":
+    def _encoded(cls, alphabet: Alphabet, levels, scale: Optional[SupernaturalNumber], code=None) -> "SkeletonTower":
+        """The tower of (period, cells) ``levels``, each cell a key of ``code``, by default a code point
+        of ``Alphabet._code`` (looked up in its identity table), checked in full by ``_check_levels``."""
         tower = object.__new__(cls)
         vars(tower).update(alphabet=alphabet, declared_scale=scale, _status={})
-        _check_levels(tower, levels, {**alphabet._code, BLANK: chr(0)})
+        _check_levels(tower, levels, alphabet._identity if code is None else code)
         return tower
 
-    def __getattr__(self, name: str):  # a parsed tower's levels, decoded on first read and kept
+    def __getattr__(self, name: str):  # an _encoded tower's levels, decoded on first read and kept
         if name != "levels":
             raise AttributeError(name)
         decode, pieces = self.alphabet._decode, zip(self._periods, self._pieces)
@@ -236,7 +239,8 @@ def _lookup(table: dict, keys) -> tuple:  # table[k] for each of keys by one ite
 def validate_tower(tower: SkeletonTower) -> None:
     """Raise a ``TowerError`` subclass describing the first defect found.
 
-    The only checks of a tower's structure, also for parsed files, whose tokens
+    The only checks of a tower's structure, also for the towers the package
+    builds from tokens or code points (``SkeletonTower._encoded``), which
     ``_check_levels`` reads as this reads a tower's cells.  Level by level: a
     positive period, greater than and a multiple of the one above, one cell per
     period, symbols of the alphabet; then adjacent-level consistency (a filled
@@ -294,15 +298,12 @@ def rotate_tower(tower: SkeletonTower, k: int) -> SkeletonTower:
     """Shift the origin: every level word ``w`` becomes ``x -> w(x + k)``.
 
     Rotation is a conjugacy of the described structure, so the declared scale
-    travels with it.
+    travels with it.  Cost: each level's code points cut at ``k mod p`` and rejoined.
     """
-    return SkeletonTower(
-        tower.alphabet,
-        tuple((p, w.rotated(k)) for p, w in tower.levels),
-        tower.declared_scale,
-    )
+    levels = [(p, piece[k % p :] + piece[: k % p]) for p, piece in zip(tower.periods, tower._pieces)]
+    return SkeletonTower._encoded(tower.alphabet, levels, tower.declared_scale)
 
 
 def symbol_at(tower: SkeletonTower, x: int) -> Optional[str]:
     """Authoritative cell value at position ``x``: the deepest word decides."""
-    return tower.deepest_word.cell(x)
+    return tower.alphabet._decode[tower._text[x % tower.deepest_period]]

@@ -26,11 +26,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import is_
 from typing import Iterator, Optional
 
-from .core import (
-    DivisibilityError,
-    PartialCyclicWord,
-    SkeletonTower,
-)
+from .core import DivisibilityError, PartialCyclicWord, SkeletonTower, _lookup
 from .odometer import (
     EmptyScale,
     OdometerError,
@@ -84,7 +80,6 @@ def _fold(mask: int, n: int, p: int) -> int:
 
 
 _STATUS_OF_DIGIT = {"0": Status.IN, "1": Status.OUT, "2": Status.UNKNOWN}
-_NONE_UNLESS_IN = {"1": None, "2": None}
 
 
 def _set_bits(x: int) -> Iterator[int]:
@@ -126,9 +121,9 @@ def _digits(tower: SkeletonTower, p: int) -> str:  # per residue r, the digit ou
     return format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
 
 
-def _view(tower: SkeletonTower, p: int) -> tuple[tuple, tuple]:  # statuses, symbols by digit
+def _view(tower: SkeletonTower, p: int) -> tuple[tuple, str]:  # statuses by digit; code points where In, else 0
     digits = _digits(tower, p)
-    return tuple(map(_STATUS_OF_DIGIT.get, digits)), tuple(map(_NONE_UNLESS_IN.get, digits, tower.deepest_word.cells))
+    return tuple(map(_STATUS_OF_DIGIT.get, digits)), "".join(map({"1": "\0", "2": "\0"}.get, digits, tower._text[:p]))
 
 
 def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
@@ -142,7 +137,8 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     Cost: the table's bit masks (``status_masks``, kept on the tower), then
     O(p) C-level steps on every call to read the view off them; none is kept.
     """
-    return ResidueStatusSet(p, *_view(tower, p))
+    statuses, skeleton = _view(tower, p)
+    return ResidueStatusSet(p, statuses, _lookup(tower.alphabet._decode, skeleton))
 
 
 def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
@@ -165,8 +161,9 @@ def _modulus(tower: SkeletonTower, q: int) -> int:  # period_status(tower, q).mo
 def skeleton_word(tower: SkeletonTower, p: int) -> tuple[PartialCyclicWord, tuple[bool, ...]]:
     """The certified ``p``-skeleton as a word (In cells filled) plus a mask marking which
     blanks are Unknown rather than certified holes: O(p) C-level steps on the table's masks."""
-    statuses, symbols = _view(tower, p)
-    return PartialCyclicWord(symbols), tuple(map(is_, statuses, repeat(Status.UNKNOWN)))
+    statuses, skeleton = _view(tower, p)
+    unknown = tuple(map(is_, statuses, repeat(Status.UNKNOWN)))
+    return PartialCyclicWord(_lookup(tower.alphabet._decode, skeleton)), unknown
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@
 One whitespace-separated token per cell, ``_`` for a blank.  The alphabet
 line comes first, the optional scale line next, then the period lines with
 strictly increasing periods, each dividing the next.  The parser checks only
-the syntax; ``validate_tower``'s checks run on the tokens, and their errors come
-back as a ``ParseError`` at the 1-based line of the level at fault (and the
-column of the cell, when one is named), as do the parser's own errors.
+the syntax and hands the tokens to ``SkeletonTower._encoded``, the one builder
+of the package's towers, which runs ``validate_tower``'s checks on them; their
+errors come back as a ``ParseError`` at the 1-based line of the level at fault
+(and the column of the cell, when one is named), as do the parser's own errors.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def parse_tower_text(text: str) -> SkeletonTower:
             raise ParseError("missing alphabet line")
         if not levels:
             raise ParseError("missing period lines")
-        return SkeletonTower._parsed(alphabet, levels, scale)
+        return SkeletonTower._encoded(alphabet, levels, scale, {**alphabet._code, BLANK: chr(0)})
     except TowerError as exc:  # a bad alphabet or word on line ln, or a rule of validate_tower at exc.level
         column = None
         if exc.level is not None:

@@ -4,7 +4,7 @@ import math
 import re
 from collections import Counter
 from functools import reduce
-from itertools import compress, count, product, repeat
+from itertools import accumulate, compress, count, cycle, product, repeat
 from operator import is_, itemgetter, or_
 from typing import Iterator, Optional
 
@@ -32,10 +32,10 @@ from toepcalc.conjugacy import (
     _Pair,
     phase_separated,
 )
+from toepcalc import construction
 from toepcalc.construction import ALPHABET, SCALE
 from toepcalc.core import _BIT_DIGITS, BLANK, _bit_planes
 from toepcalc.skeleton import (
-    _NONE_UNLESS_IN,
     _STATUS_OF_DIGIT,
     BlockSpan,
     FilledBlocks,
@@ -630,6 +630,10 @@ def old_word_text(word: PartialCyclicWord) -> str:
 # the margins, candidates and skeleton words read the status table's bit masks,
 # verbatim: scans of the per-residue view, which ``periodic_part`` kept on the
 # tower beside the masks.  ``old_period_status`` is ``period_status`` on it.
+# ``_NONE_UNLESS_IN`` is the digit table the view read the deepest cells by.
+_NONE_UNLESS_IN = {"1": None, "2": None}
+
+
 def old_periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     rss = tower._status.get(("view", p))
     if rss is None:
@@ -769,3 +773,61 @@ def _old_inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Op
         if values is not None:
             return old_full_code(y.alphabet, m, dict(zip(windows, values)))
     return None
+
+
+# The five tower builders as they were before each built its tower's code points
+# and handed them to ``SkeletonTower._encoded``, verbatim: each decoded the cell
+# tuples of ``levels`` (or built them) and built through the public constructor.
+# ``old_cells_reference_example`` names the stage rule ``construction._next_stage``,
+# since this module's ``_next_stage`` is the older cell-list rule.
+def old_cells_rotate_tower(tower: SkeletonTower, k: int) -> SkeletonTower:
+    return SkeletonTower(
+        tower.alphabet,
+        tuple((p, w.rotated(k)) for p, w in tower.levels),
+        tower.declared_scale,
+    )
+
+
+def old_cells_pad(t: SkeletonTower, n: int) -> SkeletonTower:
+    if t.deepest_period == n:
+        return t
+    deeper = (n, t.deepest_word.repeated(n // t.deepest_period))
+    return SkeletonTower(t.alphabet, (*t.levels, deeper), t.declared_scale)
+
+
+def old_cells_apply_block_code(tower: SkeletonTower, code: BlockCode) -> SkeletonTower:
+    if code.alphabet != tower.alphabet:
+        raise AlphabetMismatch("code and tower alphabets differ")
+    deep, m, width = tower.deepest_period, code.length, 2 * code.length + 1
+    image = {"".join(map(tower.alphabet._code.__getitem__, w)): out for w, out in code.table}  # by code points
+    # the text from position -m, extended cyclically, so that the window of position x starts at x
+    ring = (tower._text * (3 + 2 * m // deep))[-m % deep :][: deep + 2 * m]
+    windows = map(ring.__getitem__, map(slice, range(deep), range(width, deep + width)))
+    out = SkeletonTower(tower.alphabet, ((deep, PartialCyclicWord(map(image.get, windows))),), None)  # blank: no key
+    levels = tuple((p, skeleton_word(out, p)[0]) for p in tower.periods[:-1])
+    return SkeletonTower(tower.alphabet, (*levels, *out.levels), None)
+
+
+def old_cells_apply_positionwise_permutation(tower: SkeletonTower, phi: PositionwisePermutation) -> SkeletonTower:
+    if phi.alphabet != tower.alphabet:
+        raise AlphabetMismatch("permutation and tower alphabets differ")
+    p, symbols = phi.period, tower.alphabet.symbols
+    if tower.deepest_period % p:
+        raise PeriodMismatch(f"{p} does not divide the deepest period")
+    levels: list[tuple[int, PartialCyclicWord]] = []
+    for q, w in tower.levels:
+        if q >= p and q % p:
+            raise PeriodMismatch(f"{p} does not divide the declared period {q}")
+        g = math.gcd(q, p)  # per residue t < g, each symbol s's image where its images ys at t, t + g, ... agree
+        tables = [{s: ys[0] for s, *ys in zip(symbols, *phi.perms[t::g]) if len(set(ys)) == 1} for t in range(g)]
+        levels.append((q, PartialCyclicWord(map(dict.get, cycle(tables), w.cells))))  # blank: no key
+    return SkeletonTower(tower.alphabet, tuple(levels), tower.declared_scale)
+
+
+def old_cells_reference_example(stages: int) -> SkeletonTower:
+    """Tower whose levels are the stage words 0..stages of the procedure."""
+    if stages < 0:
+        raise ValueError("stages must be nonnegative")
+    texts = accumulate(range(1, stages + 1), construction._next_stage, initial="0___0")
+    levels = tuple((len(t), PartialCyclicWord.from_text(t)) for t in texts)
+    return SkeletonTower(ALPHABET, levels, SCALE)

@@ -9,7 +9,10 @@ and ``from_text``, now C-level ``map`` passes.  The cost guard checks that the
 readers that need only the masks build no per-residue ``ResidueStatusSet``,
 and a second one that ``validate``, ``analyze``, ``compare`` and ``corpus``
 on tower files build no ``PartialCyclicWord``: a parsed tower decodes its
-``levels`` only when they are read.
+``levels`` only when they are read.  A third one checks the same of the
+towers the package builds from code points (``rotate``, ``permute``,
+``apply-code``, ``generate``, ``with_common_depth``) and of the readers of a
+parsed tower's deepest word.
 """
 
 import pickle
@@ -33,12 +36,16 @@ from toepcalc import (
     invariant_compare,
     parse_block_code,
     parse_tower_text,
+    period_status,
     periodic_part,
     reference_example,
     rotate_tower,
     scale_truncation,
     serialize_tower,
+    skeleton_word,
     status_masks,
+    symbol_at,
+    with_common_depth,
 )
 from toepcalc import skeleton
 from toepcalc.cli import corpus_matrix, run_command
@@ -212,6 +219,32 @@ def test_parsed_towers_build_no_cell_tuple(monkeypatch, tmp_path):
     assert code == 0 and "matrix.a.tw.b.tw = conjugate-certified" in out.splitlines() and built == []
     parse_tower_text((tmp_path / "a.tw").read_text()).levels
     assert len(built) == len(t.levels)  # the guard sees the levels decoded on request
+
+
+def test_built_towers_build_no_cell_tuple(monkeypatch, tmp_path):
+    text = serialize_tower(reference_example(9))
+    (tmp_path / "a.tw").write_text(text)
+    (tmp_path / "code.txt").write_text(CI_CODES[0])
+    built = []
+    post_init = PartialCyclicWord.__post_init__
+    monkeypatch.setattr(PartialCyclicWord, "__post_init__", lambda word: built.append(word) or post_init(word))
+    a, out, code = (str(tmp_path / name) for name in ("a.tw", "b.tw", "code.txt"))
+    runs = (
+        ["generate", "paper-example", "--stages", "9", "-o", out],
+        ["rotate", a, "-k", "-100003", "-o", out],
+        ["permute", a, "--period", "5", "--perms", "1,0;0,1;0,1;1,0;0,1", "-o", out],
+        ["apply-code", a, "--code", code, "-o", out],
+    )
+    for args in runs:
+        assert run_command(args)[0] == 0 and built == [], args
+    reference_example(12)
+    shallow, deep = with_common_depth(parse_tower_text(serialize_tower(reference_example(7))), parse_tower_text(text))
+    assert shallow.periods[-1] == deep.periods[-1] == 2560 and built == []
+    t = parse_tower_text(text)
+    assert periodic_part(t, 10).symbols[0] == period_status(t, 15).symbols[0] == symbol_at(t, -2560) == "0"
+    assert built == []
+    word, _ = skeleton_word(parse_tower_text(text), 40)
+    assert len(built) == 1 and built[0] is word  # the one word it returns
 
 
 def test_a_parsed_tower_reads_as_the_tower_built_in_code():
