@@ -381,7 +381,7 @@ def phase_separated(tower: SkeletonTower, p: int) -> bool:
 
 
 def _separated(tower: SkeletonTower, p: int) -> bool:
-    if tower.deepest_period % p:
+    if p > 0 and tower.deepest_period % p:  # status_masks rejects a p below 1
         return False  # the statuses repeat at the rotation d = gcd(p, deepest period) < p
     ins, outs, unknown = status_masks(tower, p)
     by_symbol = [ins]

@@ -111,6 +111,9 @@ class Alphabet:
     def __iter__(self):
         return iter(self.symbols)
 
+    def __reduce__(self):  # pickled as its symbols: the code tables are rebuilt and checked on load
+        return Alphabet, (self.symbols,)
+
 
 @dataclass(frozen=True)
 class PartialCyclicWord:
@@ -164,45 +167,37 @@ class PartialCyclicWord:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SkeletonTower:
     """Divisibility chain of periods with one partial cyclic word per level.
 
-    ``levels`` is ordered shallow to deep; the deepest word is the
-    authoritative description, shallower words are coarser views of it.
-    ``declared_scale`` optionally asserts the limit scale of the structure the
-    tower approximates.
+    ``levels`` is ordered shallow to deep; the deepest word is the authoritative description, shallower
+    words are coarser views of it.  ``declared_scale`` optionally asserts the limit scale of the structure
+    the tower approximates.  Its state is its code points, written by ``_check_levels`` alone and read by
+    ``==`` and pickling: ``levels`` is decoded only when first read, by hashing, ``repr`` or a direct read.
     """
 
     alphabet: Alphabet
-    levels: tuple[tuple[int, PartialCyclicWord], ...]
+    levels: tuple[tuple[int, PartialCyclicWord], ...] = cached_property(  # decoded on first read and kept
+        lambda t: tuple((p, PartialCyclicWord(_lookup(t.alphabet._decode, c))) for p, c in zip(t._periods, t._pieces)))
     declared_scale: Optional[SupernaturalNumber] = None
     # the status tables' residue bit masks by period (no per-residue view), phase_separated's answers by
     # ("separated", stage), the verdict's blank mask, block shapes by ("shape", length, stage, offset) and by
     # (stage, numbers, fullness) and derived class tables: the tower is immutable, so each entry stays valid
     _status: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _periods; _pieces, each level one code point per cell by Alphabet._code; _text, the deepest piece; and
-    # _planes, its filled mask then its _bit_planes (a blank has code 0, so the first is their union): only
-    # _check_levels sets them.  Each tower the package builds is _encoded: __getattr__ decodes its levels when read
+    # _planes, its filled mask then its _bit_planes (a blank has code 0, so the first is their union)
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))
-        validate_tower(self)
+    def __init__(self, alphabet: Alphabet, levels, declared_scale: Optional[SupernaturalNumber] = None):
+        _check_levels(self, alphabet, [(p, w.cells) for p, w in levels], declared_scale, alphabet._code)
 
     @classmethod
     def _encoded(cls, alphabet: Alphabet, levels, scale: Optional[SupernaturalNumber], code=None) -> "SkeletonTower":
         """The tower of (period, cells) ``levels``, each cell a key of ``code``, by default a code point
         of ``Alphabet._code`` (looked up in its identity table), checked in full by ``_check_levels``."""
         tower = object.__new__(cls)
-        vars(tower).update(alphabet=alphabet, declared_scale=scale, _status={})
-        _check_levels(tower, levels, alphabet._identity if code is None else code)
+        _check_levels(tower, alphabet, levels, scale, alphabet._identity if code is None else code)
         return tower
-
-    def __getattr__(self, name: str):  # an _encoded tower's levels, decoded on first read and kept
-        if name != "levels":
-            raise AttributeError(name)
-        decode, pieces = self.alphabet._decode, zip(self._periods, self._pieces)
-        return vars(self).setdefault("levels", tuple((p, PartialCyclicWord(_lookup(decode, c))) for p, c in pieces))
 
     @property
     def periods(self) -> tuple[int, ...]:
@@ -216,13 +211,19 @@ class SkeletonTower:
     def deepest_word(self) -> PartialCyclicWord:
         return self.levels[-1][1]
 
+    def __eq__(self, other: object) -> bool:  # the dataclass equality, read off the code points: nothing decoded
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alphabet == other.alphabet and (self._pieces, self.declared_scale) == (
+            other._pieces, other.declared_scale)
+
     def __hash__(self) -> int:  # the dataclass hash, computed once per tower
         return self._hash
 
     _hash = cached_property(lambda self: hash((self.alphabet, self.levels, self.declared_scale)))
 
-    def __reduce__(self):  # rebuilt on load: the hash is this process's, and validate_tower sets the caches
-        return SkeletonTower, (self.alphabet, self.levels, self.declared_scale)
+    def __reduce__(self):  # rebuilt on load from the code points: the hash is this process's, the caches fresh
+        return self._encoded, (self.alphabet, [*zip(self._periods, self._pieces)], self.declared_scale)
 
 
 def _bit_planes(text: str, bits: int) -> list[int]:
@@ -239,25 +240,23 @@ def _lookup(table: dict, keys) -> tuple:  # table[k] for each of keys by one ite
 def validate_tower(tower: SkeletonTower) -> None:
     """Raise a ``TowerError`` subclass describing the first defect found.
 
-    The only checks of a tower's structure, also for the towers the package
-    builds from tokens or code points (``SkeletonTower._encoded``), which
-    ``_check_levels`` reads as this reads a tower's cells.  Level by level: a
-    positive period, greater than and a multiple of the one above, one cell per
-    period, symbols of the alphabet; then adjacent-level consistency (a filled
-    cell at period ``p`` must reappear verbatim at every congruent position of
-    the next level, which is at fault) and declared-scale divisibility.
+    Every tower is checked when built by ``_check_levels``, which holds the only checks of a tower's
+    structure; this checks a throwaway tower built from ``tower``'s levels and rewrites none of its state.
+    Level by level: a positive period, greater than and a multiple of the one above, one cell per period,
+    symbols of the alphabet; then adjacent-level consistency (a filled cell at period ``p`` must reappear
+    verbatim at every congruent position of the next level, which is at fault) and declared-scale divisibility.
 
     Cost: C-level passes only: each level's cells to code points by one ``itemgetter`` over the code
     table, the ``b`` bit planes of all of them, then per level and plane a shift, a mask and a tile by
-    doubling shifts, O(N·b) bit operations for N cells.  The code points become ``_pieces`` and ``_planes``.
+    doubling shifts, O(N·b) bit operations for N cells, after ``levels`` is decoded if not yet read.
     """
-    if not tower.levels:
+    SkeletonTower(tower.alphabet, tower.levels, tower.declared_scale)
+
+
+def _check_levels(tower: SkeletonTower, alphabet: Alphabet, levels: list, scale, code: dict) -> None:
+    """``validate_tower``'s checks on (period, cells) pairs, each cell a key of ``code``; the one writer of towers."""
+    if not levels:
         raise TowerError("a tower needs at least one level")
-    _check_levels(tower, [(p, w.cells) for p, w in tower.levels], tower.alphabet._code)
-
-
-def _check_levels(tower: SkeletonTower, levels: list, code: dict) -> None:
-    """``validate_tower`` on (period, cells) pairs, each cell a key of ``code``; sets the tower's caches."""
     pieces, prev = [], 0  # the code points of each level
     for level, (p, cells) in enumerate(levels):
         if not isinstance(p, int) or p < 1:
@@ -274,7 +273,7 @@ def _check_levels(tower: SkeletonTower, levels: list, code: dict) -> None:
             i = next(i for i, c in enumerate(cells) if c not in code)
             raise AlphabetError(f"symbol {cells[i]!r} not in alphabet", level, i) from None
         prev = p
-    planes, end, above = _bit_planes("".join(pieces), len(tower.alphabet.symbols).bit_length()), 0, []
+    planes, end, above = _bit_planes("".join(pieces), len(alphabet.symbols).bit_length()), 0, []
     for level, ((q, _), deep) in enumerate(zip(levels, pieces)):
         masks, filled, differ = [plane >> end & (1 << q) - 1 for plane in planes], 0, 0
         end += q
@@ -284,14 +283,14 @@ def _check_levels(tower: SkeletonTower, levels: list, code: dict) -> None:
                 tiled, r = tiled | tiled << r, 2 * r
             filled, differ = filled | tiled, differ | mask ^ tiled
         if bad := filled & differ & (1 << q) - 1:  # a cell filled above and different below: the first one
-            x, decode = (bad & -bad).bit_length() - 1, tower.alphabet._decode
+            x, decode = (bad & -bad).bit_length() - 1, alphabet._decode
             raise ConsistencyError(p, q, x, f"{decode[shallow[x % p]]!r} above, {decode[deep[x]]!r} below", level)
         p, shallow, above = q, deep, masks
-    periods, scale = tuple(p for p, _ in levels), tower.declared_scale
     if scale is not None and not divides(prev, scale):  # the deepest period is a multiple of the others
-        level, p = next((level, p) for level, p in enumerate(periods) if not divides(p, scale))
+        level, p = next((level, p) for level, (p, _) in enumerate(levels) if not divides(p, scale))
         raise ScaleError(f"declared period {p} does not divide scale {scale}", level)
-    vars(tower).update(_periods=periods, _pieces=tuple(pieces), _text=pieces[-1], _planes=(reduce(or_, above), *above))
+    vars(tower).update(alphabet=alphabet, declared_scale=scale, _status={}, _periods=tuple(p for p, _ in levels))
+    vars(tower).update(_pieces=tuple(pieces), _text=pieces[-1], _planes=(reduce(or_, above), *above))
 
 
 def rotate_tower(tower: SkeletonTower, k: int) -> SkeletonTower:

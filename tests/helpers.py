@@ -175,8 +175,8 @@ def old_validate_tower(tower: SkeletonTower) -> None:
 class OldParsedTower(SkeletonTower):
     """A tower checked by the old ``validate_tower``, with the periods read off its levels."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple((p, w) for p, w in self.levels))
+    def __init__(self, alphabet, levels, declared_scale=None):
+        vars(self).update(alphabet=alphabet, levels=tuple(levels), declared_scale=declared_scale, _status={})
         old_encoding_validate_tower(self)
 
     periods = property(lambda self: tuple(p for p, _ in self.levels))

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -15,7 +17,9 @@ from toepcalc import (
     SkeletonTower,
     SupernaturalNumber,
     TowerError,
+    parse_tower_text,
     rotate_tower,
+    serialize_tower,
     symbol_at,
     validate_tower,
 )
@@ -259,3 +263,50 @@ def test_rotate_tower_composes(j, k):
     a = rotate_tower(rotate_tower(t, j), k)
     b = rotate_tower(t, j + k)
     assert a.levels == b.levels
+
+
+SURFACE_REPR = (  # the dataclass repr of the three public fields
+    "SkeletonTower(alphabet=Alphabet(symbols=('0', '1')), levels=((2, PartialCyclicWord(cells=('0', None))), "
+    "(6, PartialCyclicWord(cells=('0', '1', '0', None, '0', '1')))), "
+    "declared_scale=SupernaturalNumber(factors=((2, 1), (3, inf))))"
+)
+
+
+def test_a_tower_keeps_its_dataclass_surface():
+    levels = ((2, PartialCyclicWord(("0", None))), (6, PartialCyclicWord(("0", "1", "0", None, "0", "1"))))
+    public = SkeletonTower(BINARY, levels, SupernaturalNumber.parse("2 * 3^inf"))
+    parsed = parse_tower_text(serialize_tower(public))
+    built = rotate_tower(rotate_tower(public, 5), 1)
+    unscaled = SkeletonTower(BINARY, levels)
+    for t in (public, parsed, built):
+        state = dict(vars(t))
+        for name in ("alphabet", "levels", "declared_scale", "_status", "_periods", "_pieces", "_text", "_planes",
+                     "_hash", "periods", "deepest_word", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        assert vars(t) == state
+        names = [f.name for f in dataclasses.fields(t)]
+        assert names == ["alphabet", "levels", "declared_scale", "_status"]
+        assert [f.name for f in dataclasses.fields(t) if f.init and f.repr] == names[:3]
+        assert dataclasses.replace(t, declared_scale=None) == unscaled and dataclasses.replace(t) == public
+        assert repr(t) == SURFACE_REPR and hash(t) == hash(public) and t == public and t.levels == levels
+
+
+def test_an_alphabet_pickles_as_its_symbols():
+    wide = Alphabet(tuple(f"s{i}" for i in range(70000)))  # code points past the surrogates
+    data = pickle.dumps(wide)
+    assert len(data) < len(pickle.dumps(wide.symbols)) + 100  # 2.79 MB with the code tables, 0.62 MB without
+    loaded = pickle.loads(data)
+    assert loaded == wide and loaded is not wide
+    assert (loaded._code, loaded._decode, loaded._identity) == (wide._code, wide._decode, wide._identity)
+    t = SkeletonTower(wide, ((3, PartialCyclicWord(("s69999", None, "s55295"))),))
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and u.alphabet._decode == wide._decode and u._pieces == t._pieces and u.levels == t.levels
+    twice = pickle.loads(pickle.dumps([t, rotate_tower(t, 1)]))
+    assert twice[0].alphabet is twice[1].alphabet  # one alphabet per pickle
+    bad = Alphabet(BINARY.symbols)
+    object.__setattr__(bad, "symbols", ("0", "0"))
+    with pytest.raises(AlphabetError, match="duplicate symbol '0'"):  # the symbols are checked on load
+        pickle.loads(pickle.dumps(bad))

@@ -9,12 +9,14 @@ and ``from_text``, now C-level ``map`` passes.  The cost guard checks that the
 readers that need only the masks build no per-residue ``ResidueStatusSet``,
 and a second one that ``validate``, ``analyze``, ``compare`` and ``corpus``
 on tower files build no ``PartialCyclicWord``: a parsed tower decodes its
-``levels`` only when they are read.  A third one checks the same of the
-towers the package builds from code points (``rotate``, ``permute``,
-``apply-code``, ``generate``, ``with_common_depth``) and of the readers of a
-parsed tower's deepest word.
+``levels`` only when they are read, and ``==``, pickling and copying read its
+code points; ``validate_tower`` leaves the code points it checks in place.  A
+third one checks the same of the towers the package builds from code points
+(``rotate``, ``permute``, ``apply-code``, ``generate``, ``with_common_depth``)
+and of the readers of a parsed tower's deepest word.
 """
 
+import copy
 import pickle
 import random
 import re
@@ -45,6 +47,7 @@ from toepcalc import (
     skeleton_word,
     status_masks,
     symbol_at,
+    validate_tower,
     with_common_depth,
 )
 from toepcalc import skeleton
@@ -217,6 +220,14 @@ def test_parsed_towers_build_no_cell_tuple(monkeypatch, tmp_path):
         assert line in out.splitlines() and built == [], (command, names, out)
     code, out = run_command(["corpus", str(tmp_path)])
     assert code == 0 and "matrix.a.tw.b.tw = conjugate-certified" in out.splitlines() and built == []
+    u, v, w = (parse_tower_text((tmp_path / f"{name}.tw").read_text()) for name in "aab")
+    assert u == v and v == u and u != w and built == []  # equality reads the code points
+    for copied, original in ((pickle.loads(pickle.dumps(u)), u), (copy.deepcopy(u), u), (copy.copy(w), w)):
+        assert copied == original and copied._pieces == original._pieces and built == []  # and so do copies
+    state = u._pieces, u._text, u._planes
+    validate_tower(u)  # checks a throwaway tower built from the decoded levels
+    assert all(now is before for now, before in zip((u._pieces, u._text, u._planes), state))
+    built.clear()
     parse_tower_text((tmp_path / "a.tw").read_text()).levels
     assert len(built) == len(t.levels)  # the guard sees the levels decoded on request
 

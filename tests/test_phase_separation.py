@@ -5,8 +5,11 @@ the residue-pair scan and the rotation scan over every d in 1..p-1."""
 import random
 import time
 
+import pytest
+
 from toepcalc import (
     Alphabet,
+    NonDivisorError,
     PartialCyclicWord,
     SkeletonTower,
     Status,
@@ -14,6 +17,7 @@ from toepcalc import (
     phase_separated,
     reference_example,
     rotate_tower,
+    status_masks,
 )
 from toepcalc.randomgen import random_tower
 
@@ -172,3 +176,16 @@ def test_phase_separated_deepest_stage_of_15_is_fast():
     start = time.perf_counter()
     assert phase_separated(t, t.deepest_period)
     assert time.perf_counter() - start < 0.5
+
+
+def test_phase_separated_rejects_a_stage_below_1():
+    t = reference_example(2)
+    n = t.deepest_period
+    for p in (0, -1, -3, -5, -n, -n - 1):  # zero, and stages below 1 that Python's % finds dividing n or not
+        with pytest.raises(NonDivisorError, match=f"^{p} does not divide the deepest period {n}$"):
+            phase_separated(t, p)
+        with pytest.raises(NonDivisorError, match=f"^{p} does not divide the deepest period {n}$"):
+            status_masks(t, p)
+        assert ("separated", p) not in t._status
+    for p in (3, 7, n + 1):  # a non-divisor stage of at least 1 is not separated
+        assert n % p and phase_separated(t, p) is False and t._status["separated", p] is False
