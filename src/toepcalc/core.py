@@ -100,7 +100,7 @@ class Alphabet:
             code[s] = chr(len(code))
         object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_decode", dict(zip(code.values(), code)))  # the cell of each code point
-        object.__setattr__(self, "_identity", dict(zip(code.values(), code.values())))  # for _encoded
+        object.__setattr__(self, "_erase", dict.fromkeys(range(len(code))))  # str.translate deletes each code point
 
     def __contains__(self, s: object) -> bool:
         return s in self.symbols
@@ -193,10 +193,10 @@ class SkeletonTower:
 
     @classmethod
     def _encoded(cls, alphabet: Alphabet, levels, scale: Optional[SupernaturalNumber], code=None) -> "SkeletonTower":
-        """The tower of (period, cells) ``levels``, each cell a key of ``code``, by default a code point
-        of ``Alphabet._code`` (looked up in its identity table), checked in full by ``_check_levels``."""
+        """The tower of (period, cells) ``levels``, each cell a key of ``code``, by default each level a
+        ``str`` of code points of ``Alphabet._code``, checked in full by ``_check_levels``."""
         tower = object.__new__(cls)
-        _check_levels(tower, alphabet, levels, scale, alphabet._identity if code is None else code)
+        _check_levels(tower, alphabet, levels, scale, code)
         return tower
 
     @property
@@ -241,20 +241,21 @@ def validate_tower(tower: SkeletonTower) -> None:
     """Raise a ``TowerError`` subclass describing the first defect found.
 
     Every tower is checked when built by ``_check_levels``, which holds the only checks of a tower's
-    structure; this checks a throwaway tower built from ``tower``'s levels and rewrites none of its state.
+    structure; this checks a throwaway tower built from ``tower``'s code points and rewrites none of its state.
     Level by level: a positive period, greater than and a multiple of the one above, one cell per period,
     symbols of the alphabet; then adjacent-level consistency (a filled cell at period ``p`` must reappear
     verbatim at every congruent position of the next level, which is at fault) and declared-scale divisibility.
 
-    Cost: C-level passes only: each level's cells to code points by one ``itemgetter`` over the code
-    table, the ``b`` bit planes of all of them, then per level and plane a shift, a mask and a tile by
-    doubling shifts, O(N·b) bit operations for N cells, after ``levels`` is decoded if not yet read.
+    Cost: C-level passes only, nothing decoded: one ``str.translate`` of each level's code points, their ``b``
+    bit planes, then per level and plane a shift, a mask and a tile by doubling shifts, O(N·b) for N cells.
     """
-    SkeletonTower(tower.alphabet, tower.levels, tower.declared_scale)
+    SkeletonTower._encoded(tower.alphabet, [*zip(tower._periods, tower._pieces)], tower.declared_scale)
 
 
-def _check_levels(tower: SkeletonTower, alphabet: Alphabet, levels: list, scale, code: dict) -> None:
-    """``validate_tower``'s checks on (period, cells) pairs, each cell a key of ``code``; the one writer of towers."""
+def _check_levels(tower: SkeletonTower, alphabet: Alphabet, levels: list, scale, code: Optional[dict]) -> None:
+    """``validate_tower``'s checks on (period, cells) pairs; the one writer of towers.  Cells are keys of ``code``,
+    one ``itemgetter`` per level, or with no ``code`` each level is a ``str`` of code points, one ``str.translate``."""
+    keys = alphabet._decode if code is None else code  # the code points are the keys of _decode
     if not levels:
         raise TowerError("a tower needs at least one level")
     pieces, prev = [], 0  # the code points of each level
@@ -267,10 +268,11 @@ def _check_levels(tower: SkeletonTower, alphabet: Alphabet, levels: list, scale,
             raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
         if len(cells) != p:
             raise DivisibilityError(f"expected {p} cells, got {len(cells)}", level)
-        try:  # itemgetter of one cell gives its code point rather than a tuple; both join alike
-            pieces.append("".join(itemgetter(*cells)(code)))
+        try:  # code points are kept once the translate deletes them all, else the itemgetter's miss names a cell
+            kept = code is None and not cells.translate(alphabet._erase)
+            pieces.append(cells if kept else "".join(itemgetter(*cells)(keys)))  # one cell gives a str: joins alike
         except KeyError:
-            i = next(i for i, c in enumerate(cells) if c not in code)
+            i = next(i for i, c in enumerate(cells) if c not in keys)
             raise AlphabetError(f"symbol {cells[i]!r} not in alphabet", level, i) from None
         prev = p
     planes, end, above = _bit_planes("".join(pieces), len(alphabet.symbols).bit_length()), 0, []

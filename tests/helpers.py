@@ -831,3 +831,54 @@ def old_cells_reference_example(stages: int) -> SkeletonTower:
     texts = accumulate(range(1, stages + 1), construction._next_stage, initial="0___0")
     levels = tuple((len(t), PartialCyclicWord.from_text(t)) for t in texts)
     return SkeletonTower(ALPHABET, levels, SCALE)
+
+
+# ``SkeletonTower._encoded`` and ``_check_levels`` before code points were checked
+# by one ``str.translate``, verbatim but for the identity table, which ``Alphabet``
+# kept as ``_identity`` then: each level's code points looked up in it by one
+# ``itemgetter`` and joined again, a miss naming the first bad cell.
+def old_identity_encoded(alphabet: Alphabet, levels, scale: Optional[SupernaturalNumber]) -> SkeletonTower:
+    tower = object.__new__(SkeletonTower)
+    code = alphabet._code
+    old_check_levels(tower, alphabet, levels, scale, dict(zip(code.values(), code.values())))
+    return tower
+
+
+def old_check_levels(tower: SkeletonTower, alphabet: Alphabet, levels: list, scale, code: dict) -> None:
+    """``validate_tower``'s checks on (period, cells) pairs, each cell a key of ``code``; the one writer of towers."""
+    if not levels:
+        raise TowerError("a tower needs at least one level")
+    pieces, prev = [], 0  # the code points of each level
+    for level, (p, cells) in enumerate(levels):
+        if not isinstance(p, int) or p < 1:
+            raise DivisibilityError(f"period must be a positive integer, got {p!r}", level)
+        if prev and p <= prev:
+            raise DivisibilityError(f"periods must increase, got {p} after {prev}", level)
+        if prev and p % prev:
+            raise DivisibilityError(f"period {p} is not a multiple of {prev}", level)
+        if len(cells) != p:
+            raise DivisibilityError(f"expected {p} cells, got {len(cells)}", level)
+        try:  # itemgetter of one cell gives its code point rather than a tuple; both join alike
+            pieces.append("".join(itemgetter(*cells)(code)))
+        except KeyError:
+            i = next(i for i, c in enumerate(cells) if c not in code)
+            raise AlphabetError(f"symbol {cells[i]!r} not in alphabet", level, i) from None
+        prev = p
+    planes, end, above = _bit_planes("".join(pieces), len(alphabet.symbols).bit_length()), 0, []
+    for level, ((q, _), deep) in enumerate(zip(levels, pieces)):
+        masks, filled, differ = [plane >> end & (1 << q) - 1 for plane in planes], 0, 0
+        end += q
+        for mask, tiled in zip(masks, above):  # each plane of the level above, tiled by doubling shifts
+            r = p
+            while r < q:
+                tiled, r = tiled | tiled << r, 2 * r
+            filled, differ = filled | tiled, differ | mask ^ tiled
+        if bad := filled & differ & (1 << q) - 1:  # a cell filled above and different below: the first one
+            x, decode = (bad & -bad).bit_length() - 1, alphabet._decode
+            raise ConsistencyError(p, q, x, f"{decode[shallow[x % p]]!r} above, {decode[deep[x]]!r} below", level)
+        p, shallow, above = q, deep, masks
+    if scale is not None and not divides(prev, scale):  # the deepest period is a multiple of the others
+        level, p = next((level, p) for level, (p, _) in enumerate(levels) if not divides(p, scale))
+        raise ScaleError(f"declared period {p} does not divide scale {scale}", level)
+    vars(tower).update(alphabet=alphabet, declared_scale=scale, _status={}, _periods=tuple(p for p, _ in levels))
+    vars(tower).update(_pieces=tuple(pieces), _text=pieces[-1], _planes=(reduce(or_, above), *above))

@@ -300,7 +300,7 @@ def test_an_alphabet_pickles_as_its_symbols():
     assert len(data) < len(pickle.dumps(wide.symbols)) + 100  # 2.79 MB with the code tables, 0.62 MB without
     loaded = pickle.loads(data)
     assert loaded == wide and loaded is not wide
-    assert (loaded._code, loaded._decode, loaded._identity) == (wide._code, wide._decode, wide._identity)
+    assert (loaded._code, loaded._decode, loaded._erase) == (wide._code, wide._decode, wide._erase)
     t = SkeletonTower(wide, ((3, PartialCyclicWord(("s69999", None, "s55295"))),))
     u = pickle.loads(pickle.dumps(t))
     assert u == t and u.alphabet._decode == wide._decode and u._pieces == t._pieces and u.levels == t.levels

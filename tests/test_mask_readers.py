@@ -10,8 +10,8 @@ readers that need only the masks build no per-residue ``ResidueStatusSet``,
 and a second one that ``validate``, ``analyze``, ``compare`` and ``corpus``
 on tower files build no ``PartialCyclicWord``: a parsed tower decodes its
 ``levels`` only when they are read, and ``==``, pickling and copying read its
-code points; ``validate_tower`` leaves the code points it checks in place.  A
-third one checks the same of the towers the package builds from code points
+code points; ``validate_tower`` checks the code points, decodes no level and
+leaves them in place.  A third one checks the same of the towers the package builds from code points
 (``rotate``, ``permute``, ``apply-code``, ``generate``, ``with_common_depth``)
 and of the readers of a parsed tower's deepest word.
 """
@@ -225,8 +225,9 @@ def test_parsed_towers_build_no_cell_tuple(monkeypatch, tmp_path):
     for copied, original in ((pickle.loads(pickle.dumps(u)), u), (copy.deepcopy(u), u), (copy.copy(w), w)):
         assert copied == original and copied._pieces == original._pieces and built == []  # and so do copies
     state = u._pieces, u._text, u._planes
-    validate_tower(u)  # checks a throwaway tower built from the decoded levels
+    validate_tower(u)  # checks a throwaway tower built from u's code points: no level decoded
     assert all(now is before for now, before in zip((u._pieces, u._text, u._planes), state))
+    assert built == [] and "levels" not in vars(u)
     built.clear()
     parse_tower_text((tmp_path / "a.tw").read_text()).levels
     assert len(built) == len(t.levels)  # the guard sees the levels decoded on request
