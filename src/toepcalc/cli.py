@@ -33,7 +33,6 @@ from .conjugacy import (
     conjugacy_verdict,
     invariant_compare,
 )
-from .conjugacy import EfinResult
 from .construction import reference_example
 from .core import BLANK, ParseError, SkeletonTower, TowerError, rotate_tower
 from .odometer import OdometerError, SupernaturalNumber
@@ -56,56 +55,68 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def count(text: str) -> int:
+    """The argparse type of a counting flag: an integer that is not negative."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="toepcalc", description="finite-stage Toeplitz subshift calculus")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a tower file")
+    def command(name: str, handler: Callable[..., tuple[Report, int]], help: str) -> _Parser:
+        (p := sub.add_parser(name, help=help)).set_defaults(handler=handler)
+        return p
+
+    p = command("validate", _cmd_validate, help="check a tower file")
     p.add_argument("file")
 
-    p = sub.add_parser("analyze", help="periodic structure, scale truncation, growth")
+    p = command("analyze", _cmd_analyze, help="periodic structure, scale truncation, growth")
     p.add_argument("file")
-    p.add_argument("--report-depth", type=int, default=None, metavar="N")
+    p.add_argument("--report-depth", type=count, default=None, metavar="N")
 
-    p = sub.add_parser("factor", help="stage factorization of a scale")
+    p = command("factor", _cmd_factor, help="stage factorization of a scale")
     p.add_argument("--scale", required=True)
     p.add_argument("--count", type=int, required=True)
 
-    p = sub.add_parser("compare", help="conjugacy verdict for two tower files")
+    p = command("compare", _cmd_compare, help="conjugacy verdict for two tower files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-radius", type=int, default=2)
+    p.add_argument("--max-radius", type=count, default=2)
 
-    p = sub.add_parser("invariant", help="stage-invariant comparison of two tower files")
+    p = command("invariant", _cmd_invariant, help="stage-invariant comparison of two tower files")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--stages", type=int, required=True)
 
-    p = sub.add_parser("generate", help="write a built-in example tower")
+    p = command("generate", _cmd_generate, help="write a built-in example tower")
     p.add_argument("kind", choices=("paper-example",))
-    p.add_argument("--stages", type=int, required=True, help=f"0..{MAX_GENERATE_STAGES}")
+    stages = range(MAX_GENERATE_STAGES + 1)
+    p.add_argument("--stages", type=int, choices=stages, required=True, metavar="K", help=f"0..{stages[-1]}")
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("apply-code", help="apply a sliding block code to a tower")
+    p = command("apply-code", _cmd_apply_code, help="apply a sliding block code to a tower")
     p.add_argument("file")
     p.add_argument("--code", required=True)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("permute", help="apply a positionwise symbol permutation")
+    p = command("permute", _cmd_permute, help="apply a positionwise symbol permutation")
     p.add_argument("file")
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--perms", required=True, help="p groups 'a,b;c,d;...' of images in alphabet order")
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("rotate", help="rotate a tower")
+    p = command("rotate", _cmd_rotate, help="rotate a tower")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("corpus", help="pairwise verdict matrix over a directory of .tw files")
+    p = command("corpus", _cmd_corpus, help="pairwise verdict matrix over a directory of .tw files")
     p.add_argument("directory")
-    p.add_argument("--max-radius", type=int, default=2)
+    p.add_argument("--max-radius", type=count, default=2)
 
     return parser
 
@@ -172,8 +183,6 @@ def _cmd_validate(ns) -> tuple[Report, int]:
 
 
 def _cmd_analyze(ns) -> tuple[Report, int]:
-    if ns.report_depth is not None and ns.report_depth < 0:
-        raise UsageError("--report-depth must be nonnegative")
     tower = _read_tower(ns.file)
     trunc = scale_truncation(tower)
     growth = growth_profile(tower)
@@ -208,8 +217,6 @@ def _cmd_factor(ns) -> tuple[Report, int]:
 
 
 def _cmd_compare(ns) -> tuple[Report, int]:
-    if ns.max_radius < 0:
-        raise UsageError("--max-radius must be nonnegative")
     a = _read_tower(ns.file_a)
     b = _read_tower(ns.file_b)
     return _verdict_report(conjugacy_verdict(a, b, ns.max_radius))
@@ -220,7 +227,9 @@ def _cmd_invariant(ns) -> tuple[Report, int]:
     b = _read_tower(ns.file_b)
     comparison = invariant_compare(a, b, ns.stages)
     stages: Report = {}
+    evaluated = 0
     for row in comparison.stages:
+        evaluated += row.evaluated
         stages[str(row.period)] = {
             "result": row.result.value if row.result is not None else "unevaluated",
             "detail": row.detail,
@@ -235,15 +244,10 @@ def _cmd_invariant(ns) -> tuple[Report, int]:
     }
     if not comparison.scale_equal:
         return report, 1
-    evaluated = [r for r in comparison.stages if r.evaluated]
-    if evaluated and all(r.result is EfinResult.CERTIFIED_EQUAL for r in evaluated):
-        return report, 0
-    return report, 2
+    return report, 0 if 0 < comparison.equal_suffix == evaluated else 2  # every evaluated stage certified equal
 
 
 def _cmd_generate(ns) -> tuple[Report, int]:
-    if not 0 <= ns.stages <= MAX_GENERATE_STAGES:
-        raise UsageError(f"--stages must be between 0 and {MAX_GENERATE_STAGES}")
     tower = reference_example(ns.stages)
     _write_tower(ns.output, tower)
     return {"written": ns.output, "stages": ns.stages, "deepest": tower.deepest_period}, 0
@@ -305,26 +309,10 @@ def corpus_matrix(files: Sequence[Path], max_radius: int) -> Report:
 
 
 def _cmd_corpus(ns) -> tuple[Report, int]:
-    if ns.max_radius < 0:
-        raise UsageError("--max-radius must be nonnegative")
     directory = Path(ns.directory)
     if not directory.is_dir():
         raise UsageError(f"not a directory: {ns.directory}")
     return corpus_matrix(list(directory.glob("*.tw")), ns.max_radius), 0
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "analyze": _cmd_analyze,
-    "factor": _cmd_factor,
-    "compare": _cmd_compare,
-    "invariant": _cmd_invariant,
-    "generate": _cmd_generate,
-    "apply-code": _cmd_apply_code,
-    "permute": _cmd_permute,
-    "rotate": _cmd_rotate,
-    "corpus": _cmd_corpus,
-}
 
 
 def _flatten(report: Report, prefix: str = ""):
@@ -373,7 +361,7 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
     except SystemExit as exc:  # --help prints and exits
         return int(exc.code or 0), helped.getvalue()
     try:
-        report, code = _COMMANDS[ns.command](ns)
+        report, code = ns.handler(ns)
     except (
         UsageError, ParseError, TowerError, CodeError, OdometerError, OSError,
         IncompatiblePeriods, MissingScaleDeclaration,

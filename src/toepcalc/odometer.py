@@ -107,7 +107,7 @@ class SupernaturalNumber:
             if not isinstance(p, int) or not _is_prime(p):
                 raise OdometerError(f"{p!r} is not prime")
             if p <= last:
-                raise OdometerError("primes must be strictly increasing")
+                raise OdometerError(f"prime {p} appears twice" if p == last else "primes must be strictly increasing")
             if e != INF and (not isinstance(e, int) or isinstance(e, bool) or e < 1):
                 raise OdometerError(f"bad exponent {e!r} for prime {p}")
             last = p

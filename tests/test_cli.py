@@ -171,6 +171,18 @@ def test_invariant_exit_codes(tmp_path):
     assert code == 2
     assert "Refuted" in text
 
+    # nine evaluated stages and only the last one, 2560, certified equal: exit 2, as for a nonempty
+    # suffix short of every evaluated stage
+    e = gen_file(tmp_path, 9, "e.tw")
+    f = str(tmp_path / "f.tw")
+    assert run_command(["rotate", e, "-k", "7", "-o", f])[0] == 0
+    code, text = run_command(["--format", "json", "invariant", e, f, "--stages", "12"])
+    report = json.loads(text)
+    evaluated = [p for p, row in report["stage"].items() if row["result"] != "unevaluated"]
+    assert len(evaluated) == 9 and report["equal_suffix"] == 1
+    assert report["stage"]["2560"]["result"] == "CertifiedEqual" and evaluated[-1] == "2560"
+    assert code == 2
+
 
 def test_apply_code_drops_scale(tmp_path):
     f = gen_file(tmp_path, 2)

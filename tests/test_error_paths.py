@@ -35,7 +35,7 @@ from toepcalc import (
 )
 from toepcalc.cli import run_command
 from toepcalc.codes import PeriodMismatch
-from toepcalc.odometer import factor_int, prime_index
+from toepcalc.odometer import INF, factor_int, prime_index
 from toepcalc.randomgen import deepen
 from helpers import BINARY, tower
 
@@ -159,6 +159,25 @@ def test_negative_stage_count():
     with pytest.raises(OdometerError, match=exactly("count must be nonnegative")):
         natural_factorization(SupernaturalNumber.parse("2"), -1)
     cli_error(["factor", "--scale", "2", "--count", "-1"], "count must be nonnegative")
+
+
+def test_a_repeated_prime_is_named(tmp_path):
+    # parse sorts the factors, so a repeat is the only way its primes are not strictly increasing
+    for text, prime in (("2^inf * 2", 2), ("3 * 2 * 3", 3), ("2 * 2", 2)):
+        with pytest.raises(OdometerError, match=exactly(f"prime {prime} appears twice")):
+            SupernaturalNumber.parse(text)
+    cli_error(["factor", "--scale", "2^inf * 2", "--count", "3"], "prime 2 appears twice")
+    tower_text = "alphabet = 0 1\nscale = 3 * 2 * 3\nperiod 2 = 0 1\n"
+    with pytest.raises(ParseError, match=exactly("prime 3 appears twice (line 2)")):
+        parse_tower_text(tower_text)
+    path = tmp_path / "a.tw"
+    path.write_text(tower_text)
+    cli_error(["validate", str(path)], f"{path}: prime 3 appears twice (line 2)")
+    # a tuple passed to the constructor names a repeat too, and keeps the order rule otherwise
+    with pytest.raises(OdometerError, match=exactly("prime 5 appears twice")):
+        SupernaturalNumber(((2, 1), (5, 1), (5, INF)))
+    with pytest.raises(OdometerError, match=exactly("primes must be strictly increasing")):
+        SupernaturalNumber(((3, 1), (2, 1)))
 
 
 def test_deepen_needs_a_proper_multiplier():
