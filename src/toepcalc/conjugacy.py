@@ -119,14 +119,6 @@ def _shaped(cache: dict, *key) -> tuple:  # the one shape of a key (p, numbers, 
     return shape
 
 
-def _tile(shape: tuple, m: int) -> tuple:
-    """``shape`` repeated ``m > 1`` times, as ``_shaped`` builds it: there every name covers two or more full blocks."""
-    (ids, full2, names, full), b = shape, len(shape[0])  # undoubled, a mask's top b bits; names of one block added
-    at = {ids[i]: 1 << i for i in compress(count(), full) if ids[i] not in names} | {x: names[x] >> b for x in names}
-    r = ((1 << 2 * m * b) - 1) // ((1 << b) - 1)  # a bit per block of the 2m copies of the doubled mask
-    return ids * m, (full2 >> b) * r, {x: y * r for x, y in at.items()}, full * m
-
-
 class _Pair:
     """Two towers' deepest words, encoded as in ``SkeletonTower._text`` and tiled to a common
     length ``n``, the source rotated by ``ka`` and the target by ``kb``: blocks are ``str`` slices
@@ -135,7 +127,7 @@ class _Pair:
     blocks from each offset once, for all its pairs, into a shape (see ``shape``): its ``B``-bit
     masks decide conflicts (and locate one for ``gamma_map``), ``gamma`` reads its numbers.  The
     pair keeps only what needs both sides: each target shape's rotations' conflict flags, a tiled
-    side's repeated shapes, and its texts and masks, built when first read."""
+    side's repeated shapes (built by ``_shaped``), and its texts and masks, built when first read."""
 
     def __init__(self, a: SkeletonTower, b: SkeletonTower, n: int, ka: int = 0, kb: int = 0):
         self.n, self.sides, self.decode = n, ((a, ka), (b, kb)), a.alphabet._decode  # decode: each code point's cell
@@ -184,9 +176,9 @@ class _Pair:
             if _blanks(tower)[1]:  # a blank: fullness per distinct block
                 full = bytes(map({x: "\0" not in s for s, x in first.items()}.__getitem__, ids))
             shape = tower._status[key] = _shaped(tower._status, p, ids, full)
-        if own < self.n and id(shape) not in self._shapes:
-            tiled = _tile(shape, self.n // own)
-            self._shapes[id(shape)] = self._shapes.setdefault((p, tiled[0], tiled[3]), tiled)
+        if own < self.n and id(shape) not in self._shapes:  # the shape repeated, kept by the pair
+            m = self.n // own
+            self._shapes[id(shape)] = _shaped(self._shapes, p, shape[0] * m, shape[3] * m)
         return shape if own == self.n else self._shapes[id(shape)]
 
     def class_shapes(self, p: int, stages: list[int], classes: Sequence[int]) -> list[tuple]:

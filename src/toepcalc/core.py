@@ -174,7 +174,7 @@ class SkeletonTower:
     ``levels`` is ordered shallow to deep; the deepest word is the authoritative description, shallower
     words are coarser views of it.  ``declared_scale`` optionally asserts the limit scale of the structure
     the tower approximates.  Its state is its code points, written by ``_check_levels`` alone and read by
-    ``==`` and pickling: ``levels`` is decoded only when first read, by hashing, ``repr`` or a direct read.
+    ``==``, hashing and pickling: ``levels`` is decoded only when first read, by ``repr`` or a direct read.
     """
 
     alphabet: Alphabet
@@ -217,10 +217,10 @@ class SkeletonTower:
         return self.alphabet == other.alphabet and (self._pieces, self.declared_scale) == (
             other._pieces, other.declared_scale)
 
-    def __hash__(self) -> int:  # the dataclass hash, computed once per tower
+    def __hash__(self) -> int:  # hashes what == compares, the code points: once per tower, nothing decoded
         return self._hash
 
-    _hash = cached_property(lambda self: hash((self.alphabet, self.levels, self.declared_scale)))
+    _hash = cached_property(lambda self: hash((self.alphabet, self._pieces, self.declared_scale)))
 
     def __reduce__(self):  # rebuilt on load from the code points: the hash is this process's, the caches fresh
         return self._encoded, (self.alphabet, [*zip(self._periods, self._pieces)], self.declared_scale)

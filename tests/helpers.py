@@ -454,6 +454,16 @@ def old_shaped(self, *key) -> tuple:  # the one shape of a key (p, numbers, full
     return self._shapes[key]
 
 
+# ``_tile`` before ``_Pair.shape`` built a tiled side's repeated shapes by
+# ``_shaped``, verbatim: it multiplies out the own-length shape's masks.
+def old_tile(shape: tuple, m: int) -> tuple:
+    """``shape`` repeated ``m > 1`` times, as ``_shaped`` builds it: there every name covers two or more full blocks."""
+    (ids, full2, names, full), b = shape, len(shape[0])  # undoubled, a mask's top b bits; names of one block added
+    at = {ids[i]: 1 << i for i in compress(count(), full) if ids[i] not in names} | {x: names[x] >> b for x in names}
+    r = ((1 << 2 * m * b) - 1) // ((1 << b) - 1)  # a bit per block of the 2m copies of the doubled mask
+    return ids * m, (full2 >> b) * r, {x: y * r for x, y in at.items()}, full * m
+
+
 # ``_Pair.gamma`` before the witness ran once per distinct column, verbatim, a
 # method for a ``_Pair`` subclass: it tests the witness once per in-block
 # offset.  And ``_Pair.block`` before blocks decoded by one ``map``.

@@ -294,6 +294,13 @@ def test_a_tower_keeps_its_dataclass_surface():
         assert repr(t) == SURFACE_REPR and hash(t) == hash(public) and t == public and t.levels == levels
 
 
+def test_a_tower_equals_no_other_type():
+    t = tower("0_", "010_")
+    assert (t == "x") is False and (t != 0) is True
+    assert t.__eq__(object()) is NotImplemented  # the other operand decides
+    assert t in [1, "x", t] and t not in [1, "x", "0_010_"]
+
+
 def test_an_alphabet_pickles_as_its_symbols():
     wide = Alphabet(tuple(f"s{i}" for i in range(70000)))  # code points past the surrogates
     data = pickle.dumps(wide)

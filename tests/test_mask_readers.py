@@ -26,13 +26,17 @@ import pytest
 from toepcalc import (
     Alphabet,
     ConjugateCertified,
+    EfinResult,
+    Part,
     PartialCyclicWord,
     RefutedUpTo,
     SkeletonTower,
     TowerError,
     Unknown,
     apply_block_code,
+    chi_stage,
     conjugacy_verdict,
+    efin_equal,
     filled_blocks,
     growth_profile,
     invariant_compare,
@@ -228,6 +232,13 @@ def test_parsed_towers_build_no_cell_tuple(monkeypatch, tmp_path):
     validate_tower(u)  # checks a throwaway tower built from u's code points: no level decoded
     assert all(now is before for now, before in zip((u._pieces, u._text, u._planes), state))
     assert built == [] and "levels" not in vars(u)
+    code, out = run_command(["invariant", str(tmp_path / "a.tw"), str(tmp_path / "b.tw"), "--stages", "12"])
+    assert code == 2 and "stage.2560.result = CertifiedEqual" in out.splitlines() and built == [], out
+    u, v, w = (parse_tower_text((tmp_path / f"{name}.tw").read_text()) for name in "aab")  # fresh: none hashed
+    assert hash(u) == hash(v) != hash(w) and built == []  # the hash reads the code points
+    assert len({Part(v, 10, k) for k in (0, 1, 11)} | {Part(w, 10, 1)}) == 3 and built == []  # so do the parts'
+    x, y = (chi_stage(parse_tower_text((tmp_path / f"{name}.tw").read_text()), 160).parts for name in "ab")
+    assert len(x) == len(y) == 3 and efin_equal(x, y, 160) is EfinResult.CERTIFIED_EQUAL and built == []
     built.clear()
     parse_tower_text((tmp_path / "a.tw").read_text()).levels
     assert len(built) == len(t.levels)  # the guard sees the levels decoded on request

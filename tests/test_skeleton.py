@@ -114,8 +114,9 @@ def test_status_table_cache_is_invisible(monkeypatch):
 
 def test_hash_is_the_field_hash_kept_per_tower():
     t = reference_example(3)
-    fields = hash((t.alphabet, t.levels, t.declared_scale))  # the dataclass hash
+    fields = hash((t.alphabet, t._pieces, t.declared_scale))  # the code points == compares
     assert "_hash" not in vars(t) and hash(t) == fields  # hash and status caches empty
+    assert "levels" not in vars(t)  # hashing decodes no level
     for p in (5, 10, 20):
         periodic_part(t, p), phase_separated(t, p)
     assert set(vars(t)) >= {"_text", "_planes", "_hash"} and t._status

@@ -1,13 +1,14 @@
 """Differential test: the per-tower verdict facts kept in ``SkeletonTower._status``
 (block shapes under ``(n, p, offset)``, blank masks, their counts and least
 rotation periods) against shapes and masks cut afresh from the tiled, rotated
-text, and ``mask_shifts`` against its definition; and a cost guard: a corpus
-cuts each ``(tower, n, p, offset)`` at most once and renders no ``Unknown``
-diagnostics."""
+text, and ``mask_shifts`` against its definition; the repeats of a tiled side
+against the old ``_tile`` and fresh cuts; and cost guards: a corpus cuts each
+``(tower, n, p, offset)`` at most once and renders no ``Unknown`` diagnostics,
+and a corpus of mixed depths keeps no repeat on its towers."""
 
 import random
 from collections import Counter
-from itertools import count
+from itertools import compress, count
 from types import SimpleNamespace
 
 from toepcalc import (
@@ -19,13 +20,13 @@ from toepcalc import (
     rotate_tower,
     serialize_tower,
 )
-from toepcalc import conjugacy
+from toepcalc import cli, conjugacy
 from toepcalc.cli import corpus_matrix
 from toepcalc.codes import parse_block_code
 from toepcalc.conjugacy import _Pair, _shaped, conjugacy_verdict
 from toepcalc.randomgen import deepen, random_block_code, random_tower
 
-from helpers import divisors, old_shaped
+from helpers import divisors, old_shaped, old_tile
 
 # the radius-1 code of the refuted CI verdict: its image of the paper example is refuted up to radius 2
 REFUTED_CODE = "len = 1\n0 0 0 -> 0\n0 0 1 -> 1\n0 1 0 -> 1\n0 1 1 -> 1\n1 0 0 -> 0\n1 0 1 -> 0\n1 1 0 -> 1\n1 1 1 -> 0\n"
@@ -115,6 +116,63 @@ def test_tower_facts_match_fresh_cuts():
     assert min(seen.values()) >= 5 and len(seen) == 8, seen
 
 
+def one_level_tower(rng, symbols, n, fill):
+    cells = tuple(rng.choice(symbols) if rng.random() < fill else None for _ in range(n))
+    return SkeletonTower(Alphabet(symbols), ((n, PartialCyclicWord(cells)),))
+
+
+def takes_translates(ids, full):
+    """Whether ``_shaped`` builds the name masks of these numbers and fullness by translates, not its OR loop."""
+    b, f = len(ids), sum(full)
+    if (steps := f * (32 + b // 128)) <= 8 * (b + 128):
+        return False
+    names = sum(1 for m in Counter(compress(ids, full)).values() if m > 1)
+    return names < 256 and (8 + names) * (b + 128) < steps
+
+
+def test_tiled_shapes_match_the_old_repeat_and_fresh_cuts():
+    """Every shape a pair reads of a side tiled ``m = 2..9`` times equals
+    ``_tile`` of the side's own-length shape, as built before tiled shapes
+    came from ``_shaped``, and a fresh cut; the pair keeps it, the tower does
+    not.  Random towers over 2, 3 and multi-character symbols, with and
+    without blanks; shapes with no full block, with one-block names only,
+    with 256 or more names (``_shaped``'s OR loop) and with many blocks (its
+    translates)."""
+    rng = random.Random(3601)
+    cases = []  # (shallow tower, m, stages read, offsets read)
+    for _ in range(40):
+        symbols = rng.choice(SYMBOL_SETS)
+        a = random_tower(rng, symbols, depth=rng.randint(1, 2), base_periods=(1, 2, 3, 4),
+                         fill=rng.choice((1.0, 0.8, 0.5, 0.0)))
+        cases.append((a, rng.randint(2, 9), divisors(a.deepest_period), None))
+    for symbols, fill, m in ((("0", "1"), 1.0, 2), (("a", "b", "c"), 0.9, 3)):  # 256 or more names of 12 cells
+        cases.append((one_level_tower(rng, symbols, 4800, fill), m, [12], 3))
+    for symbols, fill, m in ((("0", "1"), 1.0, 9), (("0", "1", "01", "10"), 0.8, 5), (("a", "b", "c"), 0.95, 7)):
+        cases.append((one_level_tower(rng, symbols, 2000, fill), m, [1, 2, 4, 10], 2))  # many blocks, few names
+    seen = Counter()
+    for a, m, stages, offsets in cases:
+        own, n = a.deepest_period, m * a.deepest_period
+        b = deepen(rng, a, m, fill=0.6) if own < 1000 else one_level_tower(rng, a.alphabet.symbols, n, 1.0)
+        ka, kb = rng.randrange(own), rng.randrange(n)
+        for pair, c_of in ((_Pair(a, b, n, ka, kb), lambda p: [None]), (_Pair(b, a, n, kb, ka), range)):
+            for p in stages:
+                cs = list(c_of(p))
+                for c in cs if offsets is None else rng.sample(cs, min(offsets, len(cs))):
+                    o = ka if c is None else ka + c  # a is the source, or the target, rotated by ka
+                    shape, kept = pair.shape(p, c), a._status["shape", own, p, o % own]
+                    assert shape == old_tile(kept, m) == fresh_shape(a, n, p, o % n), (a, m, p, o)
+                    assert shape is pair.shape(p, c) is pair._shapes[p, shape[0], shape[3]]
+                    assert not any(v is shape for v in a._status.values())  # kept by the pair alone
+                    names, full = kept[2], kept[3]
+                    seen[f"m = {m}"] += 1
+                    seen["blanks"] += b"\0" in full
+                    seen["no full block"] += not any(full)
+                    seen["one-block names only"] += any(full) and not names
+                    seen["256 or more names"] += len(shape[2]) >= 256
+                    seen["translates"] += takes_translates(shape[0], shape[3])
+    assert len(seen) == 13 and min(seen.values()) >= 3, seen
+
+
 def test_tower_facts_of_rotated_parts_and_the_paper_example():
     """Parts ``(tower, k)`` of ``reference_example(3)`` and of a rotation read
     offset ``k + c`` of their towers: the shapes ``dp_equivalent`` leaves on
@@ -171,6 +229,37 @@ def test_corpus_cuts_each_shape_once_and_renders_no_diagnostics(tmp_path, monkey
         "unknown",
     }
     assert cuts and max(Counter(cuts).values()) == 1, Counter(cuts).most_common(3)
+
+
+def test_mixed_depth_corpus_keeps_own_length_shapes_on_its_towers(tmp_path, monkeypatch):
+    """A corpus of ``reference_example(6..9)`` at rotations 0 and 7 tiles each
+    shallower tower against the deeper ones.  Afterwards every shape a tower
+    keeps at a stage ``p`` dividing its deepest period holds deepest/p block
+    numbers: the repeats are kept by the pairs, so retained shapes grow with
+    the towers, not with the pairs.  The block numbers of the distinct shapes
+    kept on the 8 towers total 5784, as before tiled shapes came from
+    ``_shaped``."""
+    for k in range(6, 10):
+        for r in (0, 7):
+            (tmp_path / f"g{k}r{r}.tw").write_text(serialize_tower(rotate_tower(reference_example(k), r)))
+    towers, read = [], cli._read_tower
+    monkeypatch.setattr(cli, "_read_tower", lambda f: towers.append(read(f)) or towers[-1])
+    matrix = corpus_matrix(sorted(tmp_path.glob("*.tw")), 2)["matrix"]
+    assert len(towers) == 8 and "conjugate-certified" in matrix["g6r0.tw"].values()
+    kept = 0
+    for tower in towers:
+        shapes = {}  # id: (stage, shape), read under ("shape", length, p, offset), (p, numbers, fullness) and tables
+        for key, value in tower._status.items():
+            if isinstance(key, tuple) and key[0] == "shape":
+                shapes[id(value)] = key[2], value
+            elif isinstance(key, tuple) and key[0] == "classes":
+                shapes.update((id(v), (key[2], v)) for v in value)
+            elif isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], tuple):
+                shapes[id(value)] = key[0], value
+        deepest = tower.deepest_period
+        assert all(len(shape[0]) == deepest // p for p, shape in shapes.values() if deepest % p == 0), deepest
+        kept += sum(len(shape[0]) for _, shape in shapes.values())
+    assert kept == 5784
 
 
 def test_blank_facts_on_edge_words():
