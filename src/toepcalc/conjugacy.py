@@ -32,13 +32,13 @@ from .core import _BIT_DIGITS, SkeletonTower
 from .odometer import supernatural_equal
 from .skeleton import (
     NonDivisorError,
-    Status,
+    _digits,
     _fold,
     _modulus,
     _set_bits,
     filled_blocks,
     natural_factorization,
-    periodic_part,
+    periodic_part,  # unread here; bench/tests/test_benchmark.py checks that its tracer wraps this binding
     status_masks,
 )
 
@@ -547,22 +547,17 @@ def parts_star(tower: SkeletonTower, p: int) -> tuple[StarredPart, ...]:
     """Star status of every residue: Starred when position 0 is certified-In
     and position -1 certified-Out in the rotated skeleton; the certified block
     length is that of the ``filled_blocks`` span starting there (Unknown if an
-    Unknown residue intervenes before the next certified hole)."""
-    rss = periodic_part(tower, p)
-    lengths = {span.start: span.length for span in filled_blocks(tower, p).spans}
+    Unknown residue intervenes before the next certified hole).
+    Cost: the table's O(p) digits, the ``filled_blocks`` spans, and a ``Part`` per residue."""
+    digits, lengths = _digits(tower, p), {span.start: span.length for span in filled_blocks(tower, p).spans}
     out: list[StarredPart] = []
     for k in range(p):
-        s_here = rss.status_at(k)
-        s_prev = rss.status_at(k - 1)
-        length: Optional[int] = None
-        if s_here is Status.IN and s_prev is Status.OUT:
-            status = StarStatus.STARRED
-            length = lengths[k]  # k follows a hole and is In, so a span starts there
-        elif s_here is Status.OUT or s_prev is Status.IN:
-            status = StarStatus.NOT_STARRED
+        prev, here = digits[k - 1], digits[k]  # 0 In, 1 Out, 2 Unknown
+        if prev + here == "10":  # k follows a hole and is In, so a span starts there
+            out.append(StarredPart(Part(tower, p, k), StarStatus.STARRED, lengths[k]))
         else:
-            status = StarStatus.UNKNOWN
-        out.append(StarredPart(Part(tower, p, k), status, length))
+            status = StarStatus.NOT_STARRED if here == "1" or prev == "0" else StarStatus.UNKNOWN
+            out.append(StarredPart(Part(tower, p, k), status, None))
     return tuple(out)
 
 
@@ -674,17 +669,16 @@ def efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
         if part.p != p:
             raise PeriodMismatch(f"part at period {part.p} in a comparison at {p}")
     bare = set(s_list).symmetric_difference(t_list)  # the parts without a witness yet
-    kinds: dict[tuple[Part, Part], DpKind] = {}
+    spared: set[Part] = set()  # the parts of the pairs run and not Refuted
     for x, y in product(s_list, t_list):
         if not bare:
             break
-        if not bare.isdisjoint((x, y)):
-            kinds[x, y] = dp_scan(x, y).kind
-            if kinds[x, y] is DpKind.CONSISTENT_WITNESS:
+        if not bare.isdisjoint((x, y)) and (kind := dp_scan(x, y).kind) is not DpKind.REFUTED:
+            spared |= {x, y}
+            if kind is DpKind.CONSISTENT_WITNESS:
                 bare -= {x, y}
     if not bare:
         return EfinResult.CERTIFIED_EQUAL
-    spared = {u for pair, kind in kinds.items() if kind is not DpKind.REFUTED for u in pair}
     return EfinResult.REFUTED if bare - spared else EfinResult.UNDETERMINED  # a bare part's pairs all ran
 
 

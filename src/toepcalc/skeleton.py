@@ -121,9 +121,9 @@ def _digits(tower: SkeletonTower, p: int) -> str:  # per residue r, the digit ou
     return format(int(format(outs, "b"), 16) | int(format(unknowns, "b"), 16) << 1, f"0{p}x")[::-1]
 
 
-def _view(tower: SkeletonTower, p: int) -> tuple[tuple, str]:  # statuses by digit; code points where In, else 0
+def _view(tower: SkeletonTower, p: int) -> tuple[str, str]:  # the residues' digits; code points where In, else 0
     digits = _digits(tower, p)
-    return tuple(map(_STATUS_OF_DIGIT.get, digits)), "".join(map({"1": "\0", "2": "\0"}.get, digits, tower._text[:p]))
+    return digits, "".join(map({"1": "\0", "2": "\0"}.get, digits, tower._text[:p]))
 
 
 def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
@@ -137,8 +137,8 @@ def periodic_part(tower: SkeletonTower, p: int) -> ResidueStatusSet:
     Cost: the table's bit masks (``status_masks``, kept on the tower), then
     O(p) C-level steps on every call to read the view off them; none is kept.
     """
-    statuses, skeleton = _view(tower, p)
-    return ResidueStatusSet(p, statuses, _lookup(tower.alphabet._decode, skeleton))
+    digits, skeleton = _view(tower, p)
+    return ResidueStatusSet(p, tuple(map(_STATUS_OF_DIGIT.get, digits)), _lookup(tower.alphabet._decode, skeleton))
 
 
 def period_status(tower: SkeletonTower, q: int) -> ResidueStatusSet:
@@ -161,9 +161,8 @@ def _modulus(tower: SkeletonTower, q: int) -> int:  # period_status(tower, q).mo
 def skeleton_word(tower: SkeletonTower, p: int) -> tuple[PartialCyclicWord, tuple[bool, ...]]:
     """The certified ``p``-skeleton as a word (In cells filled) plus a mask marking which
     blanks are Unknown rather than certified holes: O(p) C-level steps on the table's masks."""
-    statuses, skeleton = _view(tower, p)
-    unknown = tuple(map(is_, statuses, repeat(Status.UNKNOWN)))
-    return PartialCyclicWord(_lookup(tower.alphabet._decode, skeleton)), unknown
+    digits, skeleton = _view(tower, p)
+    return PartialCyclicWord(_lookup(tower.alphabet._decode, skeleton)), tuple(map("2".__eq__, digits))
 
 
 @dataclass(frozen=True)

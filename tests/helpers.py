@@ -5,8 +5,8 @@ import re
 from collections import Counter
 from functools import reduce
 from itertools import accumulate, compress, count, cycle, product, repeat
-from operator import is_, itemgetter, or_
-from typing import Iterator, Optional
+from operator import attrgetter, is_, itemgetter, or_
+from typing import Iterable, Iterator, Optional
 
 from toepcalc import (
     Alphabet,
@@ -24,12 +24,18 @@ from toepcalc.codes import AlphabetMismatch, BlockCode, CodeError, PeriodMismatc
 from toepcalc.conjugacy import (
     Consistent,
     Contradicted,
+    DpKind,
+    EfinResult,
     GammaResult,
+    Part,
+    StarredPart,
+    StarStatus,
     Undetermined,
     _candidates,
     _common_length,
     _margin,
     _Pair,
+    dp_scan,
     phase_separated,
 )
 from toepcalc import construction
@@ -42,6 +48,7 @@ from toepcalc.skeleton import (
     ResidueStatusSet,
     Status,
     _modulus,
+    filled_blocks,
     periodic_part,
     skeleton_word,
     status_masks,
@@ -892,3 +899,73 @@ def old_check_levels(tower: SkeletonTower, alphabet: Alphabet, levels: list, sca
         raise ScaleError(f"declared period {p} does not divide scale {scale}", level)
     vars(tower).update(alphabet=alphabet, declared_scale=scale, _status={}, _periods=tuple(p for p, _ in levels))
     vars(tower).update(_pieces=tuple(pieces), _text=pieces[-1], _planes=(reduce(or_, above), *above))
+
+
+# ``parts_star`` and ``efin_equal`` before they read the table's digits and kept
+# one set of spared parts, verbatim: the star statuses read off the
+# ``periodic_part`` view, and the Refuted rule off a table of every scan's kind.
+# Tests that record the scans patch ``dp_scan`` here as in ``conjugacy``.
+def old_parts_star(tower: SkeletonTower, p: int) -> tuple[StarredPart, ...]:
+    """Star status of every residue: Starred when position 0 is certified-In
+    and position -1 certified-Out in the rotated skeleton; the certified block
+    length is that of the ``filled_blocks`` span starting there (Unknown if an
+    Unknown residue intervenes before the next certified hole)."""
+    rss = periodic_part(tower, p)
+    lengths = {span.start: span.length for span in filled_blocks(tower, p).spans}
+    out: list[StarredPart] = []
+    for k in range(p):
+        s_here = rss.status_at(k)
+        s_prev = rss.status_at(k - 1)
+        length: Optional[int] = None
+        if s_here is Status.IN and s_prev is Status.OUT:
+            status = StarStatus.STARRED
+            length = lengths[k]  # k follows a hole and is In, so a span starts there
+        elif s_here is Status.OUT or s_prev is Status.IN:
+            status = StarStatus.NOT_STARRED
+        else:
+            status = StarStatus.UNKNOWN
+        out.append(StarredPart(Part(tower, p, k), status, length))
+    return tuple(out)
+
+
+def old_efin_equal(s: Iterable[Part], t: Iterable[Part], p: int) -> EfinResult:
+    """Compare the two finite families of equivalence classes.
+
+    Equality is certified iff every part lies on both sides or has a
+    Consistent ``dp_equivalent`` witness on the other side.  Witnesses
+    compose: if ``dp_equivalent(w, z)`` is Consistent at block rotation ``j1``
+    (block-type map ``f``) and ``dp_equivalent(w, y)`` at ``j2`` (map ``g``),
+    then at the block-aligned shift ``(j2 - j1)·p`` the blank masks of ``z``
+    and ``y`` match; ``g∘f⁻¹`` is well-defined and injective, since ``f`` and
+    ``g`` are bijections on the block types they pair; the per-offset symbol
+    relations compose to partial bijections; and no full-block conflict
+    exists.  ``dp_equivalent(z, y)`` scans every mask-compatible block-aligned
+    shift, so it finds a Consistent one; with symmetry, witnesses form an
+    equivalence relation, and the rule certifies exactly when every class
+    they generate meets both sides.  A part without a witness whose
+    comparisons against the entire other side are all Refuted certifies
+    inequality.  Empty versus empty is equal; empty versus nonempty refuted.
+
+    Cost: at most one ``dp_equivalent`` scan per pair across the sides, each side in
+    residue order, run when first needed and only while one of its parts has no
+    witness, until every part has one; the Refuted rule reads only the pairs run.
+    """
+    s_list = sorted(dict.fromkeys(s), key=attrgetter("k"))  # by residue, ties in input order
+    same = dict(zip(s_list, s_list))
+    t_list = sorted((same.get(y, y) for y in dict.fromkeys(t)), key=attrgetter("k"))  # a part on both sides as in s
+    for part in (*s_list, *t_list):
+        if part.p != p:
+            raise PeriodMismatch(f"part at period {part.p} in a comparison at {p}")
+    bare = set(s_list).symmetric_difference(t_list)  # the parts without a witness yet
+    kinds: dict[tuple[Part, Part], DpKind] = {}
+    for x, y in product(s_list, t_list):
+        if not bare:
+            break
+        if not bare.isdisjoint((x, y)):
+            kinds[x, y] = dp_scan(x, y).kind
+            if kinds[x, y] is DpKind.CONSISTENT_WITNESS:
+                bare -= {x, y}
+    if not bare:
+        return EfinResult.CERTIFIED_EQUAL
+    spared = {u for pair, kind in kinds.items() if kind is not DpKind.REFUTED for u in pair}
+    return EfinResult.REFUTED if bare - spared else EfinResult.UNDETERMINED  # a bare part's pairs all ran

@@ -13,7 +13,8 @@ on tower files build no ``PartialCyclicWord``: a parsed tower decodes its
 code points; ``validate_tower`` checks the code points, decodes no level and
 leaves them in place.  A third one checks the same of the towers the package builds from code points
 (``rotate``, ``permute``, ``apply-code``, ``generate``, ``with_common_depth``)
-and of the readers of a parsed tower's deepest word.
+and of the readers of a parsed tower's deepest word.  A fourth checks that
+only ``periodic_part`` maps a stage's digits to ``Status`` values.
 """
 
 import copy
@@ -42,6 +43,7 @@ from toepcalc import (
     invariant_compare,
     parse_block_code,
     parse_tower_text,
+    parts_star,
     period_status,
     periodic_part,
     reference_example,
@@ -197,9 +199,48 @@ def test_mask_readers_build_no_residue_status_set(monkeypatch, tmp_path):
         (corpus / f"{name}.tw").write_text(serialize_tower(tower))
     matrix = corpus_matrix(sorted(corpus.glob("*.tw")), 3)["matrix"]
     assert set(matrix["a.tw"].values()) == {"conjugate-certified", "refuted-up-to", "unknown"} and built == []
+    for p in _divisors(t.deepest_period):
+        parts_star(t, p)
+    assert built == []
     periodic_part(t, 10)
     assert built == [10]  # the guard sees the view built on request
     assert not any(isinstance(entry, ResidueStatusSet) for entry in t._status.values())  # and the tower keeps none
+
+
+def test_only_periodic_part_builds_statuses_from_digits(monkeypatch, tmp_path):
+    """The readers of a stage's digits keep them as digits: only
+    ``periodic_part`` (so ``period_status``) maps them to ``Status`` values,
+    one lookup per residue."""
+    reads = []
+
+    class Counting(dict):
+        def get(self, digit, default=None):
+            reads.append(digit)
+            return super().get(digit, default)
+
+        def __getitem__(self, digit):
+            reads.append(digit)
+            return super().__getitem__(digit)
+
+    monkeypatch.setattr(skeleton, "_STATUS_OF_DIGIT", Counting(skeleton._STATUS_OF_DIGIT))
+    text = serialize_tower(reference_example(9))
+    (tmp_path / "a.tw").write_text(text)
+    t, u = parse_tower_text(text), rotate_tower(parse_tower_text(text), 7)
+    images = [apply_block_code(t, parse_block_code(code, t.alphabet)) for code in CI_CODES]
+    assert reads == []
+    for p in _divisors(t.deepest_period):
+        parts_star(t, p)
+        skeleton_word(t, p)
+        filled_blocks(t, p)
+    assert reads == []
+    code, out = run_command(["analyze", str(tmp_path / "a.tw")])
+    assert code == 0 and "stage.2560.in = 2555" in out.splitlines() and reads == []
+    verdicts = [conjugacy_verdict(parse_tower_text(text), b, 3) for b in (*images, u)]
+    assert [type(v) for v in verdicts] == [RefutedUpTo, Unknown, ConjugateCertified] and reads == []
+    assert invariant_compare(t, u, 12).equal_suffix and reads == []
+    assert len(periodic_part(t, 640).statuses) == len(reads) == 640  # the guard sees the view built on request
+    reads.clear()
+    assert period_status(t, 15).modulus == len(reads) == 5
 
 
 def test_parsed_towers_build_no_cell_tuple(monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 """Differential tests: the one-rule stage facts (residue-class statuses, arcs
 between holes, stage rows, part-class comparison, stage values, chi stages,
 part equivalence, essential periods) against the case-split code they
-replaced, kept here verbatim as references."""
+replaced, kept here verbatim as references; and ``parts_star`` and
+``efin_equal`` against their forms before they read the table's digits and
+kept one set of spared parts, kept verbatim in ``helpers``."""
 
 import math
 import random
@@ -41,14 +43,18 @@ from toepcalc import (
     parts_star,
     period_status,
     periodic_part,
+    reference_example,
     rotate_tower,
+    status_masks,
     with_common_depth,
 )
+from toepcalc import conjugacy
 from toepcalc.codes import AlphabetMismatch
 from toepcalc.conjugacy import Consistent
 from toepcalc.odometer import INF, OdometerError, prime_index, supernatural_equal
 from toepcalc.randomgen import deepen, random_positionwise, random_tower
-from helpers import divisors, shift_contradicted, text_pair, tower
+import helpers
+from helpers import divisors, old_efin_equal, old_parts_star, one_level, shift_contradicted, text_pair, tower
 
 
 def reference_periodic_part(tower, p):
@@ -629,3 +635,111 @@ def test_essential_period_status_matches_flag_loop():
             if deep % p:
                 seen.add("non-divisor")
     assert seen == {*EssentialOutcome, "certified equal", "non-divisor"}
+
+
+def digit_towers(rng):
+    """Random towers over 2, 3 and multi-character symbols, each with and
+    without blanks, then towers whose stages below the deepest are all
+    Unknown (one filled cell, or none) or have no hole (a constant word)."""
+    for symbols in (("0", "1"), ("a", "b", "c"), ("ab", "c", "10", "xyz")):
+        for _ in range(40):
+            fill = rng.choice((1.0, 0.9, 0.6, 0.3))
+            t = random_tower(rng, symbols, depth=rng.randint(1, 3), base_periods=(1, 2, 3, 4, 6), fill=fill)
+            yield rotate_tower(t, rng.randrange(t.deepest_period))
+            yield one_level(symbols, [rng.choice(symbols) for _ in range(rng.choice((1, 4, 6, 12)))])
+        for n in (1, 6, 12, 60):
+            cells = [None] * n
+            yield one_level(symbols, cells)
+            cells[rng.randrange(n)] = rng.choice(symbols)
+            yield one_level(symbols, cells)
+            yield one_level(symbols, [symbols[0]] * n)
+
+
+def stage_kinds(t, p):
+    _, outs, unknowns = status_masks(t, p)
+    blanks = None in t.deepest_word.cells
+    return {
+        "blanks" if blanks else "no blanks",
+        f"{len(t.alphabet.symbols)} symbols, {'with' if blanks else 'without'} blanks",
+        *(["no hole"] if not outs else []),
+        *(["all Unknown"] if unknowns == (1 << p) - 1 else []),
+        *(["deepest"] if p == t.deepest_period else []),
+    }
+
+
+def test_parts_star_matches_the_view_reader():
+    rng = random.Random(3707)
+    seen = set()
+    for t in (*digit_towers(rng), *map(reference_example, range(13))):
+        for p in divisors(t.deepest_period):
+            got = parts_star(t, p)
+            assert got == old_parts_star(t, p), (t, p)
+            seen |= stage_kinds(t, p) | {sp.status for sp in got}
+            seen |= {"no length" if sp.length is None else "length" for sp in got if sp.status is StarStatus.STARRED}
+    assert seen == {
+        "blanks", "no blanks", "no hole", "all Unknown", "deepest", "length", "no length", *StarStatus,
+        *(f"{n} symbols, {w} blanks" for n in (2, 3, 4) for w in ("with", "without")),
+    }, seen
+
+
+def record_scans(monkeypatch):
+    """Record the ``dp_scan`` calls of ``efin_equal`` and of ``old_efin_equal`` in one list."""
+    calls, scan = [], conjugacy.dp_scan
+
+    def recorded(w, z):
+        calls.append((w, z))
+        return scan(w, z)
+
+    monkeypatch.setattr(conjugacy, "dp_scan", recorded)
+    monkeypatch.setattr(helpers, "dp_scan", recorded)
+    return calls
+
+
+def check_efin(calls, s, t, p):
+    """``efin_equal`` and ``old_efin_equal`` give one result by the same scans: that result and the number of scans."""
+    calls.clear()
+    got = efin_equal(s, t, p)
+    new_calls = calls[:]
+    calls.clear()
+    assert got is old_efin_equal(s, t, p) and new_calls == calls, (s, t, p)
+    return got, len(calls)
+
+
+def test_efin_equal_matches_the_kind_table_on_part_pools(monkeypatch):
+    calls = record_scans(monkeypatch)
+    rng = random.Random(3708)
+    seen = set()
+    for _ in range(400):
+        p, pool = part_pool(rng)
+        s = rng.sample(pool, rng.randint(0, min(5, len(pool))))
+        t = rng.sample(pool, rng.randint(0, min(5, len(pool))))
+        if s and rng.random() < 0.3:
+            t.append(rng.choice(s))  # a part on both sides
+        got, scans = check_efin(calls, s, t, p)
+        seen |= {got, "scans" if scans else "no scan"}
+    assert seen == {*EfinResult, "scans", "no scan"}
+
+
+def test_efin_equal_matches_the_kind_table_on_chi_stages(monkeypatch):
+    """The tower with a hole at every 4th cell against its copy with cell 1
+    blanked at N = 128..512, and ``reference_example(5..8)`` against a
+    rotation and a rotated positionwise image, at every stage."""
+    calls = record_scans(monkeypatch)
+    rng = random.Random(3709)
+    pairs = []
+    for n in (128, 256, 512):
+        cells = ["_" if x % 4 == 3 else rng.choice("01") for x in range(n)]
+        a = tower("".join(cells), scale="2^inf")
+        cells[1] = "_"
+        pairs.append((a, tower("".join(cells), scale="2^inf")))
+    for k in range(5, 9):
+        g = reference_example(k)
+        moved = rotate_tower(g, rng.randrange(1, g.deepest_period))
+        pairs += [(g, moved), (g, apply_positionwise_permutation(moved, random_positionwise(rng, g.alphabet, 5)))]
+    seen, total = set(), 0
+    for a, b in pairs:
+        for p in divisors(a.deepest_period):
+            got, scans = check_efin(calls, chi_stage(a, p).parts, chi_stage(b, p).parts, p)
+            seen.add(got)
+            total += scans
+    assert seen == set(EfinResult) and total > 1000, (seen, total)
