@@ -10,7 +10,7 @@ radius-2 windows search in milliseconds.  The library imposes no limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product, repeat
 from math import gcd, lcm
 from typing import Optional
@@ -24,8 +24,10 @@ from .skeleton import NonDivisorError
 class PeriodicWord:
     alphabet: Alphabet
     cells: tuple[str, ...]
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see exact_conjugacy_search
 
     def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(self.cells))  # a str or list of cells is held as the tuple
         if not self.cells:
             raise ValueError("periodic word must be nonempty")
         if not set(self.cells).issubset(self.alphabet.symbols):  # then name the first bad cell
@@ -33,7 +35,10 @@ class PeriodicWord:
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> "PeriodicWord":
-        return cls(alphabet, tuple(text))
+        return cls(alphabet, text)
+
+    def __reduce__(self):  # rebuilt from its cells: the facts start empty
+        return type(self), (self.alphabet, self.cells)
 
     @property
     def period(self) -> int:
@@ -73,11 +78,9 @@ def exact_periodic_analysis(word: PeriodicWord, p: int) -> ExactAnalysis:
     )
     essential = bool(per)
     if essential:
-        for q in range(1, p):
-            g = gcd(q, n)
+        for g in {gcd(q, n) for q in range(1, p)}:  # Per_q is Per_g as a set of integers
             per_g = _per_residues(word, g)
-            window = lcm(g, p)
-            if all((x % g in per_g) == (x % p in per) for x in range(window)):
+            if all((x % g in per_g) == (x % p in per) for x in range(lcm(g, p))):
                 essential = False
                 break
     return ExactAnalysis(per, skeleton, essential)
@@ -90,16 +93,18 @@ class SearchWitness:
     shift: int
 
 
-def _window_index(word: PeriodicWord, m: int) -> tuple[list[Window], tuple[int, ...]]:
+def _window_index(word: PeriodicWord, m: int) -> tuple[tuple[Window, ...], tuple[int, ...]]:
     """The sorted occurring radius-m windows of word, and for each position
-    the index of its window in that list."""
-    n, width = word.period, 2 * m + 1
-    start = -m % n  # position x's window is tiled[start + x : start + x + width]
-    tiled = word.cells * ((start + n + width) // n + 1)
-    at = [tiled[x : x + width] for x in range(start, start + n)]
-    windows = sorted(set(at))
-    number = {window: i for i, window in enumerate(windows)}
-    return windows, tuple(map(number.__getitem__, at))
+    the index of its window in that tuple; kept on the word under m."""
+    if m not in word._facts:
+        n, width = word.period, 2 * m + 1
+        start = -m % n  # position x's window is tiled[start + x : start + x + width]
+        tiled = word.cells * ((start + n + width) // n + 1)
+        at = [tiled[x : x + width] for x in range(start, start + n)]
+        windows = tuple(sorted(set(at)))
+        number = {window: i for i, window in enumerate(windows)}
+        word._facts[m] = windows, tuple(map(number.__getitem__, at))
+    return word._facts[m]
 
 
 def _forced(index: tuple[int, ...], y: tuple[str, ...]) -> Optional[tuple[str, ...]]:
@@ -137,11 +142,13 @@ def exact_conjugacy_search(
     Cost: a period-n rotation of w's tiling also has period w.period, so
     period g = gcd(n, w.period), and so has w; else None at once.  The images
     are the g rotations of w's root tiled to n, O(g·n), with least shifts
-    below g.  Then per radius m, O(n·(2m+1)) to number the windows of v and
-    O(n) to force the table of each image.  Each image is searched backward
-    at most once per call (that search depends only on y and v, and an image
-    that fails it is dropped): it numbers the windows of y and forces one
-    table per radius, O(n·max_radius²).
+    below g.  Then per radius m, O(n) to force the table of each image from
+    v's numbered windows.  Each image is searched backward at most once per
+    call, O(n) per radius from w's numbered windows (an image that fails is
+    dropped).  A word keeps its sorted windows and their index per radius m,
+    O(period·(2m+1)), and v each solved inverse (the checked BlockCode or
+    None) under (image cells, max_radius): at most one entry per distinct
+    image of v's period and radius.  The facts are not pickled or compared.
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatch("words use different alphabets")
@@ -163,7 +170,9 @@ def exact_conjugacy_search(
                 tables.append((tuple(map(rank.__getitem__, values)), values, y_cells, shift))
         tables.sort()  # distinct images force distinct tables: the ranks decide
         for _, values, y_cells, shift in tables:
-            back = _inverse_search(PeriodicWord(v.alphabet, y_cells), v, max_radius)
+            if (y_cells, max_radius) not in v._facts:
+                v._facts[y_cells, max_radius] = _inverse_search(w, shift, v, max_radius)
+            back = v._facts[y_cells, max_radius]
             if back is not None:
                 code = _full_code(v.alphabet, m, dict(zip(windows, values)))
                 return SearchWitness(code, back, shift)
@@ -171,11 +180,14 @@ def exact_conjugacy_search(
     return None
 
 
-def _inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
-    """The table of least radius mapping y onto v exactly, completed to a total code."""
+def _inverse_search(w: PeriodicWord, shift: int, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
+    """The table of least radius mapping the image y of w at ``shift`` onto v
+    exactly, completed to a total code.  y is w's tiling rotated by the shift:
+    it has w's windows, and w's index (period g) so rotated and tiled is y's."""
+    g = gcd(v.period, w.period)
     for m in range(max_radius + 1):
-        windows, index = _window_index(y, m)
-        values = _forced(index, v.cells)
+        windows, index = _window_index(w, m)
+        values = _forced((index[shift:g] + index[:shift]) * (v.period // g), v.cells)
         if values is not None:
-            return _full_code(y.alphabet, m, dict(zip(windows, values)))
+            return _full_code(v.alphabet, m, dict(zip(windows, values)))
     return None

@@ -44,6 +44,7 @@ from toepcalc.core import _BIT_DIGITS, BLANK, _bit_planes
 from toepcalc.skeleton import (
     _STATUS_OF_DIGIT,
     BlockSpan,
+    NonDivisorError,
     FilledBlocks,
     ResidueStatusSet,
     Status,
@@ -54,7 +55,7 @@ from toepcalc.skeleton import (
     status_masks,
 )
 from toepcalc.odometer import OdometerError, divides
-from toepcalc.oracle import PeriodicWord, SearchWitness, _forced, _window_index
+from toepcalc.oracle import ExactAnalysis, PeriodicWord, SearchWitness, _forced, _per_residues, _window_index
 
 BINARY = Alphabet(("0", "1"))
 
@@ -791,6 +792,32 @@ def _old_inverse_search(y: PeriodicWord, v: PeriodicWord, max_radius: int) -> Op
             return old_full_code(y.alphabet, m, dict(zip(windows, values)))
     return None
 
+
+
+# ``exact_periodic_analysis`` before it checked each distinct g = gcd(q, n)
+# once, verbatim but for the ``math.`` prefixes: one ``_per_residues``
+# comparison per q < p.
+def old_exact_periodic_analysis(word: PeriodicWord, p: int) -> ExactAnalysis:
+    """Residues of the exact p-periodic part, the exact p-skeleton, and
+    whether p is an essential period (nonempty part differing, as a set of
+    integers, from every Per_q with q < p)."""
+    n = word.period
+    if p < 1 or n % p:
+        raise NonDivisorError(f"{p} does not divide the period {n}")
+    per = _per_residues(word, p)
+    skeleton = PartialCyclicWord(
+        tuple(word.cells[r] if r in per else None for r in range(p))
+    )
+    essential = bool(per)
+    if essential:
+        for q in range(1, p):
+            g = math.gcd(q, n)
+            per_g = _per_residues(word, g)
+            window = math.lcm(g, p)
+            if all((x % g in per_g) == (x % p in per) for x in range(window)):
+                essential = False
+                break
+    return ExactAnalysis(per, skeleton, essential)
 
 # The five tower builders as they were before each built its tower's code points
 # and handed them to ``SkeletonTower._encoded``, verbatim: each decoded the cell
