@@ -137,29 +137,41 @@ def exact_conjugacy_search(
     forward table whose image has a backward table restoring v exactly is
     returned with the backward table of least radius, both completed to
     total codes (unused windows map to the first symbol).  Returns None when
-    every radius up to max_radius is exhausted.
+    every radius up to max_radius is exhausted.  Radii past a word's
+    period // 2 are skipped: a window as wide as the period numbers the
+    positions by residue modulo the least period, as every wider one does.
 
     Cost: a period-n rotation of w's tiling also has period w.period, so
     period g = gcd(n, w.period), and so has w; else None at once.  The images
     are the g rotations of w's root tiled to n, O(g·n), with least shifts
-    below g.  Then per radius m, O(n) to force the table of each image from
-    v's numbered windows.  Each image is searched backward at most once per
-    call, O(n) per radius from w's numbered windows (an image that fails is
-    dropped).  A word keeps its sorted windows and their index per radius m,
-    O(period·(2m+1)), and v each solved inverse (the checked BlockCode or
-    None) under (image cells, max_radius): at most one entry per distinct
-    image of v's period and radius.  The facts are not pickled or compared.
+    below g: a rotation class, named by its least member.  The order depends
+    only on the class and an inverse only on its image, so v keeps the chosen
+    image and both codes (or None) under (least image, max_radius), at most
+    one entry per rotation class of period-n words and radius; only the shift
+    is w's.  A solve forces each image's table per radius m <= n // 2, O(n),
+    and searches each image backward at most once, O(n) per radius
+    m <= w.period // 2; a word keeps its numbered windows per radius m,
+    O(period·(2m+1)).  The facts are not pickled or compared.
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatch("words use different alphabets")
     n, g = v.period, gcd(v.period, w.period)
     if w.cells != w.cells[:g] * (w.period // g):
         return None
-    images: dict[tuple[str, ...], int] = {}  # each image to its least shift; one that fails backward is dropped
+    images: dict[tuple[str, ...], int] = {}  # each image to its least shift
     for shift in range(g):
         images.setdefault((w.cells[shift:g] + w.cells[:shift]) * (n // g), shift)
+    key = min(images), max_radius
+    if key not in v._facts:
+        v._facts[key] = _solve(v, w, images, max_radius)
+    found = v._facts[key]  # (chosen image, forward code, backward code) or None
+    return None if found is None else SearchWitness(found[1], found[2], images[found[0]])
+
+
+def _solve(v: PeriodicWord, w: PeriodicWord, images: dict, max_radius: int) -> Optional[tuple]:
+    """The search over ``images``, dropping each that fails backward."""
     rank = {s: i for i, s in enumerate(v.alphabet.symbols)}
-    for m in range(max_radius + 1):
+    for m in range(min(max_radius, v.period // 2) + 1):
         if not images:
             break
         windows, index = _window_index(v, m)
@@ -170,12 +182,9 @@ def exact_conjugacy_search(
                 tables.append((tuple(map(rank.__getitem__, values)), values, y_cells, shift))
         tables.sort()  # distinct images force distinct tables: the ranks decide
         for _, values, y_cells, shift in tables:
-            if (y_cells, max_radius) not in v._facts:
-                v._facts[y_cells, max_radius] = _inverse_search(w, shift, v, max_radius)
-            back = v._facts[y_cells, max_radius]
+            back = _inverse_search(w, shift, v, max_radius)
             if back is not None:
-                code = _full_code(v.alphabet, m, dict(zip(windows, values)))
-                return SearchWitness(code, back, shift)
+                return y_cells, _full_code(v.alphabet, m, dict(zip(windows, values))), back
             del images[y_cells]
     return None
 
@@ -185,7 +194,7 @@ def _inverse_search(w: PeriodicWord, shift: int, v: PeriodicWord, max_radius: in
     exactly, completed to a total code.  y is w's tiling rotated by the shift:
     it has w's windows, and w's index (period g) so rotated and tiled is y's."""
     g = gcd(v.period, w.period)
-    for m in range(max_radius + 1):
+    for m in range(min(max_radius, w.period // 2) + 1):
         windows, index = _window_index(w, m)
         values = _forced((index[shift:g] + index[:shift]) * (v.period // g), v.cells)
         if values is not None:
