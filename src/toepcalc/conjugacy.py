@@ -451,10 +451,10 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     """
     if isinstance(decision := conjugacy_decision(a, b, max_radius), Verdict):
         return decision
-    pair, stages, separated, margins, candidates = decision  # the explanation: an Unknown's per-stage accounting
+    pair, stages, margins, candidates = decision  # the explanation: an Unknown's per-stage accounting
     diagnostics = []
     for p, t in margins.items():
-        if not separated[p]:
+        if not (phase_separated(a, p) and phase_separated(b, p)):  # kept on the towers by the decision
             diagnostics.append(f"stage {p}: phases not certified distinct; no certificate possible")
             continue
         line = f"stage {p}: no consistent shift; usable source margin radius {t}"
@@ -468,9 +468,9 @@ def conjugacy_verdict(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Ve
     return Unknown(tuple(diagnostics))
 
 
-Undecided = NamedTuple(  # the per-stage facts an Unknown verdict's diagnostics are rendered from
-    "Undecided", [("pair", _Pair), ("stages", list), ("separated", dict), ("margins", dict), ("candidates", dict)]
-)
+# The per-stage facts an Unknown verdict's diagnostics are rendered from; a stage's
+# separation is read from the towers, which keep phase_separated's answers.
+Undecided = NamedTuple("Undecided", [("pair", _Pair), ("stages", list), ("margins", dict), ("candidates", dict)])
 
 
 def conjugacy_decision(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> Union[Verdict, Undecided]:
@@ -485,10 +485,8 @@ def conjugacy_decision(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> U
     except IncompatiblePeriods as exc:
         return Unknown((str(exc),))
     stages, pair = sorted(set(a.periods) | set(b.periods)), _Pair(a, b, n)
-    separated: dict[int, bool] = {}
     for p in stages:
-        separated[p] = phase_separated(a, p) and phase_separated(b, p)
-        if not separated[p]:
+        if not (phase_separated(a, p) and phase_separated(b, p)):
             continue  # phases indistinct: a blockwise pairing would not pin the shift
         for k in pair.mask_shifts:  # mask match is necessary for Consistent
             g = pair.gamma(p, k)
@@ -511,7 +509,7 @@ def conjugacy_decision(a: SkeletonTower, b: SkeletonTower, max_radius: int) -> U
     for m in sorted(set(margins.values()) - {-1}, reverse=True):
         if refuting := tuple(p for p in stages if margins[p] == m and refutes(p)):
             return RefutedUpTo(m, refuting)
-    return Undecided(pair, stages, separated, margins, candidates)
+    return Undecided(pair, stages, margins, candidates)
 
 
 @dataclass(frozen=True)

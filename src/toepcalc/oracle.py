@@ -137,21 +137,21 @@ def exact_conjugacy_search(
     forward table whose image has a backward table restoring v exactly is
     returned with the backward table of least radius, both completed to
     total codes (unused windows map to the first symbol).  Returns None when
-    every radius up to max_radius is exhausted.  Radii past a word's
-    period // 2 are skipped: a window as wide as the period numbers the
-    positions by residue modulo the least period, as every wider one does.
+    every radius up to max_radius is exhausted.  Radii past n // 2 (g // 2
+    backward; w has period g, below) are skipped: a window as wide as a period
+    numbers the positions by residue modulo the least period, as wider ones do.
 
     Cost: a period-n rotation of w's tiling also has period w.period, so
     period g = gcd(n, w.period), and so has w; else None at once.  The images
     are the g rotations of w's root tiled to n, O(g·n), with least shifts
     below g: a rotation class, named by its least member.  The order depends
     only on the class and an inverse only on its image, so v keeps the chosen
-    image and both codes (or None) under (least image, max_radius), at most
-    one entry per rotation class of period-n words and radius; only the shift
-    is w's.  A solve forces each image's table per radius m <= n // 2, O(n),
-    and searches each image backward at most once, O(n) per radius
-    m <= w.period // 2; a word keeps its numbered windows per radius m,
-    O(period·(2m+1)).  The facts are not pickled or compared.
+    image and both codes (or None) under (least image, min(max_radius, n // 2)),
+    at most n // 2 + 1 per rotation class of period-n words; only the shift is
+    w's.  A solve forces each image's table per radius m, O(n), and searches
+    each image backward at most once, O(n) per radius m <= g // 2; a word keeps
+    its numbered windows per radius m up to the deciding one, O(period·(2m+1)).
+    The facts are not pickled or compared.
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatch("words use different alphabets")
@@ -161,17 +161,17 @@ def exact_conjugacy_search(
     images: dict[tuple[str, ...], int] = {}  # each image to its least shift
     for shift in range(g):
         images.setdefault((w.cells[shift:g] + w.cells[:shift]) * (n // g), shift)
-    key = min(images), max_radius
+    key = min(images), max_radius if max_radius < n // 2 else n // 2  # min(max_radius, n // 2), without a call
     if key not in v._facts:
-        v._facts[key] = _solve(v, w, images, max_radius)
+        v._facts[key] = _solve(v, w, images, key[1])
     found = v._facts[key]  # (chosen image, forward code, backward code) or None
     return None if found is None else SearchWitness(found[1], found[2], images[found[0]])
 
 
 def _solve(v: PeriodicWord, w: PeriodicWord, images: dict, max_radius: int) -> Optional[tuple]:
-    """The search over ``images``, dropping each that fails backward."""
+    """The search over ``images`` up to ``max_radius`` <= v.period // 2, dropping each that fails backward."""
     rank = {s: i for i, s in enumerate(v.alphabet.symbols)}
-    for m in range(min(max_radius, v.period // 2) + 1):
+    for m in range(max_radius + 1):
         if not images:
             break
         windows, index = _window_index(v, m)
@@ -191,10 +191,10 @@ def _solve(v: PeriodicWord, w: PeriodicWord, images: dict, max_radius: int) -> O
 
 def _inverse_search(w: PeriodicWord, shift: int, v: PeriodicWord, max_radius: int) -> Optional[BlockCode]:
     """The table of least radius mapping the image y of w at ``shift`` onto v
-    exactly, completed to a total code.  y is w's tiling rotated by the shift:
-    it has w's windows, and w's index (period g) so rotated and tiled is y's."""
+    exactly, completed to a total code, of radius <= g // 2.  y is w's tiling rotated by the
+    shift: it has w's windows, and w's index (period g) so rotated and tiled is y's."""
     g = gcd(v.period, w.period)
-    for m in range(min(max_radius, w.period // 2) + 1):
+    for m in range(min(max_radius, g // 2) + 1):
         windows, index = _window_index(w, m)
         values = _forced((index[shift:g] + index[:shift]) * (v.period // g), v.cells)
         if values is not None:

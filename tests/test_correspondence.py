@@ -244,6 +244,20 @@ def test_certified_verdict_checks_separation_only_where_it_stops(monkeypatch):
     assert set(checked) == {5}
 
 
+def test_unknown_explanation_reads_each_stage_separation_from_the_towers(monkeypatch):
+    """The decision's record keeps no separation; the explanation reads the
+    answers the towers kept under ("separated", p), so it separates nothing again."""
+    expected = conjugacy_verdict(reference_example(2), reference_example(3), 2)
+    a, b = reference_example(2), reference_example(3)
+    decision = conjugacy.conjugacy_decision(a, b, 2)
+    assert isinstance(decision, conjugacy.Undecided) and "separated" not in decision._fields
+    assert {p: a._status["separated", p] and b._status["separated", p] for p in decision.margins} == {
+        5: True, 10: False, 20: True, 40: False
+    }
+    monkeypatch.setattr(conjugacy, "_separated", lambda tower, p: pytest.fail("separated again"))
+    assert conjugacy_verdict(a, b, 2) == expected
+
+
 def test_unknown_diagnostics_text_is_unchanged():
     # the expected lines were produced by the quadratic kernel
     v = conjugacy_verdict(reference_example(2), reference_example(3), 2)

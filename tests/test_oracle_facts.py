@@ -1,9 +1,9 @@
 """The facts a ``PeriodicWord`` keeps for the oracle (numbered windows per
 radius, and on the source word one solve per rotation class of images and
 radius), against the search and the inverse search on fresh words kept
-verbatim in tests/helpers.py; radii capped at half a word's period; a
-word's cells held as a tuple; and the essential-period check by distinct
-gcd."""
+verbatim in tests/helpers.py; radii capped at half the source's period, and
+backward at half the common period; a word's cells held as a tuple; and the
+essential-period check by distinct gcd."""
 
 import copy
 import pickle
@@ -60,7 +60,7 @@ def _check_sweeps(cases: list, seed: int) -> Counter:
         assert all(k <= min(max(radii), u.period // 2) for k in u._facts if isinstance(k, int)), u
     for v in {v for v, _, _ in cases}:  # one solve per rotation class of images and radius, named by its least member
         classes = [k for k in v._facts if not isinstance(k, int)]
-        assert all(len(c) == v.period and c == _least(c) and r in radii for c, r in classes), v
+        assert all(len(c) == v.period and c == _least(c) and r in radii and r <= v.period // 2 for c, r in classes), v
         seen["classes kept"] += len(classes)
     return seen
 
@@ -145,6 +145,29 @@ def test_a_huge_radius_returns_at_once_and_keeps_few_windows():
         assert repr(got) == repr(old_exact_conjugacy_search(_fresh(v), _fresh(w), radius)), (v, w)
     assert exact_conjugacy_search(PeriodicWord(BINARY, "01"), PeriodicWord(BINARY, "0"), 10**9) is None
     assert time.perf_counter() - start < 1
+
+
+def test_radii_past_half_the_source_period_share_one_solve():
+    """0110 searched from 0011 at every max_radius below 1000 leaves three
+    solves on the source, at radii 0, 1 and 2, and each answer is the old
+    search's at min(max_radius, 6) on fresh words."""
+    v, w = PeriodicWord(BINARY, "0011"), PeriodicWord(BINARY, "0110")
+    expected = [repr(old_exact_conjugacy_search(_fresh(v), _fresh(w), r)) for r in range(7)]
+    for max_radius in range(1000):
+        assert repr(exact_conjugacy_search(v, w, max_radius)) == expected[min(max_radius, 6)], max_radius
+    assert sorted(k for k in v._facts if not isinstance(k, int)) == [(tuple("0011"), r) for r in (0, 1, 2)]
+
+
+def test_an_inverse_search_stops_at_half_the_common_period():
+    """010101 from 0011: g = 2, every image fails backward, and the target
+    numbers its windows at radii 0 and 1 only, not up to half its period."""
+    v, w = PeriodicWord(BINARY, "0011"), PeriodicWord(BINARY, "010101")
+    assert exact_conjugacy_search(v, w, 10) is None
+    assert sorted(k for k in w._facts if isinstance(k, int)) == [0, 1]
+    for shift in range(2):
+        y = PeriodicWord(BINARY, (w.cells[shift:2] + w.cells[:shift]) * 2)
+        expected = _old_inverse_search(y, _fresh(v), 10)
+        assert expected is None and repr(_inverse_search(_fresh(w), shift, _fresh(v), 10)) == repr(expected), shift
 
 
 def test_a_warm_sweep_forces_and_builds_nothing(monkeypatch):
